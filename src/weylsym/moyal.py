@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergent, ShapeError
+from . import matcore
+from .errors import BadConfig, NonConvergent, ShapeError
 from .polys import Poly
 from .weylsymbols import QuadForm2n
 
 __all__ = [
-    "PhasePoly",
     "DiffOp",
     "phase_poly_from_quadform",
     "poisson_power",
@@ -40,9 +40,6 @@ __all__ = [
     "homomorphism_residual",
     "star_exp_bridge_residual",
 ]
-
-# a phase-space polynomial is a Poly in 2n variables, (p, q)-ordered
-PhasePoly = Poly
 
 _T = -0.5j  # the deformation parameter, fixed at construction
 
@@ -68,8 +65,31 @@ def _check_phase(u: Poly) -> int:
     return u.nvars // 2
 
 
+def _partials(u: Poly, l: int) -> dict:
+    """{γ: ∂^γ u} over the multi-indices γ with |γ| = l whose derivative is
+    nonzero; each γ is reached once, by raising its last nonzero slot."""
+    level = {(0,) * u.nvars: u}
+    for _ in range(l):
+        nxt = {}
+        for gamma, d in level.items():
+            last = max((i for i, e in enumerate(gamma) if e), default=0)
+            for i in range(last, u.nvars):
+                di = d.diff(i)
+                if di.terms:
+                    nxt[gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]] = di
+        level = nxt
+    return level
+
+
 def poisson_power(u: Poly, v: Poly, l: int) -> Poly:
-    """P^l(u, v) by the explicit Λ-sum; P^0(u, v) = uv."""
+    """P^l(u, v) in multinomial form; P^0(u, v) = uv.
+
+    Expanding the l Λ factors, a term with α_k factors (p_k, q_k) and β_k
+    factors (q_k, p_k) occurs l!/(α! β!) times with sign (-1)^{|β|}:
+
+        P^l(u, v) = Σ_{|α|+|β|=l} (-1)^{|β|} l!/(α! β!)
+                    (∂_p^α ∂_q^β u)(∂_q^α ∂_p^β v).
+    """
     n = _check_phase(u)
     if v.nvars != u.nvars:
         raise ShapeError("operands live on different phase spaces")
@@ -77,24 +97,16 @@ def poisson_power(u: Poly, v: Poly, l: int) -> Poly:
         raise ShapeError("order must be nonnegative")
     if l == 0:
         return u * v
+    du = _partials(u, l)
+    dv = _partials(v, l)
     total = Poly.zero(u.nvars)
-    # each Λ factor picks an index k and an orientation: (p_k, q_k) -> +1,
-    # (q_k, p_k) -> -1
-    for choice in itertools.product(range(n), repeat=l):
-        for signs in itertools.product((0, 1), repeat=l):
-            du, dv, sgn = u, v, 1
-            for k, flip in zip(choice, signs):
-                if flip == 0:
-                    du = du.diff(k)        # ∂/∂p_k
-                    dv = dv.diff(n + k)    # ∂/∂q_k
-                else:
-                    du = du.diff(n + k)
-                    dv = dv.diff(k)
-                    sgn = -sgn
-                if not du.terms or not dv.terms:
-                    break
-            else:
-                total = total + sgn * (du * dv)
+    for gamma, ug in du.items():
+        alpha, beta = gamma[:n], gamma[n:]
+        vg = dv.get(beta + alpha)
+        if vg is None:
+            continue
+        weight = math.factorial(l) // math.prod(math.factorial(e) for e in gamma)
+        total = total + (-weight if sum(beta) % 2 else weight) * (ug * vg)
     return total
 
 
@@ -107,12 +119,120 @@ def moyal_mul(u: Poly, v: Poly) -> Poly:
     return out
 
 
+# Largest monomial count star_exp_series allocates, C(2·order + 2n, 2n): the
+# power (s q_M)^{∗order} has total degree 2·order.  n = 2 at order 40 (the
+# star-exp suite) needs 1.93M; n = 3 at order 40 would need 4.7·10^8.
+_MAX_MONOMIALS = 2**21
+
+
+@dataclass
+class _GradedTable:
+    """The monomials in k variables of total degree ≤ `degree`, in graded
+    order, so that the degree ≤ d monomials are a prefix for every d ≤ degree.
+
+    exps[a, i] is the exponent of variable a in monomial i; up[a, i] is the
+    index of v_a times monomial i, for the monomials of degree < `degree`;
+    ends[d] is the number of monomials of degree ≤ d.
+    """
+
+    degree: int
+    exps: np.ndarray
+    up: np.ndarray
+    ends: list
+
+
+def _prefix(tab: _GradedTable, d: int) -> int:
+    """Number of monomials of degree ≤ d (0 for d < 0)."""
+    return tab.ends[d] if d >= 0 else 0
+
+
+# one table per variable count, grown in place to the largest degree asked
+# for; the graded order lets it serve every lower degree unchanged
+_TABLES: dict = {}
+
+
+def _graded_table(k: int, degree: int) -> _GradedTable:
+    """The cached table for k variables, grown to at least `degree`.
+
+    Within a degree-d shell, monomial e has the stars-and-bars rank
+    Σ_{j=1}^{k-1} C(s_j + k-1-j, k-j), s_j = e_j + ... + e_{k-1}, a bijection
+    onto [0, C(d+k-1, k-1)).  Each new shell is the set of shell-(d-1)
+    monomials raised in one slot, which also gives those monomials' up rows.
+    """
+    tab = _TABLES.get(k)
+    if tab is None:
+        tab = _TABLES[k] = _GradedTable(0, np.zeros((k, 1), np.int16), np.zeros((k, 0), np.intp), [1])
+    if degree <= tab.degree:
+        return tab
+    binom = np.array([[math.comb(p, r) for r in range(k + 1)] for p in range(degree + k)], np.int64)
+    eye = np.eye(k, dtype=np.int64)
+    ends = list(tab.ends)
+    exps = np.empty((k, math.comb(degree + k, k)), np.int16)
+    up = np.empty((k, math.comb(degree - 1 + k, k)), np.intp)
+    exps[:, : ends[-1]] = tab.exps
+    up[:, : tab.up.shape[1]] = tab.up
+    for d in range(tab.degree + 1, degree + 1):
+        lo, hi = ends[d - 2] if d >= 2 else 0, ends[d - 1]
+        cand = exps[:, lo:hi].T.astype(np.int64)[None] + eye[:, None, :]  # (raised slot, monomial, variable)
+        suffix = np.cumsum(cand[..., ::-1], axis=-1)[..., ::-1]
+        up[:, lo:hi] = hi + sum(binom[suffix[..., j] + k - 1 - j, k - j] for j in range(1, k))
+        exps[:, up[:, lo:hi].ravel()] = cand.reshape(-1, k).T
+        ends.append(hi + math.comb(d + k - 1, k - 1))
+    tab.exps, tab.up, tab.ends, tab.degree = exps, up, ends, degree
+    return tab
+
+
+def _star_step(tab: _GradedTable, c: np.ndarray, deg: int, s_mat: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Packed coefficients of u ∗ f for f = vᵗ S v, u of degree ≤ deg packed
+    as c over the first _prefix(tab, deg) monomials of tab.
+
+    Only P^0, P^1 and P^2 survive against a quadratic, so
+
+        u ∗ f = f·u + t Σ_i g_i ∂_i u + (t²/2) Σ_ab H_ab ∂_a ∂_b u,
+
+    g = 2ΛS v, H = 2ΛSΛᵗ, with lam the Poisson pairing Λ (J in (p, q) order).
+    Multiplying by v_a scatters through up[a]; ∂_a gathers through up[a]
+    with weight e_a + 1.  The f·u and g terms are collected as Σ_a v_a z_a;
+    they run one after the other so that at most k full-length work arrays
+    are alive at once.
+    """
+    k = s_mat.shape[0]
+    grad = 2.0 * lam @ s_mat
+    hess = grad @ lam.T
+    n0, n1, n2 = _prefix(tab, deg), _prefix(tab, deg + 1), _prefix(tab, deg + 2)
+    m1, m2 = _prefix(tab, deg - 1), _prefix(tab, deg - 2)
+    up, exps = tab.up, tab.exps
+    out = np.zeros(n2, complex)
+    # f·u = Σ_a v_a Σ_b S_ab v_b u
+    vu = np.zeros((k, n1), complex)
+    for b in range(k):
+        vu[b, up[b, :n0]] = c
+    for a in range(k):
+        out[up[a, :n1]] += s_mat[a] @ vu
+    del vu
+    # t Σ_a v_a Σ_i (2ΛS)_ia ∂_i u  and  (t²/2) Σ_a ∂_a Σ_b H_ab ∂_b u
+    du = np.empty((k, m1), complex)
+    for i in range(k):
+        du[i] = (exps[i, :m1] + 1) * c[up[i, :m1]]
+    for a in range(k):
+        out[up[a, :m1]] += _T * (grad[:, a] @ du)
+        h = hess[a] @ du
+        out[:m2] += (_T**2 / 2) * (exps[a, :m2] + 1) * h[up[a, :m2]]
+    return out
+
+
 def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[complex, float]:
     """exp_*(s q_M)(point) = Σ_{l≤L} (s q_M)^{∗l}(point)/l! by repeated
     star multiplication.  Returns (value, last-term magnitude).
 
     Refuses outside the convergence envelope ‖sM‖ ≤ 0.25, |point| ≤ 1.5,
-    L ≤ 60, and raises NonConvergent if the certificate fails.
+    L ≤ 60, and raises NonConvergent if the certificate fails.  Raises
+    BadConfig when the packed powers would need more than 2^21 monomials
+    (n = 3 or more at order 40).
+
+    Each power is a dense coefficient array over the monomials of degree
+    ≤ 2l in graded order (see `_star_step`), evaluated by one dot product
+    with the monomial values at the point.
     """
     point = np.asarray(point, dtype=float).reshape(2 * q.n)
     if np.linalg.norm(complex(s) * q.M, 2) > 0.25 + 1e-12:
@@ -121,15 +241,29 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
         raise NonConvergent("|point| exceeds the convergence envelope (1.5)")
     if order > 60:
         raise NonConvergent("truncation order exceeds 60")
-    f = complex(s) * phase_poly_from_quadform(q)
-    power = Poly.const(2 * q.n, 1.0)
+    k = 2 * q.n
+    top = 2 * max(order, 0)
+    if math.comb(top + k, k) > _MAX_MONOMIALS:
+        raise BadConfig(
+            f"order {order} at n = {q.n} needs {math.comb(top + k, k)} monomials "
+            f"(limit {_MAX_MONOMIALS})"
+        )
+    tab = _graded_table(k, top)
+    s_mat = complex(s) * (q.M + q.M.T) / 2
+    lam = matcore.matrix_J(q.n).real
+    powers = point[:, None] ** np.arange(top + 1)
+    values = np.ones(_prefix(tab, top))
+    for a in range(k):
+        values *= powers[a, tab.exps[a, : values.size]]
+    coeffs = np.ones(1, complex)
     total = 0.0 + 0.0j
     last = 0.0
     for l in range(order + 1):
-        last = abs(power.eval(point) / math.factorial(l))
-        total += power.eval(point) / math.factorial(l)
+        term = (coeffs @ values[: coeffs.size]) / math.factorial(l)
+        last = abs(term)
+        total += term
         if l < order:
-            power = moyal_mul(power, f)
+            coeffs = _star_step(tab, coeffs, 2 * l, s_mat, lam)
     if last > 1e-10 * max(abs(total), 1e-30):
         raise NonConvergent(f"last term {last:.3g} is not negligible")
     return complex(total), last
@@ -138,7 +272,6 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
 def star_exp_quadratic_closed(q: QuadForm2n, point) -> complex:
     """exp_*(-i q_M)(x, y) = (Det cosh(JM))^{-1/2}
     exp(i (x y) J tanh(JM) (x y)^t)."""
-    from . import matcore
     from .errors import SingularMatrix
     from .weylsymbols import _det_sqrt_eig
 
@@ -262,7 +395,6 @@ def homomorphism_residual(f1: Poly, f2: Poly) -> float:
 
 def star_exp_bridge_residual(x_lie, point) -> float:
     """|exp_*(-i q_M)(point) - W1(σ'(exp X))(point)| with M = (1/2) J X."""
-    from . import matcore
     from .weylsymbols import w1_exp_closed
 
     n = x_lie.n

@@ -34,6 +34,20 @@ class Poly:
                 raise ValueError(f"bad exponent {k} for {self.nvars} variables")
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Poly":
+        """Result of a ring operation on valid operands: the keys are already
+        exponent tuples of length `nvars` and the values complex, so only
+        the zero dropping of `__post_init__` is repeated."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "terms", {k: v for k, v in terms.items() if abs(v) > _DROP})
+        return out
+
+    def _check_same(self, other: "Poly") -> None:
+        if other.nvars != self.nvars:
+            raise ValueError(f"operands have {self.nvars} and {other.nvars} variables")
+
     # -- constructors -----------------------------------------------------
     @staticmethod
     def zero(nvars: int) -> "Poly":
@@ -53,15 +67,16 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = Poly.const(self.nvars, other)
+        self._check_same(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0.0) + v
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {k: -v for k, v in self.terms.items()})
+        return Poly._trusted(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -73,13 +88,14 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return Poly(self.nvars, {k: v * other for k, v in self.terms.items()})
+            return Poly._trusted(self.nvars, {k: v * other for k, v in self.terms.items()})
+        self._check_same(other)
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = tuple(a + b for a, b in zip(k1, k2))
                 out[k] = out.get(k, 0.0) + v1 * v2
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -97,26 +113,7 @@ class Poly:
                 e = list(k)
                 e[i] -= 1
                 out[tuple(e)] = out.get(tuple(e), 0.0) + v * k[i]
-        return Poly(self.nvars, out)
-
-    def shift(self, offsets) -> "Poly":
-        """Substitute x_i -> x_i + offsets[i] (offsets are Poly or scalars)."""
-        subs = []
-        for i, off in enumerate(offsets):
-            base = Poly.var(self.nvars, i)
-            subs.append(base + off if not isinstance(off, Poly) else base + off)
-        return self.compose(subs)
-
-    def compose(self, subs) -> "Poly":
-        """Substitute x_i -> subs[i] (each a Poly in the same variables)."""
-        out = Poly.zero(self.nvars)
-        for k, v in self.terms.items():
-            term = Poly.const(self.nvars, v)
-            for i, e in enumerate(k):
-                for _ in range(e):
-                    term = term * subs[i]
-            out = out + term
-        return out
+        return Poly._trusted(self.nvars, out)
 
     def eval(self, point) -> complex:
         point = np.asarray(point, dtype=complex)

@@ -40,6 +40,12 @@ def test_star_exp_series_reports_last_term(capsys):
     assert obj["last_term"] < 1e-10
 
 
+def test_star_exp_series_too_large_is_bad_config(capsys):
+    code = main(["eval", "star-exp", "--n", "3", "--M", "0.05I", "--point", "0.1", "0", "0", "0", "0", "0"])
+    assert code == 2
+    assert "monomials" in capsys.readouterr().err
+
+
 def test_eval_from_matrix_file(tmp_path, capsys):
     g = random_sp(1, 42)
     path = tmp_path / "g.json"

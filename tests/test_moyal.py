@@ -1,7 +1,13 @@
+import itertools
+import math
+import time
+
 import numpy as np
 import pytest
 
-from weylsym.errors import NonConvergent, ShapeError
+from weylsym import moyal
+from weylsym.errors import BadConfig, NonConvergent, ShapeError
+from weylsym.matcore import matrix_J
 from weylsym.moyal import (
     DiffOp,
     diffop_apply,
@@ -100,6 +106,33 @@ def test_associativity_random():
         assert left.max_coeff_diff(right) < 1e-12
 
 
+def _poisson_power_paths(u, v, l):
+    """P^l(u, v) summed over all (2n)^l Λ-paths, one Λ factor at a time."""
+    n = u.nvars // 2
+    total = Poly.zero(u.nvars)
+    for choice in itertools.product(range(n), repeat=l):
+        for signs in itertools.product((0, 1), repeat=l):
+            du, dv, sgn = u, v, 1
+            for k, flip in zip(choice, signs):
+                du = du.diff(n + k if flip else k)
+                dv = dv.diff(k if flip else n + k)
+                sgn = -sgn if flip else sgn
+            total = total + sgn * (du * dv)
+    return total
+
+
+def test_poisson_power_matches_path_sum():
+    rng = rng_for(8, "moyal-paths")
+    for n in (1, 2):
+        for _ in range(4):
+            u = _random_poly(rng, 2 * n, 4)
+            v = _random_poly(rng, 2 * n, 4)
+            for l in range(5):
+                ref = _poisson_power_paths(u, v, l)
+                scale = max((abs(c) for c in ref.terms.values()), default=1.0)
+                assert poisson_power(u, v, l).max_coeff_diff(ref) <= 1e-14 * scale
+
+
 def test_shape_validation():
     with pytest.raises(ShapeError):
         poisson_power(Poly.var(3, 0), Poly.var(3, 1), 1)
@@ -181,6 +214,60 @@ def test_star_exp_series_truncation_monotone():
     closed = star_exp_quadratic_closed(q, [0.5, 0.2])
     assert abs(v40 - closed) <= abs(v30 - closed) + 1e-12
     assert abs(v40 - closed) < 1e-9
+
+
+def _random_quadratic(rng, n):
+    s = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    s = (s + s.T) / 2
+    f = Poly(2 * n, {})
+    for a in range(2 * n):
+        for b in range(2 * n):
+            f = f + s[a, b] * (Poly.var(2 * n, a) * Poly.var(2 * n, b))
+    return s, f
+
+
+def test_packed_step_matches_moyal_mul():
+    rng = rng_for(9, "moyal-packed")
+    for n in (1, 2):
+        tab = moyal._graded_table(2 * n, 8)
+        index = {tuple(int(e) for e in col): i for i, col in enumerate(tab.exps.T)}
+        for _ in range(5):
+            u = _random_poly(rng, 2 * n, 6, nterms=10)
+            s, f = _random_quadratic(rng, n)
+            c = np.zeros(moyal._prefix(tab, u.degree), complex)
+            for e, coeff in u.terms.items():
+                c[index[e]] = coeff
+            packed = moyal._star_step(tab, c, u.degree, s, matrix_J(n).real)
+            got = Poly(2 * n, {tuple(int(x) for x in tab.exps[:, i]): packed[i] for i in range(packed.size)})
+            ref = moyal_mul(u, f)
+            scale = max(abs(x) for x in ref.terms.values())
+            assert got.max_coeff_diff(ref) <= 1e-13 * scale
+
+
+def test_star_exp_series_matches_reference_loop():
+    rng = rng_for(10, "moyal-series-ref")
+    for _ in range(3):
+        m = rng.standard_normal((2, 2))
+        m = 0.15 * (m + m.T) / np.linalg.norm(m + m.T, 2)
+        q = QuadForm2n(1, m)
+        point = rng.uniform(-0.8, 0.8, 2)
+        f = -1j * phase_poly_from_quadform(q)
+        power, ref = Poly.const(2, 1.0), 0.0
+        for l in range(13):
+            ref += power.eval(point) / math.factorial(l)
+            power = moyal_mul(power, f)
+        value, _ = star_exp_series(q, -1j, 12, point)
+        assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+def test_star_exp_series_size_guard():
+    q = QuadForm2n(3, 0.05 * np.eye(6))
+    table = moyal._TABLES.get(6)
+    t0 = time.perf_counter()
+    with pytest.raises(BadConfig):
+        star_exp_series(q, -1j, 40, [0.1] * 6)
+    assert time.perf_counter() - t0 < 1.0
+    assert moyal._TABLES.get(6) is table  # refused before any table was built or grown
 
 
 def test_star_exp_envelope_rejections():
