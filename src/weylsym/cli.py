@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from . import matcore
 from .errors import AmbiguousPhase, WeylsymError
 from .metaplectic import (
     berezin_symbol_dsigma,
@@ -31,6 +30,7 @@ from .weylsymbols import (
     hormander_exp_symbol,
     w0_dsigma_closed,
     w0_sigma_closed,
+    w0_sigma_symbol,
     w1_dsigma_closed,
     w1_exp_closed,
     w1_sigma_closed,
@@ -65,10 +65,6 @@ def _load_square(spec: str, size: int) -> np.ndarray:
         except ValueError:
             pass
     raise WeylsymError(f"cannot interpret matrix argument {spec!r}")
-
-
-def _infer_n(args) -> int:
-    return args.n
 
 
 def _complex_point(vals, n):
@@ -114,15 +110,8 @@ def _emit_value(value: complex, args, extra: dict | None = None) -> None:
     print(json.dumps(obj))
 
 
-def _adjudicated_w0(k: SuBlocks, z, lam: float, nodes: int) -> complex:
-    c = adjudicate_phase(k, lam, nodes=nodes)
-    jc = matcore.matrix_J(k.n) @ matcore.cayley(k.full)
-    r = np.concatenate([z, z.conj()])
-    return complex(c * np.exp(lam / 2 * (r @ (jc @ r))))
-
-
 def _run_eval(args) -> int:
-    n = _infer_n(args)
+    n = args.n
     lam = args.lam
     kind = args.kind
     extra = None
@@ -146,7 +135,8 @@ def _run_eval(args) -> int:
                 except AmbiguousPhase:
                     if not args.adjudicate_phase:
                         raise
-                    value = _adjudicated_w0(k, z, lam, args.nodes)
+                    c = adjudicate_phase(k, lam, nodes=args.nodes)
+                    value = w0_sigma_symbol(k, lam, c).eval_z(z)
             else:
                 value = berezin_symbol_sigma(k, z, lam)
     elif kind in ("w0-dsigma", "berezin-dsigma"):
@@ -166,7 +156,9 @@ def _run_eval(args) -> int:
         except AmbiguousPhase:
             if not args.adjudicate_phase:
                 raise
-            value = _adjudicated_w0(su_from_sp(g), x + 1j * y, lam, args.nodes)
+            k = su_from_sp(g)
+            c = adjudicate_phase(k, lam, nodes=args.nodes)
+            value = w0_sigma_symbol(k, lam, c).eval_z(x + 1j * y)
     elif kind in ("w1-exp", "w1-dsigma"):
         if not args.X:
             raise WeylsymError(f"{kind} requires --X")

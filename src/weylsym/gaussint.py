@@ -26,16 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import DivergentIntegral, ShapeError, SingularMatrix
+from .errors import DivergentIntegral, ShapeError
 from .matcore import as_matrix, det_powhalf_posreal, matrix_U, norm
-from .quadrature import quadrature_cn
 from .sympgroup import SuBlocks
 
 __all__ = [
     "GaussianIntegrand",
     "GaussianKernel",
     "gaussian_integral_closed",
-    "quadrature_cn",
     "compose_kernels",
     "block_inverse_identity_residual",
     "cayley_block_identity_residual",
@@ -196,10 +194,7 @@ def _inverse_blocks(a: np.ndarray, d: np.ndarray, p: np.ndarray):
     n = a.shape[0]
     eye = np.eye(n)
     big = np.block([[-a, eye + p.T], [eye + p, d]])
-    try:
-        inv = matcore.inv(big)
-    except SingularMatrix:
-        raise
+    inv = matcore.inv(big)
     return inv[:n, :n], inv[:n, n:], inv[n:, :n], inv[n:, n:]
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
 from .errors import (
     DomainViolation,
     NoDecomposition,
@@ -33,6 +32,7 @@ from .errors import (
     ShapeError,
     SingularMatrix,
 )
+from .heisenberg import symplectic_form
 from .matcore import as_matrix, matrix_J, norm, principal_power
 from .sympgroup import SuBlocks, su_inv, validate_su
 
@@ -51,7 +51,6 @@ __all__ = [
     "jacobi_action",
     "k_chi",
     "j_chi",
-    "pi_chi_apply",
     "bk_via_jacobi",
 ]
 
@@ -172,16 +171,11 @@ class CharParams:
 # group laws
 
 
-def _omega(z, w, zp, wp) -> complex:
-    z, w, zp, wp = (np.asarray(x, dtype=complex) for x in (z, w, zp, wp))
-    return 0.5j * (z @ wp - zp @ w)
-
-
 def jacobi_mul(g1: JacobiGroupElt, g2: JacobiGroupElt) -> JacobiGroupElt:
     if g1.n != g2.n:
         raise ShapeError("mismatched n")
     kz = g1.k.act(g2.z0)
-    om = _omega(g1.z0, g1.z0.conj(), kz, kz.conj())
+    om = symplectic_form(g1.z0, g1.z0.conj(), kz, kz.conj())
     from .sympgroup import su_mul
 
     return JacobiGroupElt(g1.n, g1.z0 + kz, g1.c + g2.c + 0.5 * om.real, su_mul(g1.k, g2.k))
@@ -204,7 +198,7 @@ def jc_mul(g1: JacobiGroupEltC, g2: JacobiGroupEltC) -> JacobiGroupEltC:
         raise ShapeError("mismatched n")
     kz = g1.A @ g2.z0 + g1.B @ g2.w0
     kw = g1.C @ g2.z0 + g1.D @ g2.w0
-    c = g1.c + g2.c + 0.5 * _omega(g1.z0, g1.w0, kz, kw)
+    c = g1.c + g2.c + 0.5 * symplectic_form(g1.z0, g1.w0, kz, kw)
     return JacobiGroupEltC.from_mat(g1.z0 + kz, g1.w0 + kw, c, g1.mat @ g2.mat)
 
 
@@ -317,13 +311,6 @@ def j_chi(g: JacobiGroupElt, z_pt: JacobiPoint, chi: CharParams) -> complex:
     )
     det_factor = principal_power(complex(np.linalg.det(lower)), -chi.m)
     return np.exp(1j * chi.lam * g.c) * det_factor * np.exp(chi.lam / 4 * expo)
-
-
-def pi_chi_apply(g: JacobiGroupElt, f, z_pt: JacobiPoint, chi: CharParams) -> complex:
-    """(π_χ(g) f)(Z) = J_χ(g^{-1}, Z)^{-1} f(g^{-1} · Z)."""
-    ginv = jacobi_inv(g)
-    moved = jacobi_action(complexify(ginv), z_pt)
-    return f(moved) / j_chi(ginv, z_pt, chi)
 
 
 def bk_via_jacobi(k: SuBlocks, y, v, chi: CharParams) -> complex:

@@ -11,6 +11,7 @@ number is ``+i sqrt(|x|)``.
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -24,8 +25,6 @@ __all__ = [
     "matrix_U",
     "mat_exp",
     "mat_cosh",
-    "mat_sinh",
-    "mat_tanh",
     "cayley",
     "principal_sqrt",
     "principal_power",
@@ -33,6 +32,7 @@ __all__ = [
     "solve",
     "inv",
     "eigenvalues",
+    "det_sqrt",
     "det_powhalf_posreal",
     "hermitian_part",
     "is_posdef_hermitian_part",
@@ -63,17 +63,23 @@ def require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+@functools.cache
 def matrix_J(n: int) -> np.ndarray:
-    """The standard symplectic form [[0, I], [-I, 0]] of size 2n."""
+    """The standard symplectic form [[0, I], [-I, 0]] of size 2n; read-only."""
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    return np.block([[zero, eye], [-eye, zero]]).astype(complex)
+    j = np.block([[zero, eye], [-eye, zero]]).astype(complex)
+    j.setflags(write=False)
+    return j
 
 
+@functools.cache
 def matrix_U(n: int) -> np.ndarray:
-    """The frame change [[I, iI], [I, -iI]] between (x, y) and (z, zbar)."""
+    """The frame change [[I, iI], [I, -iI]] from (x, y) to (z, zbar); read-only."""
     eye = np.eye(n)
-    return np.block([[eye, 1j * eye], [eye, -1j * eye]])
+    u = np.block([[eye, 1j * eye], [eye, -1j * eye]])
+    u.setflags(write=False)
+    return u
 
 
 def norm(m) -> float:
@@ -85,20 +91,12 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(require_square(m))
 
 
-def mat_cosh(m: np.ndarray) -> np.ndarray:
+def mat_cosh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cosh(M), sinh(M)) from exp(±M); cos(M) = cosh(iM), sin(M) = -i sinh(iM)."""
     m = require_square(m)
-    return (scipy.linalg.expm(m) + scipy.linalg.expm(-m)) / 2
-
-
-def mat_sinh(m: np.ndarray) -> np.ndarray:
-    m = require_square(m)
-    return (scipy.linalg.expm(m) - scipy.linalg.expm(-m)) / 2
-
-
-def mat_tanh(m: np.ndarray) -> np.ndarray:
-    """sinh(M) cosh(M)^{-1}; raises SingularMatrix when cosh(M) is singular."""
-    m = require_square(m)
-    return solve(mat_cosh(m), mat_sinh(m))
+    ep = scipy.linalg.expm(m)
+    em = scipy.linalg.expm(-m)
+    return (ep + em) / 2, (ep - em) / 2
 
 
 def cayley(g: np.ndarray) -> np.ndarray:
@@ -120,9 +118,12 @@ def principal_sqrt(c: complex) -> complex:
 
 
 def principal_power(c: complex, expo: float) -> complex:
-    """c**expo via the principal logarithm; consistent with principal_sqrt."""
+    """c**expo via the principal logarithm; consistent with principal_sqrt.
+    A negative power of 0 raises SingularMatrix."""
     if c == 0:
-        return 0.0 if expo > 0 else complex("inf")
+        if expo < 0:
+            raise SingularMatrix(f"0 ** {expo} is undefined")
+        return 0.0 if expo > 0 else 1.0
     return cmath.exp(expo * cmath.log(c))
 
 
@@ -166,18 +167,24 @@ def is_posdef_hermitian_part(m: np.ndarray, pivot_tol: float = 1e-12) -> bool:
     return float(np.min(np.linalg.eigvalsh(h))) > pivot_tol
 
 
+def det_sqrt(m: np.ndarray) -> complex:
+    """det(M)^{1/2} as the product of per-eigenvalue principal roots; an
+    eigenvalue of modulus ≤ 1e-12 raises SingularMatrix."""
+    root = complex(1.0)
+    for ev in eigenvalues(m):
+        if abs(ev) <= 1e-12:
+            raise SingularMatrix("eigenvalue at zero: square root undefined")
+        root *= principal_sqrt(complex(ev))
+    return root
+
+
 def det_powhalf_posreal(n_mat: np.ndarray) -> complex:
     """det(N)^{1/2} for complex symmetric N with Re(N) positive definite.
 
-    Computed as the product of principal square roots of the eigenvalues of N.
-    All eigenvalues lie in the field of values of N, hence in the open right
-    half-plane, so the per-eigenvalue principal roots are branch-consistent
-    and the result has positive real part.
+    All eigenvalues of N lie in its field of values, hence in the open right
+    half-plane, so the per-eigenvalue principal roots of `det_sqrt` are
+    branch-consistent and the result has positive real part.
     """
-    n_mat = require_square(n_mat)
     if not is_posdef_hermitian_part(n_mat):
         raise NotPositiveReal("Hermitian part of N is not positive definite")
-    root = complex(1.0)
-    for ev in np.linalg.eigvals(n_mat):
-        root *= principal_sqrt(complex(ev))
-    return root
+    return det_sqrt(n_mat)

@@ -23,6 +23,7 @@ from .gaussint import GaussianKernel, compose_kernels
 from .matcore import norm, principal_power, principal_sqrt
 from .polys import Poly
 from .sympgroup import SuBlocks, SuLie, su_mul, validate_su, validate_su_lie
+from .weylsymbols import GaussianSymbol
 
 __all__ = [
     "sigma_kernel",
@@ -34,6 +35,7 @@ __all__ = [
     "dsigma_kernel",
     "dsigma_apply",
     "berezin_symbol_sigma",
+    "berezin_sigma_symbol",
     "berezin_symbol_dsigma",
 ]
 
@@ -196,20 +198,19 @@ def dsigma_apply(x: SuLie, f: Poly, lam: float) -> Poly:
 
 
 def berezin_symbol_sigma(k: SuBlocks, z, lam: float) -> complex:
+    """S_λ(σ(k))(z); see `berezin_sigma_symbol`."""
+    return berezin_sigma_symbol(k, lam).eval_z(z)
+
+
+def berezin_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
     """S_λ(σ(k))(z) = (Det P)^{-1/2} exp((λ/4)(z(Qbar P^{-1} z)
-    + 2 zbar((P^{-1} - I) z) - zbar(P^{-1} Q zbar)))."""
+    + 2 zbar((P^{-1} - I) z) - zbar(P^{-1} Q zbar))) on R^{2n}, z = x + iy."""
     if not validate_su(k).ok:
         raise NotInS("input fails S invariants")
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zb = z.conj()
     pinv = matcore.inv(k.P)
-    eye = np.eye(k.n)
-    expo = (
-        z @ ((k.Q.conj() @ pinv) @ z)
-        + 2 * (zb @ ((pinv - eye) @ z))
-        - zb @ ((pinv @ k.Q) @ zb)
-    )
-    return complex(np.exp(lam / 4 * expo) / principal_sqrt(matcore.det(k.P)))
+    off = pinv - np.eye(k.n)
+    c = np.block([[k.Q.conj() @ pinv, off.T], [off, -pinv @ k.Q]])
+    return GaussianSymbol.from_zz(k.n, 1 / principal_sqrt(matcore.det(k.P)), lam / 4 * c)
 
 
 def berezin_symbol_dsigma(x: SuLie, z, lam: float) -> complex:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .errors import BadConfig, NonConvergent, ShapeError
+from .errors import BadConfig, NonConvergent, ShapeError, SingularMatrix
 from .polys import Poly
-from .weylsymbols import QuadForm2n
+from .weylsymbols import GaussianSymbol, QuadForm2n
 
 __all__ = [
     "DiffOp",
@@ -34,6 +34,7 @@ __all__ = [
     "moyal_mul",
     "star_exp_series",
     "star_exp_quadratic_closed",
+    "star_exp_quadratic_symbol",
     "weyl_quantize_poly",
     "diffop_compose",
     "diffop_apply",
@@ -270,19 +271,20 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
 
 
 def star_exp_quadratic_closed(q: QuadForm2n, point) -> complex:
-    """exp_*(-i q_M)(x, y) = (Det cosh(JM))^{-1/2}
-    exp(i (x y) J tanh(JM) (x y)^t)."""
-    from .errors import SingularMatrix
-    from .weylsymbols import _det_sqrt_eig
+    """exp_*(-i q_M)(x, y); see `star_exp_quadratic_symbol`."""
+    return star_exp_quadratic_symbol(q).eval(np.asarray(point, dtype=float).reshape(2 * q.n))
 
-    v = np.asarray(point, dtype=float).reshape(2 * q.n)
+
+def star_exp_quadratic_symbol(q: QuadForm2n) -> GaussianSymbol:
+    """exp_*(-i q_M)(x, y) = (Det cosh(JM))^{-1/2}
+    exp(i (x y) J tanh(JM) (x y)^t), per-eigenvalue roots of Det cosh(JM);
+    kept apart from `w1_exp_symbol`, its oracle in star_exp_bridge_residual."""
     jm = matcore.matrix_J(q.n) @ q.M
-    ch = matcore.mat_cosh(jm)
+    ch, sh = matcore.mat_cosh(jm)
     if abs(matcore.det(ch)) <= 1e-12:
         raise SingularMatrix("cosh(JM) is singular")
-    th = matcore.mat_sinh(jm) @ matcore.inv(ch)
-    expo = 1j * (v @ ((matcore.matrix_J(q.n) @ th) @ v))
-    return complex(np.exp(expo) / _det_sqrt_eig(ch))
+    th = sh @ matcore.inv(ch)
+    return GaussianSymbol._trusted(q.n, 1 / matcore.det_sqrt(ch), 1j * (matcore.matrix_J(q.n) @ th))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .metaplectic import sigma_cocycle_scalar, sigma_kernel, verify_intertwining
 from .moyal import (
     Poly,
     homomorphism_residual,
-    phase_poly_from_quadform,
     star_exp_quadratic_closed,
     star_exp_series,
 )

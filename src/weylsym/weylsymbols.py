@@ -31,7 +31,6 @@ from .errors import (
     ShapeError,
     SingularMatrix,
 )
-from .gaussint import GaussianKernel
 from .matcore import as_matrix, matrix_J, matrix_U, norm, principal_sqrt
 from .quadrature import gh_nodes, lebesgue_rn, quadrature_cn
 from .sympgroup import (
@@ -53,9 +52,12 @@ __all__ = [
     "w0_sigma_symbol",
     "w0_dsigma_closed",
     "w1_sigma_closed",
+    "w1_sigma_symbol",
     "w1_exp_closed",
+    "w1_exp_symbol",
     "w1_dsigma_closed",
     "hormander_exp_symbol",
+    "hormander_symbol",
     "berezin_transform_gaussian",
     "berezin_transform_quadrature",
     "heat_flow_gaussian",
@@ -67,7 +69,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianSymbol:
-    """v ↦ γ exp(v^t S v) on R^{2n}, S complex symmetric."""
+    """v ↦ γ exp(v^t S v) on R^{2n}, S complex symmetric: every closed-form
+    symbol, built by the ``*_symbol`` constructors in the (x, y) frame."""
 
     n: int
     gamma: complex
@@ -79,23 +82,38 @@ class GaussianSymbol:
         if norm(self.S - self.S.T) > 1e-10 * (1 + norm(self.S)):
             raise ShapeError("S must be symmetric")
 
+    @classmethod
+    def _trusted(cls, n: int, gamma: complex, s: np.ndarray) -> "GaussianSymbol":
+        """For a closed form's finite 2n×2n exponent s, symmetric up to
+        roundoff: symmetrised, not validated again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "gamma", complex(gamma))
+        object.__setattr__(out, "S", (s + s.T) / 2)
+        return out
+
     @staticmethod
     def from_zz(n: int, gamma: complex, C: np.ndarray) -> "GaussianSymbol":
         """From the (z, zbar)-frame exponent (z zbar) C (z zbar)^t via
         (z zbar)^t = U (x y)^t, so S = sym(U^t C U)."""
         C = as_matrix(C, 2 * n, 2 * n)
         u = matrix_U(n)
-        s = u.T @ C @ u
-        return GaussianSymbol(n, gamma, (s + s.T) / 2)
+        return GaussianSymbol._trusted(n, gamma, u.T @ C @ u)
 
-    def eval(self, v) -> complex:
-        v = np.asarray(v, dtype=complex).reshape(2 * self.n)
-        return complex(self.gamma * np.exp(v @ (self.S @ v)))
+    def eval(self, v):
+        """γ exp(v^t S v) at one point v of shape (2n,), as a complex, or at
+        a batch of shape (..., 2n), as an array of shape (...)."""
+        v = np.asarray(v)
+        if v.shape[-1:] != (2 * self.n,):
+            raise ShapeError(f"expected points of length {2 * self.n}, got shape {v.shape}")
+        val = self.gamma * np.exp(np.einsum("...i,ij,...j->...", v, self.S, v))
+        return complex(val) if v.ndim == 1 else val
 
-    def eval_z(self, z) -> complex:
-        """Evaluate at z ∈ C^n via v = (Re z, Im z)."""
+    def eval_z(self, z):
+        """Evaluate at z ∈ C^n, or at a batch of shape (..., n), via
+        v = (Re z, Im z)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return self.eval(np.concatenate([z.real, z.imag]))
+        return self.eval(np.concatenate([z.real, z.imag], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -160,12 +178,12 @@ def metaplectic_phase_c(k: SuBlocks) -> complex:
     Det(I+k) is real on S; a negative determinant with Det P real falls
     outside the case analysis and raises AmbiguousPhase.
     """
-    n = k.n
-    d = matcore.det(k.full + np.eye(2 * n))
+    n, full = k.n, k.full
+    d = matcore.det(full + np.eye(2 * n))
     if abs(d.imag) > 1e-8 * (1 + abs(d)):
         raise AmbiguousPhase(f"Det(I+k) = {d} is not real")
     dr = d.real
-    if abs(dr) <= 1e-12 * (1 + norm(k.full)) ** (2 * n):
+    if abs(dr) <= 1e-12 * (1 + norm(full)) ** (2 * n):
         raise CayleySingular("Det(I+k) vanishes")
     if dr > 0:
         return 2**n / principal_sqrt(dr)
@@ -194,19 +212,24 @@ def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
 
 
 def w0_sigma_closed(k: SuBlocks, z, lam: float) -> complex:
-    """W0(σ(k))(z) = c_n(k) exp((λ/2)(z zbar) J (k-I)(k+I)^{-1} (z zbar)^t)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    c = metaplectic_phase_c(k)
-    jc = matrix_J(k.n) @ matcore.cayley(k.full)
-    r = np.concatenate([z, z.conj()])
-    return complex(c * np.exp(lam / 2 * (r @ (jc @ r))))
+    """W0(σ(k))(z); see `w0_sigma_symbol`."""
+    return w0_sigma_symbol(k, lam).eval_z(z)
 
 
-def w0_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
-    """W0(σ(k)) as a GaussianSymbol on R^{2n} (frame change z = x + iy)."""
-    c = metaplectic_phase_c(k)
+def w0_sigma_symbol(k: SuBlocks, lam: float, c: complex | None = None) -> GaussianSymbol:
+    """W0(σ(k))(z) = c exp((λ/2)(z zbar) J (k-I)(k+I)^{-1} (z zbar)^t) on
+    R^{2n}, z = x + iy, with c = c_n(k) unless given (e.g. adjudicated)."""
+    if c is None:
+        c = metaplectic_phase_c(k)
     jc = matrix_J(k.n) @ matcore.cayley(k.full)
     return GaussianSymbol.from_zz(k.n, c, lam / 2 * jc)
+
+
+def _xy(x, y) -> np.ndarray:
+    """The real point v = (x, y) of R^{2n}."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return np.concatenate([x, y])
 
 
 def w0_dsigma_closed(x: SuLie, z, lam: float) -> complex:
@@ -221,35 +244,38 @@ def w0_dsigma_closed(x: SuLie, z, lam: float) -> complex:
 
 
 def w1_sigma_closed(g: SpReal, x, y, lam: float = 1.0) -> complex:
+    """W1(σ'(g))(x, y); see `w1_sigma_symbol`."""
+    return w1_sigma_symbol(g, lam).eval(_xy(x, y))
+
+
+def w1_sigma_symbol(g: SpReal, lam: float = 1.0) -> GaussianSymbol:
     """W1(σ'(g))(x, y) = c'_n(g) exp(-iλ (x y) J (g-I)(g+I)^{-1} (x y)^t),
-    with c'_n(g) = c_n(U g U^{-1})."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    with c'_n(g) = c_n(U g U^{-1}); the exponent is cayley(g) itself, not
+    that of `w0_sigma_symbol`."""
     c = metaplectic_phase_c(su_from_sp(g))
     jc = matrix_J(g.n) @ matcore.cayley(g.g)
-    v = np.concatenate([x, y])
-    return complex(c * np.exp(-1j * lam * (v @ (jc @ v))))
+    return GaussianSymbol._trusted(g.n, c, -1j * lam * jc)
 
 
 def w1_exp_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
+    """W1(σ'(exp X))(x, y); see `w1_exp_symbol`."""
+    return w1_exp_symbol(x_lie, lam).eval(_xy(x, y))
+
+
+def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
     """W1(σ'(exp X))(x, y) = (Det cosh(X/2))^{-1/2}
     exp(-iλ (x y) J tanh(X/2) (x y)^t).
 
     Det cosh(X/2) is nonnegative on sp(n, R); the real square root is used.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    xf = x_lie.full
-    ch = matcore.mat_cosh(xf / 2)
+    ch, sh = matcore.mat_cosh(x_lie.full / 2)
     d = matcore.det(ch)
     if abs(d) <= 1e-12:
         raise SingularMatrix("cosh(X/2) is singular")
     if abs(d.imag) > 1e-8 * (1 + abs(d)) or d.real < 0:
         raise SingularMatrix(f"Det cosh(X/2) = {d} is not positive")
-    th = matcore.mat_tanh(xf / 2)
-    v = np.concatenate([x, y])
-    expo = -1j * lam * (v @ ((matrix_J(x_lie.n) @ th) @ v))
-    return complex(np.exp(expo) / np.sqrt(d.real))
+    th = matcore.solve(ch, sh)
+    return GaussianSymbol._trusted(x_lie.n, 1 / np.sqrt(d.real), -1j * lam * (matrix_J(x_lie.n) @ th))
 
 
 def w1_dsigma_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
@@ -267,32 +293,19 @@ def w1_dsigma_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
 
 
 def hormander_exp_symbol(m: QuadForm2n, x, y) -> complex:
+    """W1(exp(dσ'(iX)))(x, y); see `hormander_symbol`."""
+    return hormander_symbol(m).eval(_xy(x, y))
+
+
+def hormander_symbol(m: QuadForm2n) -> GaussianSymbol:
     """W1(exp(dσ'(iX)))(x, y) = (Det cos(JM))^{-1/2}
-    exp(-(x y) J tan(JM) (x y)^t), with cos/tan built from mat_exp(±iJM)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    exp(-(x y) J tan(JM) (x y)^t), per-eigenvalue roots of Det cos(JM)."""
     jm = matrix_J(m.n) @ m.M
-    ep = matcore.mat_exp(1j * jm)
-    em = matcore.mat_exp(-1j * jm)
-    cos = (ep + em) / 2
-    sin = (ep - em) / 2j
+    cos, sinh_ijm = matcore.mat_cosh(1j * jm)
     if abs(matcore.det(cos)) <= 1e-12:
         raise SingularMatrix("cos(JM) is singular")
-    tan = sin @ matcore.inv(cos)
-    v = np.concatenate([x, y])
-    return complex(
-        np.exp(-(v @ ((matrix_J(m.n) @ tan) @ v))) / _det_sqrt_eig(cos)
-    )
-
-
-def _det_sqrt_eig(mat: np.ndarray) -> complex:
-    """det(mat)^{1/2} as the product of per-eigenvalue principal roots."""
-    out = 1.0 + 0.0j
-    for ev in matcore.eigenvalues(mat):
-        if abs(ev) <= 1e-12:
-            raise SingularMatrix("eigenvalue at zero: square root undefined")
-        out *= principal_sqrt(complex(ev))
-    return out
+    tan = -1j * sinh_ijm @ matcore.inv(cos)
+    return GaussianSymbol._trusted(m.n, 1 / matcore.det_sqrt(cos), -(matrix_J(m.n) @ tan))
 
 
 def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:
@@ -300,12 +313,11 @@ def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:
     γ det(I - 4tS)^{-1/2} exp(v^t S (I - 4tS)^{-1} v)."""
     a = np.eye(2 * f.n) - 4 * t * f.S
     try:
-        d = _det_sqrt_eig(a)
+        d = matcore.det_sqrt(a)
         s_new = f.S @ matcore.inv(a)
     except SingularMatrix as exc:
         raise HeatFlowSingular("I - 4tS is singular") from exc
-    s_new = (s_new + s_new.T) / 2
-    return GaussianSymbol(f.n, f.gamma / d, s_new)
+    return GaussianSymbol._trusted(f.n, f.gamma / d, s_new)
 
 
 def berezin_transform_gaussian(f: GaussianSymbol, lam: float) -> GaussianSymbol:
@@ -319,28 +331,21 @@ def berezin_transform_quadrature(f, z, lam: float, nodes: int = 80) -> complex:
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     n = z.shape[0]
 
-    if isinstance(f, GaussianSymbol):
-        def fval(w):
-            v = np.concatenate([w.real, w.imag], axis=-1)
-            return f.gamma * np.exp(np.einsum("...i,ij,...j->...", v, f.S, v))
-    else:
-        fval = f
-
+    fval = f.eval_z if isinstance(f, GaussianSymbol) else f
     return quadrature_cn(lambda w: fval(z + w), lam, n, nodes_per_axis=nodes)
 
 
 def polar_relation_residual(k: SuBlocks, lam: float, npoints: int = 10, seed: int = 0) -> float:
     """sup_z |B_λ^{1/2}(W0(σ(k)))(z) - S_λ(σ(k))(z)| over sample points;
     B_λ^{1/2} = heat flow at t = 1/(4λ)."""
-    from .metaplectic import berezin_symbol_sigma
+    from .metaplectic import berezin_sigma_symbol
 
     half = heat_flow_gaussian(w0_sigma_symbol(k, lam), 1.0 / (4 * lam))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(npoints):
-        z = 0.5 * (rng.standard_normal(k.n) + 1j * rng.standard_normal(k.n))
-        worst = max(worst, abs(half.eval_z(z) - berezin_symbol_sigma(k, z, lam)))
-    return worst
+    # point j takes draws 2j (real parts) and 2j + 1 (imaginary parts)
+    draws = np.random.default_rng(seed).standard_normal((npoints, 2, k.n))
+    z = 0.5 * (draws[:, 0] + 1j * draws[:, 1])
+    diff = half.eval_z(z) - berezin_sigma_symbol(k, lam).eval_z(z)
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from weylsym.cli import main
 from weylsym.mjson import dump_matrix
-from weylsym.sympgroup import random_sp
+from weylsym.sympgroup import SpReal, random_sp, su_from_sp
 
 
 def _run(capsys, argv):
@@ -73,6 +73,12 @@ def test_ambiguous_phase_exit_code_and_adjudication(tmp_path, capsys):
     assert code == 0
     re, im = json.loads(out)["value"]
     assert np.isfinite(re) and np.isfinite(im)
+    # W0 of k = U g U^{-1} at z = x + iy, adjudicated the same way
+    k_path = tmp_path / "neg_k.json"
+    dump_matrix(su_from_sp(SpReal(1, g)).full, str(k_path))
+    code, out = _run(capsys, ["eval", "w0-sigma", "--k", str(k_path), "--at", "0.1", "0.2", "--adjudicate-phase"])
+    assert code == 0
+    assert complex(*json.loads(out)["value"]) == pytest.approx(complex(re, im), rel=1e-12)
 
 
 def test_missing_required_matrix_is_bad_input(capsys):

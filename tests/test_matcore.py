@@ -36,9 +36,10 @@ def test_matrix_functions_consistency():
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = 0.4 * rng.standard_normal((3, 3))
-        ch, sh = matcore.mat_cosh(x), matcore.mat_sinh(x)
+        ch, sh = matcore.mat_cosh(x)
         assert np.allclose(ch @ ch - sh @ sh, np.eye(3), atol=1e-12)
-        assert np.allclose(matcore.mat_tanh(x), sh @ np.linalg.inv(ch), atol=1e-12)
+        # tanh as cosh^{-1} sinh (w1_exp_symbol) and sinh cosh^{-1} (star_exp_quadratic_symbol)
+        assert np.allclose(matcore.solve(ch, sh), sh @ np.linalg.inv(ch), atol=1e-12)
         assert np.allclose(matcore.mat_exp(x), ch + sh, atol=1e-12)
 
 
@@ -51,6 +52,15 @@ def test_principal_branches():
         c = complex(rng.standard_normal(), rng.standard_normal())
         assert matcore.principal_power(c, 0.5) == pytest.approx(matcore.principal_sqrt(c))
         assert matcore.principal_power(c, -0.5) == pytest.approx(1 / matcore.principal_sqrt(c))
+
+
+def test_principal_power_at_zero():
+    assert matcore.principal_power(0, 0.0) == 1
+    assert matcore.principal_power(0j, 0) == 1
+    assert matcore.principal_power(0, 0.5) == 0
+    for expo in (-0.5, -2):
+        with pytest.raises(SingularMatrix):
+            matcore.principal_power(0j, expo)
 
 
 def test_det_powhalf_posreal():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from weylsym import matcore
-from weylsym.errors import AmbiguousPhase, CayleySingular, HeatFlowSingular
-from weylsym.metaplectic import sigma_kernel
+from weylsym.errors import AmbiguousPhase, CayleySingular, HeatFlowSingular, ShapeError
+from weylsym.metaplectic import berezin_sigma_symbol, berezin_symbol_sigma, sigma_kernel
+from weylsym.moyal import star_exp_quadratic_closed, star_exp_quadratic_symbol
 from weylsym.suites import random_su_negdet
 from weylsym.sympgroup import (
     SpLieReal,
@@ -24,6 +25,7 @@ from weylsym.weylsymbols import (
     classical_weyl_kernel,
     heat_flow_gaussian,
     hormander_exp_symbol,
+    hormander_symbol,
     metaplectic_phase_c,
     polar_relation_residual,
     w0_dsigma_closed,
@@ -32,8 +34,10 @@ from weylsym.weylsymbols import (
     w0_sigma_symbol,
     w1_dsigma_closed,
     w1_exp_closed,
+    w1_exp_symbol,
     w1_of_classical_weyl,
     w1_sigma_closed,
+    w1_sigma_symbol,
 )
 
 
@@ -304,6 +308,46 @@ def test_w0_symbol_object_matches_pointwise_formula():
     for _ in range(5):
         z = _cpx(rng, 1, 0.6)
         assert sym.eval_z(z) == pytest.approx(w0_sigma_closed(k, z, 1.0), rel=1e-12)
+
+
+def _symbol_and_wrapper(kind, n, seed):
+    """A closed-form GaussianSymbol and its pointwise wrapper, which takes a
+    real point v = (x, y) of R^{2n}."""
+    if kind in ("w0-sigma", "berezin-sigma"):
+        k = random_su(n, seed)
+        if kind == "w0-sigma":
+            return w0_sigma_symbol(k, 1.3), lambda v: w0_sigma_closed(k, v[:n] + 1j * v[n:], 1.3)
+        return berezin_sigma_symbol(k, 0.9), lambda v: berezin_symbol_sigma(k, v[:n] + 1j * v[n:], 0.9)
+    if kind == "w1-sigma":
+        g = random_sp(n, seed)
+        return w1_sigma_symbol(g, 0.7), lambda v: w1_sigma_closed(g, v[:n], v[n:], 0.7)
+    if kind == "w1-exp":
+        x = random_sp_lie(n, seed, scale=0.4)
+        return w1_exp_symbol(x, 1.1), lambda v: w1_exp_closed(x, v[:n], v[n:], 1.1)
+    r = rng_for(seed, "batch-M").uniform(-1, 1, (2 * n, 2 * n))
+    q = QuadForm2n(n, 0.2 * (r + r.T) / np.linalg.norm(r + r.T, 2))
+    if kind == "star-exp":
+        return star_exp_quadratic_symbol(q), lambda v: star_exp_quadratic_closed(q, v)
+    return hormander_symbol(q), lambda v: hormander_exp_symbol(q, v[:n], v[n:])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("kind", ("w0-sigma", "w1-sigma", "w1-exp", "star-exp", "hormander", "berezin-sigma"))
+def test_batched_symbol_matches_pointwise_wrapper(kind, n):
+    seed = 300 + n
+    sym, pointwise = _symbol_and_wrapper(kind, n, seed)
+    v = rng_for(seed, "batch-pts").uniform(-1, 1, (64, 2 * n))
+    batch = sym.eval(v)
+    assert batch.shape == (64,)
+    expect = np.array([pointwise(p) for p in v])
+    assert np.all(np.abs(batch - expect) <= 1e-14 * np.abs(expect))
+    assert np.array_equal(sym.eval_z(v[:, :n] + 1j * v[:, n:]), batch)
+    assert isinstance(pointwise(v[0]), complex)
+    # the public constructor still validates what the closed forms skip
+    s = sym.S.copy()
+    s[0, 1] += 1.0
+    with pytest.raises(ShapeError):
+        GaussianSymbol(n, sym.gamma, s)
 
 
 # ---------------------------------------------------------------------------
