@@ -30,10 +30,9 @@ from .errors import (
     NoDecomposition,
     NotInS,
     ShapeError,
-    SingularMatrix,
 )
 from .heisenberg import symplectic_form
-from .matcore import as_matrix, matrix_J, norm, principal_power
+from .matcore import as_matrix, inv, lu_solve, matrix_J, norm, principal_power, require_invertible
 from .sympgroup import SuBlocks, su_inv, validate_su
 
 __all__ = [
@@ -203,7 +202,9 @@ def jc_mul(g1: JacobiGroupEltC, g2: JacobiGroupEltC) -> JacobiGroupEltC:
 
 
 def jc_inv(g: JacobiGroupEltC) -> JacobiGroupEltC:
-    minv = np.linalg.inv(g.mat)
+    # M^{-1} = J^t M^t J for the validated complex symplectic M
+    j = matrix_J(g.n)
+    minv = j.T @ g.mat.T @ j
     n = g.n
     z = minv[:n, :n] @ g.z0 + minv[:n, n:] @ g.w0
     w = minv[n:, :n] @ g.z0 + minv[n:, n:] @ g.w0
@@ -221,16 +222,13 @@ def pkp_decompose(g: JacobiGroupEltC):
     P = (D^t)^{-1}, c = c0 - (i/4) (z0 - B D^{-1} w0) w0.
     Requires det(D) != 0.
     """
-    if abs(np.linalg.det(g.D)) < 1e-13 * (1 + norm(g.D) ** g.n):
-        raise NoDecomposition("det(D) vanishes")
-    dinv = np.linalg.inv(g.D)
+    dinv = inv(g.D, NoDecomposition)
     bd = g.B @ dinv
     y = g.z0 - bd @ g.w0
     v = dinv @ g.w0
     big_v = dinv @ g.C
-    p = np.linalg.inv(g.D.T)
     c = g.c - 0.25j * (y @ g.w0)
-    return y, bd, c, p, v, big_v
+    return y, bd, c, dinv.T, v, big_v
 
 
 def pkp_recompose(y, Y, c, P, v, V) -> JacobiGroupEltC:
@@ -241,7 +239,7 @@ def pkp_recompose(y, Y, c, P, v, V) -> JacobiGroupEltC:
     zero = np.zeros(n)
     p_plus = JacobiGroupEltC.from_mat(y, zero, 0.0, np.block([[eye, as_matrix(Y, n, n)], [0 * eye, eye]]))
     kc = JacobiGroupEltC.from_mat(
-        zero, zero, c, np.block([[as_matrix(P, n, n), 0 * eye], [0 * eye, np.linalg.inv(as_matrix(P, n, n).T)]])
+        zero, zero, c, np.block([[as_matrix(P, n, n), 0 * eye], [0 * eye, inv(as_matrix(P, n, n)).T]])
     )
     p_minus = JacobiGroupEltC.from_mat(
         zero, np.asarray(v, dtype=complex), 0.0, np.block([[eye, 0 * eye], [as_matrix(V, n, n), eye]])
@@ -253,12 +251,9 @@ def jacobi_action(g: JacobiGroupEltC, z_pt: JacobiPoint, check_domain: bool = Fa
     """g · a(y, Y) = a(y', Y') with Y' = (AY+B)(CY+D)^{-1} and
     y' = z0 + Ay - (AY+B)(CY+D)^{-1}(w0 + Cy)."""
     y, Y = z_pt.y, z_pt.Y
-    cyd = g.C @ Y + g.D
-    if abs(np.linalg.det(cyd)) < 1e-13 * (1 + norm(cyd) ** z_pt.n):
-        raise SingularMatrix("CY + D is singular")
-    ayb = g.A @ Y + g.B
-    y_new = g.z0 + g.A @ y - ayb @ np.linalg.solve(cyd, g.w0 + g.C @ y)
-    big_y = ayb @ np.linalg.inv(cyd)
+    cyd_inv = inv(g.C @ Y + g.D, scale=norm(g.C) * norm(Y) + norm(g.D))
+    big_y = (g.A @ Y + g.B) @ cyd_inv
+    y_new = g.z0 + g.A @ y - big_y @ (g.w0 + g.C @ y)
     big_y = (big_y + big_y.T) / 2
     out = JacobiPoint(z_pt.n, y_new, big_y)
     if check_domain and not out.in_domain():
@@ -278,16 +273,15 @@ def k_chi(z_pt: JacobiPoint, w_pt: JacobiPoint, chi: CharParams) -> complex:
     vb = w_pt.y.conj()
     big_vb = w_pt.Y.conj()
     eye = np.eye(n)
-    core = eye - big_vb @ Y
-    if abs(np.linalg.det(core)) < 1e-13:
-        raise SingularMatrix("I - Vbar Y is singular")
-    cinv = np.linalg.inv(core)
+    factors, d = require_invertible(eye - big_vb @ Y, scale=1 + norm(big_vb) * norm(Y))
+    cinv = lu_solve(factors, eye)
     expo = (
         2 * _pairing(y, cinv, vb)
         + _pairing(y, cinv @ big_vb, y)
         + _pairing(vb, Y @ cinv, vb)
     )
-    det_factor = principal_power(complex(np.linalg.det(eye - Y @ big_vb)), chi.m)
+    # Det(I - Y Vbar) = Det(I - Vbar Y)
+    det_factor = principal_power(d, chi.m)
     return det_factor * np.exp(chi.lam / 4 * expo)
 
 
@@ -298,18 +292,16 @@ def j_chi(g: JacobiGroupElt, z_pt: JacobiPoint, chi: CharParams) -> complex:
     p, q = g.k.P, g.k.Q
     z0 = g.z0
     y, Y = z_pt.y, z_pt.Y
-    lower = q.conj() @ Y + p.conj()
-    if abs(np.linalg.det(lower)) < 1e-13:
-        raise SingularMatrix("Qbar Y + Pbar is singular")
+    factors, d = require_invertible(q.conj() @ Y + p.conj(), scale=norm(q) * norm(Y) + norm(p))
     upper = p @ Y + q
     t = z0.conj() + q.conj() @ y
     expo = (
         z0 @ z0.conj()
         + 2 * (z0.conj() @ (p @ y))
         + _pairing(y, p.T @ q.conj(), y)
-        - _pairing(t, upper @ np.linalg.inv(lower), t)
+        - _pairing(t, upper @ lu_solve(factors, np.eye(g.n)), t)
     )
-    det_factor = principal_power(complex(np.linalg.det(lower)), -chi.m)
+    det_factor = principal_power(d, -chi.m)
     return np.exp(1j * chi.lam * g.c) * det_factor * np.exp(chi.lam / 4 * expo)
 
 

@@ -15,6 +15,7 @@ import functools
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs, zlange
 
 from .errors import NotPositiveReal, ShapeError, SingularMatrix, CayleySingular
 
@@ -29,6 +30,8 @@ __all__ = [
     "principal_sqrt",
     "principal_power",
     "det",
+    "require_invertible",
+    "lu_solve",
     "solve",
     "inv",
     "eigenvalues",
@@ -38,9 +41,6 @@ __all__ = [
     "is_posdef_hermitian_part",
     "norm",
 ]
-
-_COND_LIMIT = 1e14
-
 
 def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Coerce to a finite complex 2-D array, optionally checking its shape."""
@@ -103,10 +103,8 @@ def cayley(g: np.ndarray) -> np.ndarray:
     """(g - I)(g + I)^{-1}.  Defined when det(g + I) != 0."""
     g = require_square(g)
     eye = np.eye(g.shape[0])
-    gp = g + eye
-    if np.abs(np.linalg.det(gp)) <= 1e-12 * max(1.0, norm(gp)):
-        raise CayleySingular("det(g + I) vanishes")
-    return np.linalg.solve(gp.T, (g - eye).T).T
+    # g - I and g + I commute, so the right quotient is the left one
+    return solve(g + eye, g - eye, CayleySingular, 1 + norm(g))
 
 
 def principal_sqrt(c: complex) -> complex:
@@ -131,21 +129,34 @@ def det(m: np.ndarray) -> complex:
     return complex(np.linalg.det(require_square(m)))
 
 
-def solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b; raises SingularMatrix for condition estimates > 1e14."""
+def require_invertible(m: np.ndarray, error=SingularMatrix, scale: float = 0.0):
+    """The library's one singularity test: ((lu, piv), Det m) from one LU
+    factorisation, or `error` when ‖m^{-1}‖·max(‖m‖, scale) > 1e14 (1-norms,
+    ‖m^{-1}‖ estimated by LAPACK).  A sum passes the size of its operands as
+    `scale`, so that roundoff left by cancellation (I + k ≈ 1e-16·diag(i, -i))
+    is refused however well conditioned it is."""
     m = require_square(m)
-    b = np.asarray(b, dtype=complex)
-    try:
-        cond = np.linalg.cond(m)
-    except np.linalg.LinAlgError:
-        raise SingularMatrix("condition estimate failed")
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularMatrix(f"condition estimate {cond:.3g} exceeds 1e14")
-    return np.linalg.solve(m, b)
+    lu, piv, info = zgetrf(m)
+    anorm = zlange("1", m)
+    rcond = zgecon(lu, anorm)[0] if info == 0 else 0.0
+    if not (info == 0 and rcond * anorm * 1e14 >= max(anorm, scale)):
+        raise error(f"numerically singular: rcond {rcond:.3g}, operand size {max(anorm, scale):.3g}")
+    swaps = sum(p != i for i, p in enumerate(piv.tolist()))
+    return (lu, piv), (-1) ** swaps * complex(lu.diagonal().prod())
 
 
-def inv(m: np.ndarray) -> np.ndarray:
-    return solve(m, np.eye(require_square(m).shape[0]))
+def lu_solve(factors, b: np.ndarray) -> np.ndarray:
+    """Solve m x = b from the factors `require_invertible` returned for m."""
+    return zgetrs(*factors, b)[0]
+
+
+def solve(m: np.ndarray, b: np.ndarray, error=SingularMatrix, scale: float = 0.0) -> np.ndarray:
+    """Solve m x = b; raises `error` when `require_invertible` refuses m."""
+    return lu_solve(require_invertible(m, error, scale)[0], b)
+
+
+def inv(m: np.ndarray, error=SingularMatrix, scale: float = 0.0) -> np.ndarray:
+    return solve(m, np.eye(require_square(m).shape[0]), error, scale)
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:

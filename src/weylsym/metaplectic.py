@@ -48,7 +48,7 @@ def sigma_kernel(k: SuBlocks, lam: float) -> GaussianKernel:
     pinv = matcore.inv(k.P)
     alpha = k.Q.conj() @ pinv
     gamma = -pinv @ k.Q
-    beta = np.linalg.inv(k.P.T)
+    beta = pinv.T
     c = 1.0 / principal_sqrt(matcore.det(k.P))
     # S invariants make these symmetric; clean roundoff
     alpha = (alpha + alpha.T) / 2

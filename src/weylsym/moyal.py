@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .errors import BadConfig, NonConvergent, ShapeError, SingularMatrix
+from .errors import BadConfig, NonConvergent, ShapeError
 from .polys import Poly
 from .weylsymbols import GaussianSymbol, QuadForm2n
 
@@ -281,9 +281,7 @@ def star_exp_quadratic_symbol(q: QuadForm2n) -> GaussianSymbol:
     kept apart from `w1_exp_symbol`, its oracle in star_exp_bridge_residual."""
     jm = matcore.matrix_J(q.n) @ q.M
     ch, sh = matcore.mat_cosh(jm)
-    if abs(matcore.det(ch)) <= 1e-12:
-        raise SingularMatrix("cosh(JM) is singular")
-    th = sh @ matcore.inv(ch)
+    th = sh @ matcore.inv(ch, scale=matcore.norm(ch) + matcore.norm(sh))
     return GaussianSymbol._trusted(q.n, 1 / matcore.det_sqrt(ch), 1j * (matcore.matrix_J(q.n) @ th))
 
 

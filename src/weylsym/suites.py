@@ -137,7 +137,7 @@ def random_gaussian_integrand(rng, n) -> GaussianIntegrand:
     s = q @ np.diag(rng.uniform(0.6, 1.6, 2 * n)) @ q.T
     t = rng.standard_normal((2 * n, 2 * n))
     n_mat = s + 0.3j * (t + t.T) / 2
-    uinv = np.linalg.inv(matcore.matrix_U(n))
+    uinv = matcore.matrix_U(n).conj().T / 2
     m = uinv.T @ n_mat @ uinv
     m = (m + m.T) / 2
     return GaussianIntegrand(

@@ -105,7 +105,13 @@ class SuBlocks:
 
     @property
     def full(self) -> np.ndarray:
-        return np.block([[self.P, self.Q], [self.Q.conj(), self.P.conj()]])
+        """The 2n×2n matrix k, built from P and Q on first access; read-only."""
+        full = self.__dict__.get("_full")
+        if full is None:
+            full = np.block([[self.P, self.Q], [self.Q.conj(), self.P.conj()]])
+            full.setflags(write=False)
+            object.__setattr__(self, "_full", full)
+        return full
 
     @staticmethod
     def identity(n: int) -> "SuBlocks":
@@ -174,7 +180,7 @@ def sp_from_su(k: SuBlocks) -> SpReal:
     if not rep.ok:
         raise NotInS(f"block pair fails S invariants by {rep.max_residual:.3g}")
     u = matrix_U(k.n)
-    g = np.linalg.solve(u, k.full @ u)
+    g = u.conj().T @ k.full @ u / 2  # U^{-1} = U*/2
     if norm(g.imag) > _tol(norm(g)):
         raise NotInS("conjugated matrix is not real")
     return SpReal(k.n, g.real)

@@ -179,12 +179,10 @@ def metaplectic_phase_c(k: SuBlocks) -> complex:
     outside the case analysis and raises AmbiguousPhase.
     """
     n, full = k.n, k.full
-    d = matcore.det(full + np.eye(2 * n))
+    _, d = matcore.require_invertible(full + np.eye(2 * n), CayleySingular, 1 + norm(full))
     if abs(d.imag) > 1e-8 * (1 + abs(d)):
         raise AmbiguousPhase(f"Det(I+k) = {d} is not real")
     dr = d.real
-    if abs(dr) <= 1e-12 * (1 + norm(full)) ** (2 * n):
-        raise CayleySingular("Det(I+k) vanishes")
     if dr > 0:
         return 2**n / principal_sqrt(dr)
     dp = matcore.det(k.P)
@@ -201,10 +199,8 @@ def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
     from .metaplectic import sigma_kernel
 
     n = k.n
-    d = matcore.det(k.full + np.eye(2 * n)).real
-    if abs(d) <= 1e-12:
-        raise CayleySingular("Det(I+k) vanishes")
-    mag = 2**n / np.sqrt(abs(d))
+    _, d = matcore.require_invertible(k.full + np.eye(2 * n), CayleySingular, 1 + norm(k.full))
+    mag = 2**n / np.sqrt(abs(d.real))
     q = w0_integral(sigma_kernel(k, lam), np.zeros(n), lam, nodes=nodes)
     if abs(q) == 0:
         raise AmbiguousPhase("quadrature value vanished")
@@ -269,12 +265,10 @@ def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
     Det cosh(X/2) is nonnegative on sp(n, R); the real square root is used.
     """
     ch, sh = matcore.mat_cosh(x_lie.full / 2)
-    d = matcore.det(ch)
-    if abs(d) <= 1e-12:
-        raise SingularMatrix("cosh(X/2) is singular")
+    factors, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
     if abs(d.imag) > 1e-8 * (1 + abs(d)) or d.real < 0:
         raise SingularMatrix(f"Det cosh(X/2) = {d} is not positive")
-    th = matcore.solve(ch, sh)
+    th = matcore.lu_solve(factors, sh)
     return GaussianSymbol._trusted(x_lie.n, 1 / np.sqrt(d.real), -1j * lam * (matrix_J(x_lie.n) @ th))
 
 
@@ -302,9 +296,7 @@ def hormander_symbol(m: QuadForm2n) -> GaussianSymbol:
     exp(-(x y) J tan(JM) (x y)^t), per-eigenvalue roots of Det cos(JM)."""
     jm = matrix_J(m.n) @ m.M
     cos, sinh_ijm = matcore.mat_cosh(1j * jm)
-    if abs(matcore.det(cos)) <= 1e-12:
-        raise SingularMatrix("cos(JM) is singular")
-    tan = -1j * sinh_ijm @ matcore.inv(cos)
+    tan = -1j * sinh_ijm @ matcore.inv(cos, scale=norm(cos) + norm(sinh_ijm))
     return GaussianSymbol._trusted(m.n, 1 / matcore.det_sqrt(cos), -(matrix_J(m.n) @ tan))
 
 
@@ -314,7 +306,7 @@ def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:
     a = np.eye(2 * f.n) - 4 * t * f.S
     try:
         d = matcore.det_sqrt(a)
-        s_new = f.S @ matcore.inv(a)
+        s_new = f.S @ matcore.inv(a, scale=1 + norm(4 * t * f.S))
     except SingularMatrix as exc:
         raise HeatFlowSingular("I - 4tS is singular") from exc
     return GaussianSymbol._trusted(f.n, f.gamma / d, s_new)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from weylsym.errors import DomainViolation, NoDecomposition
+from weylsym.errors import DomainViolation, NoDecomposition, SingularMatrix
 from weylsym.jacobi import (
     CharParams,
     JacobiGroupElt,
+    JacobiGroupEltC,
     JacobiPoint,
     bk_via_jacobi,
     complexify,
@@ -53,6 +54,16 @@ def test_pkp_round_trip():
             assert np.allclose(back.z0, gc.z0, atol=1e-10)
             assert np.allclose(back.w0, gc.w0, atol=1e-10)
             assert back.c == pytest.approx(gc.c, abs=1e-10)
+
+
+def test_singular_blocks_refused():
+    # the element with matrix J has D = 0: no P+ Kc P- factorisation, and
+    # CY + D = 0 at the origin
+    g = JacobiGroupEltC.from_mat(np.zeros(1), np.zeros(1), 0.0, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(NoDecomposition):
+        pkp_decompose(g)
+    with pytest.raises(SingularMatrix):
+        jacobi_action(g, JacobiPoint.origin(1))
 
 
 def test_action_is_a_group_action():

@@ -1,8 +1,13 @@
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import weylsym
 from weylsym import matcore
-from weylsym.errors import CayleySingular, NotPositiveReal, SingularMatrix
+from weylsym.errors import CayleySingular, NoDecomposition, NotPositiveReal, SingularMatrix
 
 
 def test_frame_matrices():
@@ -30,6 +35,9 @@ def test_cayley_involution_and_rotation():
 def test_cayley_singular():
     with pytest.raises(CayleySingular):
         matcore.cayley(-np.eye(2))
+    # g + I = 1e-7 I is small but perfectly conditioned
+    g = 1e-7 - 1
+    assert np.allclose(matcore.cayley(g * np.eye(2)), (g - 1) / (g + 1) * np.eye(2), rtol=1e-14, atol=0)
 
 
 def test_matrix_functions_consistency():
@@ -85,6 +93,92 @@ def test_solve_and_inv_singular():
         matcore.solve(np.zeros((2, 2)), np.ones(2))
     with pytest.raises(SingularMatrix):
         matcore.inv(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_require_invertible():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 8):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        factors, d = matcore.require_invertible(m)
+        assert d == pytest.approx(np.linalg.det(m), rel=1e-12)
+        b = rng.standard_normal(n)
+        assert np.allclose(matcore.lu_solve(factors, b), np.linalg.solve(m, b), atol=1e-12)
+    with pytest.raises(NoDecomposition):
+        matcore.require_invertible(np.zeros((2, 2)), NoDecomposition)
+    # a sum that cancels to roundoff is refused only once its operand size is known
+    tiny = 1.2e-16 * np.diag([1j, -1j])
+    matcore.require_invertible(tiny)
+    with pytest.raises(CayleySingular):
+        matcore.require_invertible(tiny, CayleySingular, scale=2.4)
+    with pytest.raises(SingularMatrix):
+        matcore.require_invertible(np.diag([1.0, 1e-15]))
+
+
+def _det_names(fn: ast.AST) -> set:
+    """Names bound, directly or through other such names, to a det(...) value."""
+    names: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and _mentions_det(node.value, names):
+                for tgt in node.targets:
+                    for name in ast.walk(tgt):
+                        if isinstance(name, ast.Name) and name.id not in names:
+                            names.add(name.id)
+                            changed = True
+    return names
+
+
+def _mentions_det(node: ast.AST, names: set) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            f = sub.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")) == "det":
+                return True
+        if isinstance(sub, ast.Name) and sub.id in names:
+            return True
+    return False
+
+
+def _magnitude_operand(node: ast.AST) -> ast.AST:
+    """abs(x) and x.real compare the size of x; x.imag does not."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "abs" and node.args:
+        return _magnitude_operand(node.args[0])
+    if isinstance(node, ast.Attribute) and node.attr == "real":
+        return _magnitude_operand(node.value)
+    return node
+
+
+def test_singularity_decided_only_in_matcore():
+    """Outside matcore no module inverts through numpy or compares a
+    determinant with a small threshold: `matcore.require_invertible` is the
+    one place that decides that a matrix is numerically singular."""
+    found = []
+    for path in sorted(pathlib.Path(weylsym.__file__).parent.glob("*.py")):
+        if path.name == "matcore.py":
+            continue
+        src = path.read_text()
+        for lineno, line in enumerate(src.splitlines(), 1):
+            if re.search(r"np\.linalg\.(inv|solve|cond)\(", line):
+                found.append(f"{path.name}:{lineno}: {line.strip()}")
+        for fn in ast.walk(ast.parse(src)):
+            if not isinstance(fn, (ast.FunctionDef, ast.Module)):
+                continue
+            names = _det_names(fn)
+            for cmp in ast.walk(fn):
+                if not isinstance(cmp, ast.Compare):
+                    continue
+                left = _magnitude_operand(cmp.left)
+                is_det = not isinstance(left, ast.Attribute) and _mentions_det(left, names)
+                small = any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, float) and 0 < c.value < 1e-6
+                    for side in cmp.comparators
+                    for c in ast.walk(side)
+                )
+                if is_det and small:
+                    found.append(f"{path.name}:{cmp.lineno}: {ast.unparse(cmp)}")
+    assert sorted(set(found)) == []
 
 
 def test_posdef_hermitian_part():

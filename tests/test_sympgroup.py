@@ -57,6 +57,8 @@ def test_frame_is_conjugation_by_U():
         u = matcore.matrix_U(n)
         k = su_from_sp(g)
         assert np.allclose(k.full, u @ g.g @ np.linalg.inv(u), atol=1e-12)
+        # built once per element and shared read-only
+        assert k.full is k.full and not k.full.flags.writeable
 
 
 def test_group_operations():

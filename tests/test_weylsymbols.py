@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from weylsym import matcore
-from weylsym.errors import AmbiguousPhase, CayleySingular, HeatFlowSingular, ShapeError
+from weylsym.errors import (
+    AmbiguousPhase,
+    CayleySingular,
+    HeatFlowSingular,
+    ShapeError,
+    SingularMatrix,
+)
 from weylsym.metaplectic import berezin_sigma_symbol, berezin_symbol_sigma, sigma_kernel
 from weylsym.moyal import star_exp_quadratic_closed, star_exp_quadratic_symbol
 from weylsym.suites import random_su_negdet
@@ -72,6 +78,11 @@ def test_phase_constant_rotation():
         k = su_from_sp(_rotation(theta))
         # det(I + k) = 4 cos^2(theta/2) > 0
         assert metaplectic_phase_c(k) == pytest.approx(1 / np.cos(theta / 2), rel=1e-12)
+    # near the singular set: I + k = diag(1 + P, 1 + Pbar) is small but well
+    # conditioned, and Det(I+k) = |1 + P|^2 > 0 gives c = 2 / |1 + P|
+    p = np.exp(1j * (np.pi - 1e-6))
+    k = SuBlocks(1, [[p]], [[0.0]])
+    assert metaplectic_phase_c(k) == pytest.approx(2 / abs(1 + p), rel=1e-9)
 
 
 def test_phase_constant_negative_determinant_cases():
@@ -222,6 +233,17 @@ def test_w1_dsigma_is_derivative_of_w1_exp():
         d1 = (w1_at(h) - w1_at(-h)) / (2 * h)
         d2 = (w1_at(h / 2) - w1_at(-h / 2)) / h
         assert abs((4 * d2 - d1) / 3 - target) < 1e-6
+
+
+def test_closed_forms_refuse_singular_cosh():
+    # cosh(X/2), cos(JM) and cosh(JM) come out as cos(pi/2) I ≈ 6e-17 I:
+    # well conditioned, but only roundoff of operands of size 1
+    with pytest.raises(SingularMatrix):
+        w1_exp_symbol(SpLieReal(1, [[0.0]], [[np.pi]], [[-np.pi]]))
+    with pytest.raises(SingularMatrix):
+        hormander_symbol(QuadForm2n(1, np.pi / 2 * np.diag([1.0, -1.0])))
+    with pytest.raises(SingularMatrix):
+        star_exp_quadratic_symbol(QuadForm2n(1, np.pi / 2 * np.eye(2)))
 
 
 def test_hormander_symbol_small_m():
