@@ -76,11 +76,13 @@ class SuiteReport:
 
     @property
     def failures(self) -> int:
-        return sum(1 for r in self.records if r["residual"] > self.tol)
+        """Records whose residual is not within tol; a NaN residual fails."""
+        return sum(1 for r in self.records if not r["residual"] <= self.tol)
 
     @property
     def max_residual(self) -> float:
-        return max((r["residual"] for r in self.records), default=0.0)
+        """Largest residual, or NaN when any residual is NaN."""
+        return float(np.max([r["residual"] for r in self.records], initial=0.0))
 
     def to_obj(self) -> dict:
         return {

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from weylsym.cli import main
 from weylsym.mjson import dump_matrix
+from weylsym.suites import SuiteReport
 from weylsym.sympgroup import SpReal, random_sp, su_from_sp
 
 
@@ -103,6 +105,20 @@ def test_suite_forced_failure(capsys):
     # an absurd tolerance forces residual > tol without touching the math
     code, out = _run(capsys, ["suite", "lemmatrices", "--trials", "3", "--tol", "1e-30"])
     assert code == 1
+
+
+def test_nan_residual_fails_the_suite():
+    for residuals in ([float("nan"), 1e-9], [1e-9, float("nan")]):
+        records = [{"case": f"trial{i}", "residual": r} for i, r in enumerate(residuals)]
+        report = SuiteReport("gaussint", 1, 1.0, 2, 7, 1e-8, records)
+        assert report.failures == 1
+        assert math.isnan(report.max_residual)
+
+
+def test_suite_quadrature_nodes_out_of_range_is_bad_config(capsys):
+    # numpy's Gauss-Hermite weights are NaN at 400 nodes
+    assert main(["suite", "gaussint", "--trials", "1", "--nodes", "400"]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_unknown_suite(capsys):

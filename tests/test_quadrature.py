@@ -1,0 +1,161 @@
+"""The streaming Gauss–Hermite layer against a materialised reference grid."""
+
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from weylsym import quadrature
+from weylsym.errors import BadConfig, NonConvergent
+from weylsym.gaussint import quadrature_scale
+from weylsym.quadrature import CHUNK, gh_nodes, lebesgue_cn, lebesgue_rn, quadrature_cn
+from weylsym.suites import random_gaussian_integrand
+from weylsym.sympgroup import rng_for
+
+
+def _one(pts):
+    return np.ones(len(pts))
+
+
+# reference: the whole tensor grid in memory, as the layer used to build it
+
+
+def _grid(dim, nodes):
+    s, w = gh_nodes(nodes)
+    idx = np.array(list(itertools.product(range(nodes), repeat=dim)))
+    return s[idx], np.prod(w[idx], axis=1)
+
+
+def _ref_quadrature_cn(f, lam, n, nodes):
+    pts, wts = _grid(2 * n, nodes)
+    w = math.sqrt(2.0 / lam) * (pts[:, :n] + 1j * pts[:, n:])
+    return complex(np.pi ** (-n) * np.sum(wts * f(w)))
+
+
+def _ref_lebesgue_cn(f, n, nodes, scale):
+    pts, wts = _grid(2 * n, nodes)
+    corr = np.exp(np.sum(pts**2, axis=1))
+    return complex(scale ** (2 * n) * np.sum(wts * corr * f(scale * (pts[:, :n] + 1j * pts[:, n:]))))
+
+
+def _ref_lebesgue_rn(f, n, nodes, scale, center):
+    pts, wts = _grid(n, nodes)
+    corr = np.exp(np.sum(pts**2, axis=1))
+    return complex(scale**n * np.sum(wts * corr * f(center + scale * pts)))
+
+
+class _Recorder:
+    """Wraps an integrand and keeps the number of points of every call."""
+
+    def __init__(self, f):
+        self.f, self.sizes = f, []
+
+    def __call__(self, pts):
+        self.sizes.append(pts.shape[0])
+        return self.f(pts)
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    """CHUNK = 32, so that small grids stream over several leading axes."""
+    quadrature._plan.cache_clear()
+    monkeypatch.setattr(quadrature, "CHUNK", 32)
+    yield 32
+    quadrature._plan.cache_clear()
+
+
+def _check_streamed(rec, stream, ref, points, chunk):
+    assert stream == pytest.approx(ref, rel=1e-13, abs=0)
+    assert sum(rec.sizes) == points
+    assert max(rec.sizes) <= chunk
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 80), (2, 12)])
+def test_complex_quadratures_match_materialised_grid(n, nodes):
+    gi = random_gaussian_integrand(rng_for(3, f"stream-{n}"), n)
+    scale = quadrature_scale(gi)
+    rec = _Recorder(gi.eval)
+    _check_streamed(rec, lebesgue_cn(rec, n, nodes, scale=scale), _ref_lebesgue_cn(gi.eval, n, nodes, scale),
+                    nodes ** (2 * n), CHUNK)
+    rec = _Recorder(gi.eval)
+    _check_streamed(rec, quadrature_cn(rec, 1.3, n, nodes), _ref_quadrature_cn(gi.eval, 1.3, n, nodes),
+                    nodes ** (2 * n), CHUNK)
+
+
+def _shifted_gaussian(center):
+    def f(x):
+        return np.exp(-np.sum((x - center) ** 2, axis=-1)) * (1 + x[:, 0] - 0.5j * x[:, -1] ** 2)
+
+    return f
+
+
+@pytest.mark.parametrize("n, nodes", [(2, 80), (3, 40), (4, 12)])
+def test_real_quadrature_matches_materialised_grid(n, nodes):
+    center = np.linspace(-0.4, 0.3, n)
+    f = _shifted_gaussian(center + 0.1)
+    rec = _Recorder(f)
+    _check_streamed(rec, lebesgue_rn(rec, n, nodes, scale=0.8, center=center),
+                    _ref_lebesgue_rn(f, n, nodes, 0.8, center), nodes**n, CHUNK)
+
+
+def test_many_leading_axes_match_materialised_grid(small_chunk):
+    # 6 nodes with CHUNK = 32: a 6-point block and 3 or 5 leading axes
+    gi = random_gaussian_integrand(rng_for(4, "stream-lead"), 2)
+    rec = _Recorder(gi.eval)
+    _check_streamed(rec, quadrature_cn(rec, 0.7, 2, 6), _ref_quadrature_cn(gi.eval, 0.7, 2, 6), 6**4, small_chunk)
+    center = np.linspace(-0.2, 0.2, 6)
+    f = _shifted_gaussian(center)
+    rec = _Recorder(f)
+    _check_streamed(rec, lebesgue_rn(rec, 6, 6, scale=0.9, center=center),
+                    _ref_lebesgue_rn(f, 6, 6, 0.9, center), 6**6, small_chunk)
+
+
+def test_streaming_memory_is_bounded():
+    quadrature._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        val = quadrature_cn(_one, 1.0, 2, nodes_per_axis=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert val == pytest.approx(1.0, rel=1e-12)
+    # the materialised 40^4 grid took 353 MB
+    assert peak < 16 * 2**20
+
+
+def test_cached_arrays_are_read_only():
+    s, w = gh_nodes(40)
+    plan = quadrature._plan(4, 40)
+    for arr in (s, w, plan.block, plan.lead, *plan.block_w, *plan.lead_w):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        s[0] = 0.0
+
+
+def test_refusals_come_before_evaluation():
+    rec = _Recorder(_one)
+    for nodes in (0, -3, 400, 2.5):
+        with pytest.raises(BadConfig):
+            quadrature_cn(rec, 1.0, 1, nodes_per_axis=nodes)
+    with pytest.raises(BadConfig):
+        lebesgue_rn(rec, 1, nodes_per_axis=0)
+    # 80^6 points at n = 3
+    with pytest.raises(BadConfig):
+        lebesgue_cn(rec, 3, nodes_per_axis=80)
+    assert rec.sizes == []
+    # 80^4, the CLI default at n = 2, is within the cap
+    assert 80**4 <= quadrature.MAX_POINTS
+
+
+def test_non_finite_sum_is_non_convergent():
+    def nan_in_last_chunk(w):
+        out = np.ones(len(w), dtype=complex)
+        out[w[:, 0].real > 3.0] = np.nan
+        return out
+
+    with pytest.raises(NonConvergent):
+        quadrature_cn(nan_in_last_chunk, 1.0, 2, nodes_per_axis=12)
+    with pytest.raises(NonConvergent):
+        lebesgue_rn(lambda x: np.full(len(x), np.inf), 1, nodes_per_axis=20)
