@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matcore
 from .errors import DivergentIntegral, ShapeError
-from .matcore import as_matrix, det_powhalf_posreal, matrix_U, norm
+from .matcore import as_matrix, det_powhalf_posreal, matrix_U, norm, quad_form
 from .sympgroup import SuBlocks
 
 __all__ = [
@@ -62,27 +62,28 @@ class GaussianIntegrand:
             raise ShapeError("A must be symmetric")
         if norm(self.D - self.D.T) > 1e-12 * (1 + norm(self.D)):
             raise ShapeError("D must be symmetric")
+        m = np.block([[self.A, self.B.T], [self.B, self.D]])
+        m.flags.writeable = False
+        object.__setattr__(self, "_M", m)
+        object.__setattr__(self, "_r", np.concatenate([self.u, self.v]))
 
     @property
     def M(self) -> np.ndarray:
-        return np.block([[self.A, self.B.T], [self.B, self.D]])
+        """[[A, B^t], [B, D]], read-only."""
+        return self._M
 
     @property
     def N(self) -> np.ndarray:
         u = matrix_U(self.n)
-        return u.T @ self.M @ u
+        return u.T @ self._M @ u
 
     def eval(self, w: np.ndarray) -> np.ndarray:
-        """Pointwise integrand at w of shape (..., n)."""
-        w = np.asarray(w, dtype=complex)
-        wb = w.conj()
-        quad = (
-            np.einsum("...i,ij,...j->...", w, self.A, w)
-            + np.einsum("...i,ij,...j->...", wb, self.D, wb)
-            + 2 * np.einsum("...i,ij,...j->...", wb, self.B, w)
-        )
-        lin = w @ self.u + wb @ self.v
-        return np.exp(-quad + lin)
+        """Pointwise integrand at w of shape (..., n): exp(r ω - ω^t M ω)
+        with ω = (w, wbar) stacked axis-major and r = (u, v)."""
+        wt = np.asarray(w, dtype=complex).T
+        omega = np.concatenate([wt, wt.conj()]).reshape(2 * self.n, -1)
+        expo = self._r @ omega - quad_form(self._M, omega)
+        return np.exp(expo.reshape(wt.shape[1:]).T)
 
 
 def quadrature_scale(gi: GaussianIntegrand) -> float:
@@ -104,9 +105,7 @@ def gaussian_integral_closed(gi: GaussianIntegrand) -> complex:
     n_mat = gi.N
     if not matcore.is_posdef_hermitian_part(n_mat):
         raise DivergentIntegral("Re(N) is not positive definite")
-    m = gi.M
-    r = np.concatenate([gi.u, gi.v])
-    quad = r @ matcore.solve(m, r)
+    quad = gi._r @ matcore.solve(gi.M, gi._r)
     return np.pi**gi.n / det_powhalf_posreal(n_mat) * np.exp(quad / 4)
 
 
@@ -134,6 +133,8 @@ class GaussianKernel:
             raise ShapeError("alpha must be symmetric")
         if norm(self.gamma - self.gamma.T) > 1e-10 * (1 + norm(self.gamma)):
             raise ShapeError("gamma must be symmetric")
+        k = np.block([[self.alpha, self.beta], [self.beta.T, self.gamma]])
+        object.__setattr__(self, "_K", self.lam / 4 * k)
 
     @staticmethod
     def identity(n: int, lam: float) -> "GaussianKernel":
@@ -141,16 +142,19 @@ class GaussianKernel:
         zero = np.zeros((n, n))
         return GaussianKernel(n, lam, 1.0, zero, np.eye(n), zero)
 
+    def exponent(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The exponent of K(z, w)/c: ζ^t K ζ with ζ = (z, wbar) stacked
+        axis-major and K = (λ/4)[[α, β], [β^t, γ]]; z, w broadcastable with
+        shape (..., n)."""
+        z = np.asarray(z, dtype=complex)
+        w = np.asarray(w, dtype=complex)
+        if z.shape != w.shape:
+            z, w = np.broadcast_arrays(z, w)
+        return quad_form(self._K, np.concatenate([z.T, w.T.conj()])).T
+
     def eval(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Kernel value at (z, w); both broadcastable with shape (..., n)."""
-        z = np.asarray(z, dtype=complex)
-        wb = np.asarray(w, dtype=complex).conj()
-        expo = (
-            np.einsum("...i,ij,...j->...", z, self.alpha, z)
-            + 2 * np.einsum("...i,ij,...j->...", z, self.beta, wb)
-            + np.einsum("...i,ij,...j->...", wb, self.gamma, wb)
-        )
-        return self.c * np.exp(self.lam / 4 * expo)
+        return self.c * np.exp(self.exponent(z, w))
 
 
 def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:

@@ -40,6 +40,7 @@ __all__ = [
     "hermitian_part",
     "is_posdef_hermitian_part",
     "norm",
+    "quad_form",
 ]
 
 def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -84,6 +85,17 @@ def matrix_U(n: int) -> np.ndarray:
 
 def norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=complex)))
+
+
+def quad_form(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v^t m v for axis-major points v of shape (k, ...) and m of shape
+    (k, k), as an array of shape (...): one (k, k) matmul over the stacked
+    points, then a product and a sum over axis 0.  A batch w of shape
+    (..., k) is ``quad_form(m, w.T).T``."""
+    flat = v.reshape(v.shape[0], -1)
+    mv = m @ flat
+    mv *= flat
+    return mv.sum(axis=0).reshape(v.shape[1:])
 
 
 def mat_exp(m: np.ndarray) -> np.ndarray:

@@ -67,7 +67,8 @@ class ValidationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
+        """Largest residual, or NaN when any residual is NaN."""
+        return float(np.max(list(self.residuals.values()), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .errors import (
     ShapeError,
     SingularMatrix,
 )
+from .gaussint import GaussianKernel
 from .matcore import as_matrix, matrix_J, matrix_U, norm, principal_sqrt
 from .quadrature import gh_nodes, lebesgue_rn, quadrature_cn
 from .sympgroup import (
@@ -136,34 +137,35 @@ class QuadForm2n:
         return float(v @ (self.M @ v))
 
 
-def _kernel_eval(kernel, z, w):
-    return kernel.eval(z, w) if hasattr(kernel, "eval") else kernel(z, w)
-
-
-def w0_integral(kernel, z, lam: float, nodes: int = 80, symmetric: bool = True) -> complex:
-    """W0 of the operator with kernel k, by Gauss–Hermite quadrature.
+def w0_integral(kernel: GaussianKernel, z, lam: float, nodes: int = 80, symmetric: bool = True) -> complex:
+    """W0 of the operator with Gaussian kernel k, by Gauss–Hermite quadrature.
 
     Symmetric form: 2^n ∫ k(z+w, z-w) exp((λ/2)(-z zbar - w wbar + z wbar
     - zbar w)) dμ_λ(w); the exp(-(λ/2) w wbar) factor is the quadrature
     weight and the rest is folded into the integrand.  The non-symmetric
     variant integrates 2^n k(w, 2z-w) exp(λ(-z zbar + z wbar - w wbar / 2)).
+    Either integrand adds the kernel's exponent to the W0 phase and takes
+    one exp.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     n = z.shape[0]
     zz = float(np.sum(np.abs(z) ** 2))
+    amp = 2**n * kernel.c
 
     if symmetric:
 
         def f(w):
-            wb = w.conj()
-            expo = lam / 2 * (-zz + wb @ z - w @ z.conj())
-            return 2**n * _kernel_eval(kernel, z + w, z - w) * np.exp(expo)
+            # the phase's linear part (λ/2)(wbar z - w zbar) is iλ Im(wbar z)
+            expo = kernel.exponent(z + w, z - w) - lam / 2 * zz
+            expo.imag += lam * (w.conj() @ z).imag
+            return amp * np.exp(expo, out=expo)
 
     else:
 
         def f(w):
-            expo = lam * (-zz + w.conj() @ z)
-            return 2**n * _kernel_eval(kernel, w, 2 * z - w) * np.exp(expo)
+            expo = kernel.exponent(w, 2 * z - w)
+            expo += lam * (w.conj() @ z - zz)
+            return amp * np.exp(expo, out=expo)
 
     return quadrature_cn(f, lam, n, nodes_per_axis=nodes)
 

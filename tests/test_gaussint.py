@@ -97,3 +97,75 @@ def test_quadrature_cn_normalisation():
     for n in (1, 2):
         val = quadrature_cn(lambda w: np.ones(w.shape[0]), 2.0, n, nodes_per_axis=40)
         assert val == pytest.approx(1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacked quadratic forms against the per-block einsum formulas they replace
+
+
+def _ref_integrand_eval(gi, w):
+    w = np.asarray(w, dtype=complex)
+    wb = w.conj()
+    quad = (
+        np.einsum("...i,ij,...j->...", w, gi.A, w)
+        + np.einsum("...i,ij,...j->...", wb, gi.D, wb)
+        + 2 * np.einsum("...i,ij,...j->...", wb, gi.B, w)
+    )
+    return np.exp(-quad + w @ gi.u + wb @ gi.v)
+
+
+def _ref_kernel_exponent(k, z, w):
+    z = np.asarray(z, dtype=complex)
+    wb = np.asarray(w, dtype=complex).conj()
+    expo = (
+        np.einsum("...i,ij,...j->...", z, k.alpha, z)
+        + 2 * np.einsum("...i,ij,...j->...", z, k.beta, wb)
+        + np.einsum("...i,ij,...j->...", wb, k.gamma, wb)
+    )
+    return k.lam / 4 * expo
+
+
+def _ref_kernel_eval(k, z, w):
+    return k.c * np.exp(_ref_kernel_exponent(k, z, w))
+
+
+def _random_kernel(rng, n):
+    sym = lambda a: (a + a.T) / 2  # noqa: E731
+    return GaussianKernel(
+        n, 1.3, _cpx(rng, ()), sym(_cpx(rng, (n, n), 0.3)), _cpx(rng, (n, n), 0.5), sym(_cpx(rng, (n, n), 0.3))
+    )
+
+
+def _assert_rel(got, ref):
+    assert np.shape(got) == np.shape(ref)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+
+def test_stacked_forms_match_einsum_reference():
+    from weylsym.metaplectic import sigma_kernel
+
+    for n in (1, 2, 3):
+        rng = rng_for(n, "stacked-forms")
+        gi = random_gaussian_integrand(rng, n)
+        kernels = (_random_kernel(rng, n), sigma_kernel(random_su(n, 70 + n), 0.9))
+        # one point, a batch, a 2-d batch, and the transposed axis-major
+        # view that the quadrature layer hands over
+        points = [
+            _cpx(rng, n, 0.5),
+            _cpx(rng, (7, n), 0.5),
+            _cpx(rng, (3, 4, n), 0.5),
+            np.ascontiguousarray(_cpx(rng, (n, 9), 0.5)).T,
+        ]
+        for w in points:
+            _assert_rel(gi.eval(w), _ref_integrand_eval(gi, w))
+            z = _cpx(rng, w.shape, 0.5)
+            for k in kernels:
+                _assert_rel(k.eval(z, w), _ref_kernel_eval(k, z, w))
+        # broadcast pairs: one z against a batch of w, and the reverse
+        z, w = _cpx(rng, n, 0.5), _cpx(rng, (5, n), 0.5)
+        for k in kernels:
+            _assert_rel(k.eval(z, w), _ref_kernel_eval(k, z, w))
+            _assert_rel(k.eval(w, z), _ref_kernel_eval(k, w, z))
+            expo, ref = k.exponent(z, w), _ref_kernel_exponent(k, z, w)
+            assert expo.shape == ref.shape
+            assert np.max(np.abs(expo - ref)) < 1e-13 * (1 + np.max(np.abs(ref)))

@@ -5,6 +5,7 @@ from weylsym import matcore
 from weylsym.errors import NotInLie, NotInS, NotSymplectic
 from weylsym.sympgroup import (
     SpLieReal,
+    ValidationReport,
     SpReal,
     SuBlocks,
     SuLie,
@@ -112,3 +113,13 @@ def test_validators_reject_bad_input():
         su_from_sp(SpReal(1, np.array([[2.0, 0.0], [0.0, 2.0]])))
     rep = validate_su_lie(SuLie(1, np.array([[1.0]]), np.array([[0.0]])))
     assert not rep.ok  # A must be skew-Hermitian
+
+
+def test_validation_report_nan_residual():
+    # a NaN residual fails the report and is its maximum, in either order
+    for residuals in ({"a": float("nan"), "b": 1e-3}, {"b": 1e-3, "a": float("nan")}):
+        rep = ValidationReport(residuals)
+        assert not rep.ok
+        assert np.isnan(rep.max_residual)
+    assert ValidationReport({"a": 1e-3, "b": 2e-3}).max_residual == 2e-3
+    assert ValidationReport({}).max_residual == 0.0

@@ -11,6 +11,7 @@ from weylsym.errors import (
 )
 from weylsym.metaplectic import berezin_sigma_symbol, berezin_symbol_sigma, sigma_kernel
 from weylsym.moyal import star_exp_quadratic_closed, star_exp_quadratic_symbol
+from weylsym.quadrature import quadrature_cn
 from weylsym.suites import random_su_negdet
 from weylsym.sympgroup import (
     SpLieReal,
@@ -126,6 +127,42 @@ def test_w0_closed_vs_quadrature_both_integral_forms():
         nonsym = w0_integral(sigma_kernel(k, lam), z, lam, symmetric=False)
         assert abs(closed - sym) / abs(sym) < 1e-6
         assert abs(sym - nonsym) / abs(sym) < 1e-6
+
+
+def _ref_w0_integral(kernel, z, lam, nodes, symmetric):
+    # the two-exp integrands: the kernel value times the exponentiated W0 phase
+    n = z.shape[0]
+    zz = float(np.sum(np.abs(z) ** 2))
+
+    def f(w):
+        if symmetric:
+            expo = lam / 2 * (-zz + w.conj() @ z - w @ z.conj())
+            return 2**n * kernel.c * np.exp(_ref_kernel_exponent(kernel, z + w, z - w)) * np.exp(expo)
+        expo = lam * (-zz + w.conj() @ z)
+        return 2**n * kernel.c * np.exp(_ref_kernel_exponent(kernel, w, 2 * z - w)) * np.exp(expo)
+
+    return quadrature_cn(f, lam, n, nodes_per_axis=nodes)
+
+
+def _ref_kernel_exponent(k, z, w):
+    wb = w.conj()
+    return k.lam / 4 * (
+        np.einsum("...i,ij,...j->...", z, k.alpha, z)
+        + 2 * np.einsum("...i,ij,...j->...", z, k.beta, wb)
+        + np.einsum("...i,ij,...j->...", wb, k.gamma, wb)
+    )
+
+
+def test_w0_integral_matches_two_exp_integrand():
+    for n, nodes in ((1, 80), (2, 12)):
+        for seed in range(3):
+            lam = 0.8 + 0.2 * seed
+            kernel = sigma_kernel(random_su(n, 60 + seed), lam)
+            z = _cpx(rng_for(seed, "w0-one-exp"), n, 0.4)
+            for symmetric in (True, False):
+                got = w0_integral(kernel, z, lam, nodes=nodes, symmetric=symmetric)
+                ref = _ref_w0_integral(kernel, z, lam, nodes, symmetric)
+                assert abs(got - ref) / abs(ref) < 1e-13
 
 
 def test_w0_dsigma_closed_special_case():
