@@ -31,6 +31,7 @@ from .gaussint import (
     GaussianKernel,
     compose_kernels,
     gaussian_integral_closed,
+    gaussian_law,
 )
 from .metaplectic import (
     berezin_symbol_dsigma,

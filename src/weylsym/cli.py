@@ -115,6 +115,10 @@ def _run_eval(args) -> int:
     lam = args.lam
     kind = args.kind
     extra = None
+    if not 0 < lam < np.inf:
+        raise WeylsymError(f"--lambda must be positive and finite, got {lam}")
+    if not np.all(np.isfinite(args.at + args.point)):
+        raise WeylsymError("evaluation point must be finite")
 
     if kind in ("w0-sigma", "berezin-sigma", "kernel"):
         if not args.k:

@@ -33,6 +33,7 @@ from .sympgroup import SuBlocks
 __all__ = [
     "GaussianIntegrand",
     "GaussianKernel",
+    "gaussian_law",
     "gaussian_integral_closed",
     "compose_kernels",
     "block_inverse_identity_residual",
@@ -94,19 +95,25 @@ def quadrature_scale(gi: GaussianIntegrand) -> float:
     scale = max(1, λ_min(Re N)^{-1/2}) keeps the transformed integrand
     bounded by the e^{-s^2} weight on every axis.
     """
-    lam_min = float(np.min(np.linalg.eigvalsh(matcore.hermitian_part(gi.N))))
-    if lam_min <= 0:
-        raise DivergentIntegral("Re(N) is not positive definite")
+    lam_min = matcore.require_posreal(gi.N, DivergentIntegral)
     return max(1.0, 1.0 / np.sqrt(lam_min))
+
+
+def gaussian_law(m: np.ndarray, r: np.ndarray):
+    """((Det N)^{1/2}, (1/4) r^t M^{-1} r) with N = U^t M U: the factors of
+    ∫ exp(r ω - ω^t M ω) dm(w) = π^n (Det N)^{-1/2} exp((1/4) r^t M^{-1} r)
+    for M 2n×2n in the frame ω = (w, wbar).  r is one linear term (2n,), or
+    a (2n, k) matrix of them and the form its k×k polarisation.
+    DivergentIntegral unless Re N > 0 (`matcore.require_posreal`)."""
+    u = matrix_U(m.shape[0] // 2)
+    root = det_powhalf_posreal(u.T @ m @ u, DivergentIntegral)
+    return root, r.T @ matcore.solve(m, r) / 4
 
 
 def gaussian_integral_closed(gi: GaussianIntegrand) -> complex:
     """Closed-form value of ∫ gi.eval(w) dm(w); requires Re(N) > 0."""
-    n_mat = gi.N
-    if not matcore.is_posdef_hermitian_part(n_mat):
-        raise DivergentIntegral("Re(N) is not positive definite")
-    quad = gi._r @ matcore.solve(gi.M, gi._r)
-    return np.pi**gi.n / det_powhalf_posreal(n_mat) * np.exp(quad / 4)
+    root, quad = gaussian_law(gi.M, gi._r)
+    return np.pi**gi.n / root * np.exp(quad)
 
 
 @dataclass(frozen=True)
@@ -161,32 +168,22 @@ def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
     """(K1 ∘ K2)(z, w) = ∫ K1(z, u) K2(u, w) e^{-λ|u|^2/2} dμ_λ(u), in closed form.
 
     The u-integral is the generalised Gaussian integral with
-    A = -(λ/4)α2, D = -(λ/4)γ1, B = (λ/4)I and linear terms carrying the
-    (z, wbar)-dependence; the composed parameters are read off from M^{-1}
-    applied to the coefficient matrices (polarisation).
+    A = -(λ/4)α2, D = -(λ/4)γ1, B = (λ/4)I and linear terms
+    (λ/2)(β2 wbar, β1^t z); `gaussian_law` polarised in (z, wbar) gives the
+    composed parameters.
     """
     if k1.n != k2.n or abs(k1.lam - k2.lam) > 1e-14 * (1 + k1.lam):
         raise ShapeError("kernels must share n and lambda")
     n, lam = k1.n, k1.lam
-    eye = np.eye(n)
-    a = -(lam / 4) * k2.alpha
-    d = -(lam / 4) * k1.gamma
-    b = (lam / 4) * eye
-    m = np.block([[a, b.T], [b, d]])
-    u_frame = matrix_U(n)
-    n_mat = u_frame.T @ m @ u_frame
-    if not matcore.is_posdef_hermitian_part(n_mat, pivot_tol=1e-10):
-        raise DivergentIntegral("composition integral has Re(N) not positive definite")
-    minv = matcore.inv(m)
-    m11, m12, m22 = minv[:n, :n], minv[:n, n:], minv[n:, n:]
-    alpha = k1.alpha + (lam / 4) * (k1.beta @ m22 @ k1.beta.T)
-    gamma = k2.gamma + (lam / 4) * (k2.beta.T @ m11 @ k2.beta)
-    beta = (lam / 4) * (k1.beta @ m12.T @ k2.beta)
-    c = k1.c * k2.c * (lam / 2) ** n / det_powhalf_posreal(n_mat)
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    m = -(lam / 4) * np.block([[k2.alpha, -eye], [-eye, k1.gamma]])
+    # r leaves out the linear terms' factor λ/2, so the form is (4/λ)(λ/2)^2 q = λq
+    root, q = gaussian_law(m, np.block([[zero, k2.beta], [k1.beta.T, zero]]))
+    alpha = k1.alpha + lam * q[:n, :n]
+    gamma = k2.gamma + lam * q[n:, n:]
+    c = k1.c * k2.c * (lam / 2) ** n / root
     # symmetrise away roundoff
-    alpha = (alpha + alpha.T) / 2
-    gamma = (gamma + gamma.T) / 2
-    return GaussianKernel(n, lam, c, alpha, beta, gamma)
+    return GaussianKernel(n, lam, c, (alpha + alpha.T) / 2, lam * q[:n, n:], (gamma + gamma.T) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matcore
 from .errors import (
     DomainViolation,
     NoDecomposition,
@@ -44,7 +45,6 @@ __all__ = [
     "jacobi_inv",
     "complexify",
     "jc_mul",
-    "jc_inv",
     "pkp_decompose",
     "pkp_recompose",
     "jacobi_action",
@@ -74,9 +74,7 @@ class JacobiPoint:
             raise ShapeError("Y must be symmetric")
 
     def in_domain(self, margin: float = 0.0) -> bool:
-        h = np.eye(self.n) - self.Y @ self.Y.conj()
-        evs = np.linalg.eigvalsh((h + h.conj().T) / 2)
-        return float(np.min(evs)) > margin
+        return matcore.hermitian_lam_min(np.eye(self.n) - self.Y @ self.Y.conj()) > margin
 
     @staticmethod
     def origin(n: int) -> "JacobiPoint":
@@ -199,16 +197,6 @@ def jc_mul(g1: JacobiGroupEltC, g2: JacobiGroupEltC) -> JacobiGroupEltC:
     kw = g1.C @ g2.z0 + g1.D @ g2.w0
     c = g1.c + g2.c + 0.5 * symplectic_form(g1.z0, g1.w0, kz, kw)
     return JacobiGroupEltC.from_mat(g1.z0 + kz, g1.w0 + kw, c, g1.mat @ g2.mat)
-
-
-def jc_inv(g: JacobiGroupEltC) -> JacobiGroupEltC:
-    # M^{-1} = J^t M^t J for the validated complex symplectic M
-    j = matrix_J(g.n)
-    minv = j.T @ g.mat.T @ j
-    n = g.n
-    z = minv[:n, :n] @ g.z0 + minv[:n, n:] @ g.w0
-    w = minv[n:, :n] @ g.z0 + minv[n:, n:] @ g.w0
-    return JacobiGroupEltC.from_mat(-z, -w, -g.c, minv)
 
 
 # ---------------------------------------------------------------------------

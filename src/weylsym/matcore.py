@@ -37,8 +37,8 @@ __all__ = [
     "eigenvalues",
     "det_sqrt",
     "det_powhalf_posreal",
-    "hermitian_part",
-    "is_posdef_hermitian_part",
+    "hermitian_lam_min",
+    "require_posreal",
     "norm",
     "quad_form",
 ]
@@ -175,19 +175,19 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(require_square(m))
 
 
-def hermitian_part(m: np.ndarray) -> np.ndarray:
+def hermitian_lam_min(m: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part (m + m^H)/2 of m."""
     m = require_square(m)
-    return (m + m.conj().T) / 2
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
 
 
-def is_posdef_hermitian_part(m: np.ndarray, pivot_tol: float = 1e-12) -> bool:
-    """Cholesky-style test that the Hermitian part of m is positive definite."""
-    h = hermitian_part(m)
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return float(np.min(np.linalg.eigvalsh(h))) > pivot_tol
+def require_posreal(m: np.ndarray, error=NotPositiveReal) -> float:
+    """The library's one test that Re m is positive definite: λ_min of the
+    Hermitian part of m, or `error` when it is ≤ 1e-12."""
+    lam_min = hermitian_lam_min(m)
+    if not lam_min > 1e-12:
+        raise error(f"Hermitian part not positive definite: λ_min {lam_min:.3g}")
+    return lam_min
 
 
 def det_sqrt(m: np.ndarray) -> complex:
@@ -201,13 +201,13 @@ def det_sqrt(m: np.ndarray) -> complex:
     return root
 
 
-def det_powhalf_posreal(n_mat: np.ndarray) -> complex:
-    """det(N)^{1/2} for complex symmetric N with Re(N) positive definite.
+def det_powhalf_posreal(n_mat: np.ndarray, error=NotPositiveReal) -> complex:
+    """det(N)^{1/2} for complex symmetric N with Re(N) positive definite
+    (`require_posreal`, raising `error`).
 
     All eigenvalues of N lie in its field of values, hence in the open right
     half-plane, so the per-eigenvalue principal roots of `det_sqrt` are
     branch-consistent and the result has positive real part.
     """
-    if not is_posdef_hermitian_part(n_mat):
-        raise NotPositiveReal("Hermitian part of N is not positive definite")
+    require_posreal(n_mat, error)
     return det_sqrt(n_mat)

@@ -25,7 +25,7 @@ import numpy as np
 from . import matcore
 from .errors import BadConfig, NonConvergent, ShapeError
 from .polys import Poly
-from .weylsymbols import GaussianSymbol, QuadForm2n
+from .weylsymbols import GaussianSymbol, QuadForm2n, _cosh_law_symbol
 
 __all__ = [
     "DiffOp",
@@ -277,12 +277,9 @@ def star_exp_quadratic_closed(q: QuadForm2n, point) -> complex:
 
 def star_exp_quadratic_symbol(q: QuadForm2n) -> GaussianSymbol:
     """exp_*(-i q_M)(x, y) = (Det cosh(JM))^{-1/2}
-    exp(i (x y) J tanh(JM) (x y)^t), per-eigenvalue roots of Det cosh(JM);
-    kept apart from `w1_exp_symbol`, its oracle in star_exp_bridge_residual."""
-    jm = matcore.matrix_J(q.n) @ q.M
-    ch, sh = matcore.mat_cosh(jm)
-    th = sh @ matcore.inv(ch, scale=matcore.norm(ch) + matcore.norm(sh))
-    return GaussianSymbol._trusted(q.n, 1 / matcore.det_sqrt(ch), 1j * (matcore.matrix_J(q.n) @ th))
+    exp(i (x y) J tanh(JM) (x y)^t), the cosh law at JM; kept apart
+    from `w1_exp_symbol`, its oracle in star_exp_bridge_residual."""
+    return _cosh_law_symbol(q.n, matcore.matrix_J(q.n) @ q.M)
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,8 @@ class QuadForm2n:
         m = np.asarray(self.M, dtype=float)
         if m.shape != (2 * self.n, 2 * self.n):
             raise ShapeError(f"expected {2*self.n}x{2*self.n} matrix, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ShapeError("M contains NaN/Inf entries")
         if norm(m - m.T) > 1e-12 * (1 + norm(m)):
             raise ShapeError("M must be symmetric")
         object.__setattr__(self, "M", (m + m.T) / 2)
@@ -295,22 +297,25 @@ def hormander_exp_symbol(m: QuadForm2n, x, y) -> complex:
 
 def hormander_symbol(m: QuadForm2n) -> GaussianSymbol:
     """W1(exp(dσ'(iX)))(x, y) = (Det cos(JM))^{-1/2}
-    exp(-(x y) J tan(JM) (x y)^t), per-eigenvalue roots of Det cos(JM)."""
-    jm = matrix_J(m.n) @ m.M
-    cos, sinh_ijm = matcore.mat_cosh(1j * jm)
-    tan = -1j * sinh_ijm @ matcore.inv(cos, scale=norm(cos) + norm(sinh_ijm))
-    return GaussianSymbol._trusted(m.n, 1 / matcore.det_sqrt(cos), -(matrix_J(m.n) @ tan))
+    exp(-(x y) J tan(JM) (x y)^t): the cosh law at iJM."""
+    return _cosh_law_symbol(m.n, 1j * (matrix_J(m.n) @ m.M))
+
+
+def _cosh_law_symbol(n: int, jm: np.ndarray) -> GaussianSymbol:
+    """(Det cosh(jm))^{-1/2} exp(i (x y) J tanh(jm) (x y)^t), per-eigenvalue
+    roots of Det cosh(jm): exp_*(-i q_M) at jm = JM, Hörmander's at iJM."""
+    ch, sh = matcore.mat_cosh(jm)
+    th = sh @ matcore.inv(ch, scale=norm(ch) + norm(sh))
+    return GaussianSymbol._trusted(n, 1 / matcore.det_sqrt(ch), 1j * (matrix_J(n) @ th))
 
 
 def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:
     """exp(tΔ) on Gaussians: γ exp(v^t S v) ↦
-    γ det(I - 4tS)^{-1/2} exp(v^t S (I - 4tS)^{-1} v)."""
+    γ det(I - 4tS)^{-1/2} exp(v^t S (I - 4tS)^{-1} v) while Re(I - 4tS) > 0;
+    past that blow-up, HeatFlowSingular."""
     a = np.eye(2 * f.n) - 4 * t * f.S
-    try:
-        d = matcore.det_sqrt(a)
-        s_new = f.S @ matcore.inv(a, scale=1 + norm(4 * t * f.S))
-    except SingularMatrix as exc:
-        raise HeatFlowSingular("I - 4tS is singular") from exc
+    d = matcore.det_powhalf_posreal(a, HeatFlowSingular)
+    s_new = f.S @ matcore.inv(a, HeatFlowSingular, 1 + norm(4 * t * f.S))
     return GaussianSymbol._trusted(f.n, f.gamma / d, s_new)
 
 

@@ -140,3 +140,23 @@ def test_csv_value_format(capsys):
     assert code == 0
     re, im = (float(tok) for tok in out.strip().split(","))
     assert (re, im) == pytest.approx((1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "w1-sigma", "--g", "identity", "--at", "nan", "0"],
+        ["eval", "w0-sigma", "--k", "identity", "--at", "inf", "0"],
+        ["eval", "kernel", "--k", "identity", "--at", "0", "0", "nan", "0"],
+        ["eval", "star-exp", "--M", "0.1I", "--point", "nan", "0", "--closed"],
+        ["eval", "w1-sigma", "--g", "identity", "--at", "0", "0", "--lambda", "-1"],
+        ["eval", "star-exp", "--M", "nanI", "--point", "0.1", "0.2"],
+    ],
+)
+def test_eval_refuses_non_finite_input(capsys, argv):
+    # refused by the library's own checks (a WeylsymError), not by numpy
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -11,10 +11,11 @@ from weylsym.gaussint import (
     compose_kernels,
     det_identity_residual,
     gaussian_integral_closed,
+    gaussian_law,
     quadrature_scale,
 )
 from weylsym.quadrature import lebesgue_cn, quadrature_cn
-from weylsym.sympgroup import random_su, rng_for
+from weylsym.sympgroup import random_sp, random_su, rng_for, su_from_sp
 
 
 def _cpx(rng, shape, scale=1.0):
@@ -80,6 +81,53 @@ def test_compose_matches_quadrature():
     w = np.array([-0.2 + 0.3j])
     direct = quadrature_cn(lambda u: ks[0].eval(z, u) * ks[1].eval(u, w), lam, 1)
     assert comp.eval(z, w) == pytest.approx(direct, rel=1e-10)
+
+
+def test_gaussian_law_polarises():
+    # with a matrix of linear terms the form q is the polarisation of the
+    # vector law: ξ^t q ξ is the law at the one linear term rξ
+    for n in (1, 2, 3):
+        rng = rng_for(n, "gaussian-law-polar")
+        m = random_gaussian_integrand(rng, n).M
+        r = _cpx(rng, (2 * n, 3), 0.5)
+        root, q = gaussian_law(m, r)
+        assert q.shape == (3, 3)
+        for _ in range(5):
+            xi = _cpx(rng, 3)
+            root_v, q_v = gaussian_law(m, r @ xi)
+            assert root_v == root
+            assert abs(xi @ q @ xi - q_v) < 1e-13 * (1 + abs(q_v))
+
+
+def _compose_by_hand(k1, k2):
+    """The composition with N, M^{-1} and its blocks built out explicitly."""
+    n, lam = k1.n, k1.lam
+    b = (lam / 4) * np.eye(n)
+    m = np.block([[-(lam / 4) * k2.alpha, b.T], [b, -(lam / 4) * k1.gamma]])
+    u = matcore.matrix_U(n)
+    n_mat = u.T @ m @ u
+    minv = np.linalg.inv(m)
+    m11, m12, m22 = minv[:n, :n], minv[:n, n:], minv[n:, n:]
+    alpha = k1.alpha + (lam / 4) * (k1.beta @ m22 @ k1.beta.T)
+    gamma = k2.gamma + (lam / 4) * (k2.beta.T @ m11 @ k2.beta)
+    beta = (lam / 4) * (k1.beta @ m12.T @ k2.beta)
+    root = np.prod(np.sqrt(np.linalg.eigvals(n_mat)))
+    return k1.c * k2.c * (lam / 2) ** n / root, alpha, beta, gamma
+
+
+def test_compose_matches_hand_built_formula():
+    from weylsym.metaplectic import sigma_kernel
+
+    for n in (1, 2, 3):
+        for seed in range(6):
+            scale = 1.5 if seed % 2 else 0.5
+            k1, k2 = (su_from_sp(random_sp(n, 300 + 2 * seed + i, scale)) for i in range(2))
+            for lam in (0.7, 1.0):
+                ks = sigma_kernel(k1, lam), sigma_kernel(k2, lam)
+                comp = compose_kernels(*ks)
+                got = (comp.c, comp.alpha, comp.beta, comp.gamma)
+                for g, ref in zip(got, _compose_by_hand(*ks)):
+                    assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_block_identities_random_su():

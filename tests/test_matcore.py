@@ -7,7 +7,7 @@ import pytest
 
 import weylsym
 from weylsym import matcore
-from weylsym.errors import CayleySingular, NoDecomposition, NotPositiveReal, SingularMatrix
+from weylsym.errors import CayleySingular, DivergentIntegral, NoDecomposition, NotPositiveReal, SingularMatrix
 
 
 def test_frame_matrices():
@@ -153,7 +153,11 @@ def _magnitude_operand(node: ast.AST) -> ast.AST:
 def test_singularity_decided_only_in_matcore():
     """Outside matcore no module inverts through numpy or compares a
     determinant with a small threshold: `matcore.require_invertible` is the
-    one place that decides that a matrix is numerically singular."""
+    one place that decides that a matrix is numerically singular.  Nor does
+    one run a Cholesky factorisation or a Hermitian eigensolve:
+    `matcore.require_posreal` is the one place that decides Re N > 0, on
+    `matcore.hermitian_lam_min`, which the bounded-domain test
+    `JacobiPoint.in_domain` shares."""
     found = []
     for path in sorted(pathlib.Path(weylsym.__file__).parent.glob("*.py")):
         if path.name == "matcore.py":
@@ -162,7 +166,14 @@ def test_singularity_decided_only_in_matcore():
         for lineno, line in enumerate(src.splitlines(), 1):
             if re.search(r"np\.linalg\.(inv|solve|cond)\(", line):
                 found.append(f"{path.name}:{lineno}: {line.strip()}")
-        for fn in ast.walk(ast.parse(src)):
+        tree = ast.parse(src)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", "")
+            if name in ("cholesky", "eigvalsh"):
+                found.append(f"{path.name}:{call.lineno}: {ast.unparse(call)}")
+        for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.Module)):
                 continue
             names = _det_names(fn)
@@ -182,5 +193,16 @@ def test_singularity_decided_only_in_matcore():
 
 
 def test_posdef_hermitian_part():
-    assert matcore.is_posdef_hermitian_part(np.eye(2) + 1j * np.array([[0, 5], [5, 0]]))
-    assert not matcore.is_posdef_hermitian_part(np.diag([1.0, -0.1]))
+    assert matcore.require_posreal(np.eye(2) + 1j * np.array([[0, 5], [5, 0]])) == pytest.approx(1.0)
+    with pytest.raises(NotPositiveReal):
+        matcore.require_posreal(np.diag([1.0, -0.1]))
+
+
+def test_require_posreal_threshold_and_error():
+    # λ_min(Re m) is returned above 1e-12 and refused with the caller's error at it
+    m = np.diag([2e-12, 1.0]) + 1j * np.array([[0.0, 3.0], [3.0, 1.0]])
+    assert matcore.require_posreal(m) == pytest.approx(2e-12, rel=1e-3)
+    with pytest.raises(DivergentIntegral):
+        matcore.require_posreal(np.diag([1e-12, 1.0]), DivergentIntegral)
+    with pytest.raises(NotPositiveReal):
+        matcore.det_powhalf_posreal(np.diag([1e-12, 1.0]))

@@ -283,6 +283,26 @@ def test_closed_forms_refuse_singular_cosh():
         star_exp_quadratic_symbol(QuadForm2n(1, np.pi / 2 * np.eye(2)))
 
 
+def _hormander_by_cos_tan(m):
+    """Hörmander's formula written out with cos(JM) and tan(JM)."""
+    jm = matcore.matrix_J(m.n) @ m.M
+    cos, sinh_ijm = matcore.mat_cosh(1j * jm)
+    tan = -1j * sinh_ijm @ matcore.inv(cos, scale=matcore.norm(cos) + matcore.norm(sinh_ijm))
+    return 1 / matcore.det_sqrt(cos), -(matcore.matrix_J(m.n) @ tan)
+
+
+def test_hormander_symbol_is_cos_tan_formula():
+    for n in (1, 2, 3):
+        for seed in range(5):
+            rng = rng_for(seed, f"hormander-cos-tan-{n}")
+            a = 0.4 * rng.standard_normal((2 * n, 2 * n))
+            m = QuadForm2n(n, (a + a.T) / 2)
+            gamma, s = _hormander_by_cos_tan(m)
+            sym = hormander_symbol(m)
+            assert sym.gamma == gamma
+            assert np.array_equal(sym.S, (s + s.T) / 2)
+
+
 def test_hormander_symbol_small_m():
     assert hormander_exp_symbol(QuadForm2n(1, np.zeros((2, 2))), [0.4], [0.1]) == pytest.approx(1.0)
     # M = tI (n=1): (iJM)^2 = t^2 I, so cos(JM) = cosh(t) I and
@@ -349,6 +369,12 @@ def test_heat_flow_singular():
     f = GaussianSymbol(1, 1.0, np.diag([0.5, 0.5]))
     with pytest.raises(HeatFlowSingular):
         heat_flow_gaussian(f, 0.5)  # I - 4tS = 0
+
+
+def test_heat_flow_past_blow_up_is_singular():
+    # Re(I - 4tS) = -I: the flow blew up at t = 1/4 and has no value at 1/2
+    with pytest.raises(HeatFlowSingular):
+        heat_flow_gaussian(GaussianSymbol(1, 1, np.eye(2)), 0.5)
 
 
 def test_polar_relation():
