@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .errors import AmbiguousPhase, WeylsymError
+from .matcore import norm
 from .metaplectic import (
     berezin_symbol_dsigma,
     berezin_symbol_sigma,
@@ -81,23 +82,22 @@ def _real_point(vals, n):
     return vals[:n], vals[n:]
 
 
-def _su_from_file(spec: str, n: int) -> SuBlocks:
-    full = _load_square(spec, 2 * n)
-    return SuBlocks(n, full[:n, :n], full[:n, n:])
-
-
-def _sp_from_file(spec: str, n: int) -> SpReal:
-    return SpReal(n, _load_square(spec, 2 * n).real)
-
-
-def _sp_lie_from_file(spec: str, n: int) -> SpLieReal:
-    full = _load_square(spec, 2 * n).real
-    return SpLieReal(n, full[:n, :n], full[:n, n:], full[n:, :n])
-
-
-def _su_lie_from_file(spec: str, n: int) -> SuLie:
-    full = _load_square(spec, 2 * n)
-    return SuLie(n, full[:n, :n], full[:n, n:])
+def _element_from_file(cls, spec: str, n: int):
+    """An element of `cls` (SuBlocks, SpReal, SpLieReal or SuLie) built from
+    the blocks of a 2n×2n matrix through its checking constructor; refused
+    unless the element reproduces the matrix."""
+    m = _load_square(spec, 2 * n)
+    a, b, c = m[:n, :n], m[:n, n:], m[n:, :n]
+    if cls is SpReal:
+        elt = SpReal(n, m)
+    else:
+        elt = SpLieReal(n, a, b, c) if cls is SpLieReal else cls(n, a, b)
+    dev = norm((elt.g if cls is SpReal else elt.full) - m)
+    if dev > 1e-10 * (1 + norm(m)):
+        raise WeylsymError(
+            f"{spec} is not a {cls.__name__} matrix: the element built from its blocks differs by {dev:.3g}"
+        )
+    return elt
 
 
 def _emit_value(value: complex, args, extra: dict | None = None) -> None:
@@ -123,7 +123,7 @@ def _run_eval(args) -> int:
     if kind in ("w0-sigma", "berezin-sigma", "kernel"):
         if not args.k:
             raise WeylsymError(f"{kind} requires --k")
-        k = _su_from_file(args.k, n)
+        k = _element_from_file(SuBlocks, args.k, n)
         if kind == "kernel":
             vals = np.asarray(args.at, dtype=float)
             if vals.size != 4 * n:
@@ -146,14 +146,14 @@ def _run_eval(args) -> int:
     elif kind in ("w0-dsigma", "berezin-dsigma"):
         if not args.X:
             raise WeylsymError(f"{kind} requires --X")
-        x_lie = _su_lie_from_file(args.X, n)
+        x_lie = _element_from_file(SuLie, args.X, n)
         z = _complex_point(args.at, n)
         fn = w0_dsigma_closed if kind == "w0-dsigma" else berezin_symbol_dsigma
         value = fn(x_lie, z, lam)
     elif kind == "w1-sigma":
         if not args.g:
             raise WeylsymError("w1-sigma requires --g")
-        g = _sp_from_file(args.g, n)
+        g = _element_from_file(SpReal, args.g, n)
         x, y = _real_point(args.at, n)
         try:
             value = w1_sigma_closed(g, x, y, lam)
@@ -166,7 +166,7 @@ def _run_eval(args) -> int:
     elif kind in ("w1-exp", "w1-dsigma"):
         if not args.X:
             raise WeylsymError(f"{kind} requires --X")
-        x_lie = _sp_lie_from_file(args.X, n)
+        x_lie = _element_from_file(SpLieReal, args.X, n)
         x, y = _real_point(args.at, n)
         fn = w1_exp_closed if kind == "w1-exp" else w1_dsigma_closed
         value = fn(x_lie, x, y, lam)

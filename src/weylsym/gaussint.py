@@ -228,7 +228,7 @@ def cayley_block_identity_residual(k: SuBlocks) -> float:
     eye = np.eye(n)
     a, d, p = _kernel_blocks(k)
     al, be, ga, de = _inverse_blocks(a, d, p)
-    lhs = matcore.matrix_J(n) @ matcore.cayley(k.full) / 2
+    lhs = matcore.matrix_J(n) @ matcore.cayley(k.full)[0] / 2
     rhs = np.block([[de, eye / 2 - ga], [eye / 2 - be, al]])
     return norm(lhs - rhs)
 

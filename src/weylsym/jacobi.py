@@ -34,7 +34,7 @@ from .errors import (
 )
 from .heisenberg import symplectic_form
 from .matcore import as_matrix, inv, lu_solve, matrix_J, norm, principal_power, require_invertible
-from .sympgroup import SuBlocks, su_inv, validate_su
+from .sympgroup import SuBlocks, su_inv
 
 __all__ = [
     "JacobiPoint",
@@ -98,8 +98,6 @@ class JacobiGroupElt:
     def __post_init__(self):
         object.__setattr__(self, "z0", np.asarray(self.z0, dtype=complex).reshape(self.n))
         object.__setattr__(self, "c", float(self.c))
-        if not validate_su(self.k).ok:
-            raise NotInS("k component fails S invariants")
 
     @staticmethod
     def identity(n: int) -> "JacobiGroupElt":

@@ -111,12 +111,14 @@ def mat_cosh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (ep + em) / 2, (ep - em) / 2
 
 
-def cayley(g: np.ndarray) -> np.ndarray:
-    """(g - I)(g + I)^{-1}.  Defined when det(g + I) != 0."""
+def cayley(g: np.ndarray) -> tuple[np.ndarray, complex]:
+    """((g - I)(g + I)^{-1}, Det(g + I)) from one LU factorisation of g + I;
+    CayleySingular when `require_invertible` refuses it."""
     g = require_square(g)
     eye = np.eye(g.shape[0])
+    factors, d = require_invertible(g + eye, CayleySingular, 1 + norm(g))
     # g - I and g + I commute, so the right quotient is the left one
-    return solve(g + eye, g - eye, CayleySingular, 1 + norm(g))
+    return lu_solve(factors, g - eye), d
 
 
 def principal_sqrt(c: complex) -> complex:

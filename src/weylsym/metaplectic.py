@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import NotInLie, NotInS, NotUnimodular
+from .errors import NotInLie, NotUnimodular
 from .gaussint import GaussianKernel, compose_kernels
 from .matcore import norm, principal_power, principal_sqrt
 from .polys import Poly
-from .sympgroup import SuBlocks, SuLie, su_mul, validate_su, validate_su_lie
+from .sympgroup import SuBlocks, SuLie, su_mul
 from .weylsymbols import GaussianSymbol
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
 def sigma_kernel(k: SuBlocks, lam: float) -> GaussianKernel:
     """Gaussian-kernel data of σ(k): c = (Det P)^{-1/2}, α = Qbar P^{-1},
     β = (P^t)^{-1}, γ = -P^{-1} Q."""
-    if not validate_su(k).ok:
-        raise NotInS("input fails S invariants")
     pinv = matcore.inv(k.P)
     alpha = k.Q.conj() @ pinv
     gamma = -pinv @ k.Q
@@ -160,8 +158,6 @@ class DsigmaKernel:
 
 
 def dsigma_kernel(x: SuLie, lam: float) -> DsigmaKernel:
-    if not validate_su_lie(x).ok:
-        raise NotInLie("input fails Lie-algebra invariants")
     return DsigmaKernel(x.n, lam, x.A, x.B)
 
 
@@ -171,8 +167,6 @@ def dsigma_apply(x: SuLie, f: Poly, lam: float) -> Poly:
     (dσ(X) f)(z) = (-Tr(A)/2 + (λ/4) z(Bbar z)) f(z)
                    - Σ_j (Az)_j ∂f/∂z_j - (1/λ) Σ_{jk} B_{jk} ∂²f/∂z_j∂z_k.
     """
-    if not validate_su_lie(x).ok:
-        raise NotInLie("input fails Lie-algebra invariants")
     n = x.n
     if f.nvars != n:
         raise NotInLie(f"polynomial has {f.nvars} variables, expected {n}")
@@ -205,8 +199,6 @@ def berezin_symbol_sigma(k: SuBlocks, z, lam: float) -> complex:
 def berezin_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
     """S_λ(σ(k))(z) = (Det P)^{-1/2} exp((λ/4)(z(Qbar P^{-1} z)
     + 2 zbar((P^{-1} - I) z) - zbar(P^{-1} Q zbar))) on R^{2n}, z = x + iy."""
-    if not validate_su(k).ok:
-        raise NotInS("input fails S invariants")
     pinv = matcore.inv(k.P)
     off = pinv - np.eye(k.n)
     c = np.block([[k.Q.conj() @ pinv, off.T], [off, -pinv @ k.Q]])
@@ -216,8 +208,6 @@ def berezin_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
 def berezin_symbol_dsigma(x: SuLie, z, lam: float) -> complex:
     """S_λ(dσ(X))(z) = -Tr(A)/2 + (λ/4) z(Bbar z) - (λ/2)(Az) zbar
     - (λ/4) zbar(B zbar)."""
-    if not validate_su_lie(x).ok:
-        raise NotInLie("input fails Lie-algebra invariants")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     zb = z.conj()
     return complex(

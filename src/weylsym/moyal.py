@@ -228,13 +228,15 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
 
     Refuses outside the convergence envelope ‖sM‖ ≤ 0.25, |point| ≤ 1.5,
     L ≤ 60, and raises NonConvergent if the certificate fails.  Raises
-    BadConfig when the packed powers would need more than 2^21 monomials
-    (n = 3 or more at order 40).
+    BadConfig for L < 0, and when the packed powers would need more than
+    2^21 monomials (n = 3 or more at order 40).
 
     Each power is a dense coefficient array over the monomials of degree
     ≤ 2l in graded order (see `_star_step`), evaluated by one dot product
     with the monomial values at the point.
     """
+    if order < 0:
+        raise BadConfig(f"series order must be nonnegative, got {order}")
     point = np.asarray(point, dtype=float).reshape(2 * q.n)
     if np.linalg.norm(complex(s) * q.M, 2) > 0.25 + 1e-12:
         raise NonConvergent("‖s M‖ exceeds the convergence envelope (0.25)")
@@ -243,7 +245,7 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
     if order > 60:
         raise NonConvergent("truncation order exceeds 60")
     k = 2 * q.n
-    top = 2 * max(order, 0)
+    top = 2 * order
     if math.comb(top + k, k) > _MAX_MONOMIALS:
         raise BadConfig(
             f"order {order} at n = {q.n} needs {math.comb(top + k, k)} monomials "

@@ -14,7 +14,7 @@ with Sp(n,R).  In block terms, for g = [[A, B], [C, D]],
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,15 +71,34 @@ class ValidationReport:
         return float(np.max(list(self.residuals.values()), initial=0.0))
 
 
+def _require(report: ValidationReport, error, what: str) -> None:
+    if not report.ok:
+        raise error(f"{what} (residual {report.max_residual:.3g})")
+
+
+def _trusted(cls, n: int, *mats):
+    """An element of `cls` from matrices computed from checked elements: the
+    checking constructor's dtypes (float for SpLieReal, complex otherwise),
+    without its check."""
+    dtype = float if cls is SpLieReal else complex
+    out = object.__new__(cls)
+    object.__setattr__(out, "n", n)
+    for f, m in zip(fields(cls)[1:], mats):
+        object.__setattr__(out, f.name, np.asarray(m, dtype=dtype))
+    return out
+
+
 @dataclass(frozen=True)
 class SpReal:
-    """g in Sp(n,R), stored as the full real 2n x 2n matrix."""
+    """g in Sp(n,R), stored as the full real 2n x 2n matrix; NotSymplectic
+    unless g is real and g^t J g = J."""
 
     n: int
     g: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "g", as_matrix(self.g, 2 * self.n, 2 * self.n))
+        _require(validate_sp(self), NotSymplectic, "g is not real symplectic")
 
     @property
     def blocks(self):
@@ -89,12 +108,13 @@ class SpReal:
 
     @staticmethod
     def identity(n: int) -> "SpReal":
-        return SpReal(n, np.eye(2 * n))
+        return _trusted(SpReal, n, np.eye(2 * n))
 
 
 @dataclass(frozen=True)
 class SuBlocks:
-    """k = [[P, Q], [Qbar, Pbar]] in S, stored via its blocks."""
+    """k = [[P, Q], [Qbar, Pbar]] in S, stored via its blocks; NotInS unless
+    the blocks satisfy the S invariants."""
 
     n: int
     P: np.ndarray
@@ -103,6 +123,7 @@ class SuBlocks:
     def __post_init__(self):
         object.__setattr__(self, "P", as_matrix(self.P, self.n, self.n))
         object.__setattr__(self, "Q", as_matrix(self.Q, self.n, self.n))
+        _require(validate_su(self), NotInS, "(P, Q) is not in S")
 
     @property
     def full(self) -> np.ndarray:
@@ -116,7 +137,7 @@ class SuBlocks:
 
     @staticmethod
     def identity(n: int) -> "SuBlocks":
-        return SuBlocks(n, np.eye(n), np.zeros((n, n)))
+        return _trusted(SuBlocks, n, np.eye(n), np.zeros((n, n)))
 
     def act(self, z: np.ndarray) -> np.ndarray:
         """kz := Pz + Q zbar (the action of S on C^n)."""
@@ -126,7 +147,7 @@ class SuBlocks:
 
 @dataclass(frozen=True)
 class SpLieReal:
-    """X = [[A, B], [C, -A^t]] in sp(n,R); B, C symmetric."""
+    """X = [[A, B], [C, -A^t]] in sp(n,R); NotInLie unless B, C are symmetric."""
 
     n: int
     A: np.ndarray
@@ -137,6 +158,7 @@ class SpLieReal:
         object.__setattr__(self, "A", as_matrix(self.A, self.n, self.n).real.astype(float))
         object.__setattr__(self, "B", as_matrix(self.B, self.n, self.n).real.astype(float))
         object.__setattr__(self, "C", as_matrix(self.C, self.n, self.n).real.astype(float))
+        _require(validate_sp_lie(self), NotInLie, "X is not in the Lie algebra")
 
     @property
     def full(self) -> np.ndarray:
@@ -145,7 +167,8 @@ class SpLieReal:
 
 @dataclass(frozen=True)
 class SuLie:
-    """X = [[A, B], [Bbar, Abar]] in the Lie algebra of S; A skew-Hermitian, B symmetric."""
+    """X = [[A, B], [Bbar, Abar]] in the Lie algebra of S; NotInLie unless A
+    is skew-Hermitian and B symmetric."""
 
     n: int
     A: np.ndarray
@@ -154,6 +177,7 @@ class SuLie:
     def __post_init__(self):
         object.__setattr__(self, "A", as_matrix(self.A, self.n, self.n))
         object.__setattr__(self, "B", as_matrix(self.B, self.n, self.n))
+        _require(validate_su_lie(self), NotInLie, "X is not in the Lie algebra")
 
     @property
     def full(self) -> np.ndarray:
@@ -165,49 +189,42 @@ class SuLie:
 
 
 def su_from_sp(g: SpReal) -> SuBlocks:
-    """k = U g U^{-1}; raises NotSymplectic on invalid input."""
-    rep = validate_sp(g)
-    if not rep.ok:
-        raise NotSymplectic(f"input fails g^t J g = J by {rep.max_residual:.3g}")
+    """k = U g U^{-1}."""
     a, b, c, d = g.blocks
     p = (a + d + 1j * (c - b)) / 2
     q = (a - d + 1j * (c + b)) / 2
-    return SuBlocks(g.n, p, q)
+    return _trusted(SuBlocks, g.n, p, q)
 
 
 def sp_from_su(k: SuBlocks) -> SpReal:
-    """Inverse conjugation g = U^{-1} k U; raises NotInS on invalid input."""
-    rep = validate_su(k)
-    if not rep.ok:
-        raise NotInS(f"block pair fails S invariants by {rep.max_residual:.3g}")
+    """Inverse conjugation g = U^{-1} k U, real because k has the block form
+    [[P, Q], [Qbar, Pbar]]."""
     u = matrix_U(k.n)
     g = u.conj().T @ k.full @ u / 2  # U^{-1} = U*/2
-    if norm(g.imag) > _tol(norm(g)):
-        raise NotInS("conjugated matrix is not real")
-    return SpReal(k.n, g.real)
+    return _trusted(SpReal, k.n, g.real)
 
 
 def su_lie_from_sp_lie(x: SpLieReal) -> SuLie:
     """U X U^{-1} for X in sp(n,R); lands in the Lie algebra of S."""
     a, b, c = x.A, x.B, x.C
-    return SuLie(x.n, (a - a.T + 1j * (c - b)) / 2, (a + a.T + 1j * (b + c)) / 2)
+    return _trusted(SuLie, x.n, (a - a.T + 1j * (c - b)) / 2, (a + a.T + 1j * (b + c)) / 2)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def validate_sp(g: SpReal, tol: float | None = None) -> ValidationReport:
+def validate_sp(g: SpReal) -> ValidationReport:
     j = matrix_J(g.n).real
     scale = norm(g.g)
     res = {
         "symplectic": norm(g.g.T @ j @ g.g - j),
-        "real": 0.0,
+        "real": norm(g.g.imag),
     }
-    return ValidationReport(res, tol if tol is not None else _tol(scale))
+    return ValidationReport(res, _tol(scale))
 
 
-def validate_su(k: SuBlocks, tol: float | None = None) -> ValidationReport:
+def validate_su(k: SuBlocks) -> ValidationReport:
     p, q = k.P, k.Q
     eye = np.eye(k.n)
     scale = norm(p) + norm(q)
@@ -217,10 +234,10 @@ def validate_su(k: SuBlocks, tol: float | None = None) -> ValidationReport:
         "PsP-QtQbar=I": norm(p.conj().T @ p - q.T @ q.conj() - eye),
         "PsQ=QtPbar": norm(p.conj().T @ q - q.T @ p.conj()),
     }
-    return ValidationReport(res, tol if tol is not None else _tol(scale))
+    return ValidationReport(res, _tol(scale))
 
 
-def validate_sp_lie(x: SpLieReal, tol: float | None = None) -> ValidationReport:
+def validate_sp_lie(x: SpLieReal) -> ValidationReport:
     j = matrix_J(x.n).real
     full = x.full
     res = {
@@ -228,15 +245,15 @@ def validate_sp_lie(x: SpLieReal, tol: float | None = None) -> ValidationReport:
         "C symmetric": norm(x.C - x.C.T),
         "XtJ+JX=0": norm(full.T @ j + j @ full),
     }
-    return ValidationReport(res, tol if tol is not None else _tol(norm(full)))
+    return ValidationReport(res, _tol(norm(full)))
 
 
-def validate_su_lie(x: SuLie, tol: float | None = None) -> ValidationReport:
+def validate_su_lie(x: SuLie) -> ValidationReport:
     res = {
         "A skew-Hermitian": norm(x.A + x.A.conj().T),
         "B symmetric": norm(x.B - x.B.T),
     }
-    return ValidationReport(res, tol if tol is not None else _tol(norm(x.full)))
+    return ValidationReport(res, _tol(norm(x.full)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +265,12 @@ def random_sp_lie(n: int, seed: int, scale: float = 0.5) -> SpLieReal:
     a = rng.uniform(-scale, scale, (n, n))
     b = rng.uniform(-scale, scale, (n, n))
     c = rng.uniform(-scale, scale, (n, n))
-    return SpLieReal(n, a, (b + b.T) / 2, (c + c.T) / 2)
+    return _trusted(SpLieReal, n, a, (b + b.T) / 2, (c + c.T) / 2)
 
 
 def random_sp(n: int, seed: int, scale: float = 0.5) -> SpReal:
     x = random_sp_lie(n, seed, scale)
-    return SpReal(n, matcore.mat_exp(x.full).real)
+    return _trusted(SpReal, n, matcore.mat_exp(x.full).real)
 
 
 def random_su(n: int, seed: int, scale: float = 0.5) -> SuBlocks:
@@ -262,12 +279,9 @@ def random_su(n: int, seed: int, scale: float = 0.5) -> SuBlocks:
 
 def su_exp(x: SuLie) -> SuBlocks:
     """Exponential of a Lie-algebra element of S, returned as blocks."""
-    rep = validate_su_lie(x)
-    if not rep.ok:
-        raise NotInLie(f"Lie invariants fail by {rep.max_residual:.3g}")
     n = x.n
     full = matcore.mat_exp(x.full)
-    return SuBlocks(n, full[:n, :n], full[:n, n:])
+    return _trusted(SuBlocks, n, full[:n, :n], full[:n, n:])
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +289,21 @@ def su_exp(x: SuLie) -> SuBlocks:
 
 
 def sp_mul(g1: SpReal, g2: SpReal) -> SpReal:
-    return SpReal(g1.n, g1.g @ g2.g)
+    return _trusted(SpReal, g1.n, g1.g @ g2.g)
 
 
 def sp_inv(g: SpReal) -> SpReal:
     # g^{-1} = J^t g^t J for symplectic g
     j = matrix_J(g.n).real
-    return SpReal(g.n, j.T @ g.g.T @ j)
+    return _trusted(SpReal, g.n, j.T @ g.g.T @ j)
 
 
 def su_mul(k1: SuBlocks, k2: SuBlocks) -> SuBlocks:
     p = k1.P @ k2.P + k1.Q @ k2.Q.conj()
     q = k1.P @ k2.Q + k1.Q @ k2.P.conj()
-    return SuBlocks(k1.n, p, q)
+    return _trusted(SuBlocks, k1.n, p, q)
 
 
 def su_inv(k: SuBlocks) -> SuBlocks:
     """Closed block form k^{-1} = [[P*, -Q^t], [-Q*, P^t]]."""
-    return SuBlocks(k.n, k.P.conj().T, -k.Q.T)
+    return _trusted(SuBlocks, k.n, k.P.conj().T, -k.Q.T)

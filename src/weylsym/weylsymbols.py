@@ -23,25 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import (
-    AmbiguousPhase,
-    CayleySingular,
-    HeatFlowSingular,
-    NotInLie,
-    ShapeError,
-    SingularMatrix,
-)
+from .errors import AmbiguousPhase, HeatFlowSingular, ShapeError, SingularMatrix
 from .gaussint import GaussianKernel
 from .matcore import as_matrix, matrix_J, matrix_U, norm, principal_sqrt
 from .quadrature import gh_nodes, lebesgue_rn, quadrature_cn
-from .sympgroup import (
-    SpLieReal,
-    SpReal,
-    SuBlocks,
-    SuLie,
-    su_from_sp,
-    validate_su_lie,
-)
+from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, su_from_sp
 
 __all__ = [
     "GaussianSymbol",
@@ -182,14 +168,18 @@ def metaplectic_phase_c(k: SuBlocks) -> complex:
     Det(I+k) is real on S; a negative determinant with Det P real falls
     outside the case analysis and raises AmbiguousPhase.
     """
-    n, full = k.n, k.full
-    _, d = matcore.require_invertible(full + np.eye(2 * n), CayleySingular, 1 + norm(full))
+    return _phase_c(k.n, matcore.cayley(k.full)[1], k.P)
+
+
+def _phase_c(n: int, d: complex, p: np.ndarray) -> complex:
+    """The case analysis of `metaplectic_phase_c` at d = Det(I+k), where P
+    is the upper-left block of k."""
     if abs(d.imag) > 1e-8 * (1 + abs(d)):
         raise AmbiguousPhase(f"Det(I+k) = {d} is not real")
     dr = d.real
     if dr > 0:
         return 2**n / principal_sqrt(dr)
-    dp = matcore.det(k.P)
+    dp = matcore.det(p)
     if abs(dp.imag) <= 1e-10 * (1 + abs(dp)):
         raise AmbiguousPhase("Det(I+k) < 0 with Det P real: phase not determined")
     mag = 2**n / np.sqrt(abs(dr))
@@ -202,10 +192,9 @@ def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
     ambiguous."""
     from .metaplectic import sigma_kernel
 
-    n = k.n
-    _, d = matcore.require_invertible(k.full + np.eye(2 * n), CayleySingular, 1 + norm(k.full))
-    mag = 2**n / np.sqrt(abs(d.real))
-    q = w0_integral(sigma_kernel(k, lam), np.zeros(n), lam, nodes=nodes)
+    _, d = matcore.cayley(k.full)
+    mag = 2**k.n / np.sqrt(abs(d.real))
+    q = w0_integral(sigma_kernel(k, lam), np.zeros(k.n), lam, nodes=nodes)
     if abs(q) == 0:
         raise AmbiguousPhase("quadrature value vanished")
     return mag * q / abs(q)
@@ -219,9 +208,10 @@ def w0_sigma_closed(k: SuBlocks, z, lam: float) -> complex:
 def w0_sigma_symbol(k: SuBlocks, lam: float, c: complex | None = None) -> GaussianSymbol:
     """W0(σ(k))(z) = c exp((λ/2)(z zbar) J (k-I)(k+I)^{-1} (z zbar)^t) on
     R^{2n}, z = x + iy, with c = c_n(k) unless given (e.g. adjudicated)."""
+    cay, d = matcore.cayley(k.full)
     if c is None:
-        c = metaplectic_phase_c(k)
-    jc = matrix_J(k.n) @ matcore.cayley(k.full)
+        c = _phase_c(k.n, d, k.P)
+    jc = matrix_J(k.n) @ cay
     return GaussianSymbol.from_zz(k.n, c, lam / 2 * jc)
 
 
@@ -234,8 +224,6 @@ def _xy(x, y) -> np.ndarray:
 
 def w0_dsigma_closed(x: SuLie, z, lam: float) -> complex:
     """W0(dσ(X))(z) = (λ/4)(z(Bbar z) - zbar(B zbar) - 2(Az) zbar)."""
-    if not validate_su_lie(x).ok:
-        raise NotInLie("input fails Lie-algebra invariants")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     zb = z.conj()
     return complex(
@@ -250,10 +238,11 @@ def w1_sigma_closed(g: SpReal, x, y, lam: float = 1.0) -> complex:
 
 def w1_sigma_symbol(g: SpReal, lam: float = 1.0) -> GaussianSymbol:
     """W1(σ'(g))(x, y) = c'_n(g) exp(-iλ (x y) J (g-I)(g+I)^{-1} (x y)^t),
-    with c'_n(g) = c_n(U g U^{-1}); the exponent is cayley(g) itself, not
-    that of `w0_sigma_symbol`."""
-    c = metaplectic_phase_c(su_from_sp(g))
-    jc = matrix_J(g.n) @ matcore.cayley(g.g)
+    with c'_n(g) = c_n(U g U^{-1}) taken at Det(I+g) = Det(I+k); the exponent
+    is cayley(g) itself, not that of `w0_sigma_symbol`."""
+    cay, d = matcore.cayley(g.g)
+    c = _phase_c(g.n, d, su_from_sp(g).P)
+    jc = matrix_J(g.n) @ cay
     return GaussianSymbol._trusted(g.n, c, -1j * lam * jc)
 
 

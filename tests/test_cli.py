@@ -160,3 +160,42 @@ def test_eval_refuses_non_finite_input(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def _matrix_file(tmp_path, name, m):
+    path = tmp_path / name
+    dump_matrix(np.asarray(m), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "kind, flag, good, bad",
+    [
+        # k = [[P, Q], [Qbar, Pbar]]: the bottom blocks must match the top ones
+        ("w0-sigma", "--k", np.eye(2), [[1.0, 0.0], [0.5, 1.0]]),
+        # g must be real
+        ("w1-sigma", "--g", np.eye(2), [[1.0, 0.2j], [0.0, 1.0]]),
+        # X = [[A, B], [C, -A^t]]: D = -A^t
+        ("w1-exp", "--X", [[0.1, 0.2], [0.3, -0.1]], [[0.1, 0.2], [0.3, 5.0]]),
+        # X = [[A, B], [Bbar, Abar]]
+        ("w0-dsigma", "--X", [[0.1j, 0.2], [0.2, -0.1j]], [[0.1j, 0.2], [0.7, -0.1j]]),
+    ],
+    ids=["SuBlocks", "SpReal", "SpLieReal", "SuLie"],
+)
+def test_eval_refuses_a_matrix_its_element_does_not_reproduce(tmp_path, capsys, kind, flag, good, bad):
+    args = ["eval", kind, "--at", "0.1", "0.2"]
+    assert main(args + [flag, _matrix_file(tmp_path, "good.json", good)]) == 0
+    assert main(args + [flag, _matrix_file(tmp_path, "bad.json", bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_w0_sigma_refuses_k_outside_s(tmp_path, capsys):
+    # P = 2, Q = 0 has the block form of S but fails P P* - Q Q* = I
+    code = main(["eval", "w0-sigma", "--k", _matrix_file(tmp_path, "k.json", 2 * np.eye(2)), "--at", "0.1", "0.2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_negative_series_order_is_bad_config(capsys):
+    assert main(["eval", "star-exp", "--M", "0.1I", "--point", "0.1", "0.2", "--order", "-1"]) == 2
+    assert "order" in capsys.readouterr().err

@@ -26,7 +26,7 @@ def test_frame_matrices():
 def test_cayley_involution_and_rotation():
     theta = 0.8
     r = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    c = matcore.cayley(r)
+    c = matcore.cayley(r)[0]
     # exp(theta J1) has Cayley transform tan(theta/2) J1
     j1 = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert np.allclose(c, np.tan(theta / 2) * j1, atol=1e-12)
@@ -37,7 +37,7 @@ def test_cayley_singular():
         matcore.cayley(-np.eye(2))
     # g + I = 1e-7 I is small but perfectly conditioned
     g = 1e-7 - 1
-    assert np.allclose(matcore.cayley(g * np.eye(2)), (g - 1) / (g + 1) * np.eye(2), rtol=1e-14, atol=0)
+    assert np.allclose(matcore.cayley(g * np.eye(2))[0], (g - 1) / (g + 1) * np.eye(2), rtol=1e-14, atol=0)
 
 
 def test_matrix_functions_consistency():

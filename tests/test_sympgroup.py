@@ -111,8 +111,8 @@ def test_validators_reject_bad_input():
         sp_from_su(SuBlocks(1, np.array([[2.0]]), np.array([[0.0]])))
     with pytest.raises(NotSymplectic):
         su_from_sp(SpReal(1, np.array([[2.0, 0.0], [0.0, 2.0]])))
-    rep = validate_su_lie(SuLie(1, np.array([[1.0]]), np.array([[0.0]])))
-    assert not rep.ok  # A must be skew-Hermitian
+    with pytest.raises(NotInLie):
+        SuLie(1, np.array([[1.0]]), np.array([[0.0]]))  # A must be skew-Hermitian
 
 
 def test_validation_report_nan_residual():
@@ -123,3 +123,46 @@ def test_validation_report_nan_residual():
         assert np.isnan(rep.max_residual)
     assert ValidationReport({"a": 1e-3, "b": 2e-3}).max_residual == 2e-3
     assert ValidationReport({}).max_residual == 0.0
+
+
+def test_constructors_check_once(validator_calls):
+    g, k = random_sp(2, 1), random_su(2, 2)
+    x = random_sp_lie(2, 3)
+    xs = su_lie_from_sp_lie(x)
+    for build in (
+        lambda: SpReal(2, g.g),
+        lambda: SuBlocks(2, k.P, k.Q),
+        lambda: SpLieReal(2, x.A, x.B, x.C),
+        lambda: SuLie(2, xs.A, xs.B),
+    ):
+        validator_calls.clear()
+        build()
+        assert len(validator_calls) == 1
+    validator_calls.clear()
+    su_mul(k, k)
+    assert validator_calls == []
+
+
+DTYPES = {SpReal: {"g": complex}, SuBlocks: {"P": complex, "Q": complex},
+          SpLieReal: {"A": float, "B": float, "C": float}, SuLie: {"A": complex, "B": complex}}
+VALIDATE = {SpReal: validate_sp, SuBlocks: validate_su, SpLieReal: validate_sp_lie, SuLie: validate_su_lie}
+
+
+def test_operations_build_checked_elements():
+    # every unchecked result is in its set, with the checking constructor's dtypes
+    for n in (1, 2, 3):
+        for scale in (0.5, 1.5, 3.0):
+            for seed in range(3):
+                x = random_sp_lie(n, 300 + seed, scale)
+                g1, g2 = random_sp(n, 400 + seed, scale), random_sp(n, 500 + seed, scale)
+                k1, k2 = su_from_sp(g1), su_from_sp(g2)
+                xs = su_lie_from_sp_lie(x)
+                for elt in (x, g1, k1, xs, sp_from_su(k2), su_mul(k1, k2), su_inv(k1),
+                            su_exp(xs), sp_mul(g1, g2), sp_inv(g1)):
+                    cls = type(elt)
+                    assert VALIDATE[cls](elt).ok
+                    for name, dtype in DTYPES[cls].items():
+                        assert getattr(elt, name).dtype == dtype
+                    again = cls(n, *(getattr(elt, name) for name in DTYPES[cls]))
+                    for name in DTYPES[cls]:
+                        assert np.array_equal(getattr(again, name), getattr(elt, name))

@@ -221,7 +221,7 @@ def test_w1_equals_w0_through_frame_change():
 def test_cayley_image_is_j_symmetric():
     for seed in range(20):
         g = random_sp(2, 70 + seed)
-        jk = matcore.matrix_J(2) @ matcore.cayley(g.g)
+        jk = matcore.matrix_J(2) @ matcore.cayley(g.g)[0]
         assert matcore.norm(jk - jk.T) < 1e-10
 
 
@@ -463,3 +463,19 @@ def test_w1_of_classical_weyl_recovers_symbol():
     assert w1_of_classical_weyl(f_poly, 0.5, 0.1, 1.0) == pytest.approx(
         f_poly(0.5, 0.1), rel=1e-5
     )
+
+
+def test_one_factorisation_of_identity_plus_k(monkeypatch, validator_calls):
+    # W0 and W1 each factor I+k (or g+I) once, with no membership check
+    g = random_sp(2, 5)
+    k = su_from_sp(g)
+    factorisations = []
+    real = matcore.require_invertible
+    monkeypatch.setattr(matcore, "require_invertible", lambda *a, **kw: factorisations.append(1) or real(*a, **kw))
+    w0_sigma_closed(k, [0.1 + 0.2j, -0.3j], 1.0)
+    assert len(factorisations) == 1
+    w1_sigma_closed(g, [0.1, 0.2], [0.3, -0.1])
+    assert len(factorisations) == 2
+    sigma_kernel(k, 1.0)
+    berezin_sigma_symbol(k, 1.0)
+    assert validator_calls == []
