@@ -27,8 +27,8 @@ import numpy as np
 
 from . import matcore
 from .errors import DivergentIntegral, ShapeError
-from .matcore import as_matrix, det_powhalf_posreal, matrix_U, norm, quad_form
-from .sympgroup import SuBlocks
+from .matcore import as_matrix, det_powhalf_posreal, matrix_U, norm, quad_form, require_finite
+from .sympgroup import SuBlocks, _trusted
 
 __all__ = [
     "GaussianIntegrand",
@@ -54,15 +54,11 @@ class GaussianIntegrand:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, self.n, self.n))
+        object.__setattr__(self, "A", as_matrix(self.A, self.n, self.n, symmetric=1e-12))
         object.__setattr__(self, "B", as_matrix(self.B, self.n, self.n))
-        object.__setattr__(self, "D", as_matrix(self.D, self.n, self.n))
+        object.__setattr__(self, "D", as_matrix(self.D, self.n, self.n, symmetric=1e-12))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=complex).reshape(self.n))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=complex).reshape(self.n))
-        if norm(self.A - self.A.T) > 1e-12 * (1 + norm(self.A)):
-            raise ShapeError("A must be symmetric")
-        if norm(self.D - self.D.T) > 1e-12 * (1 + norm(self.D)):
-            raise ShapeError("D must be symmetric")
         m = np.block([[self.A, self.B.T], [self.B, self.D]])
         m.flags.writeable = False
         object.__setattr__(self, "_M", m)
@@ -128,26 +124,34 @@ class GaussianKernel:
     gamma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_matrix(self.alpha, self.n, self.n))
+        object.__setattr__(self, "alpha", as_matrix(self.alpha, self.n, self.n, symmetric=1e-10))
         object.__setattr__(self, "beta", as_matrix(self.beta, self.n, self.n))
-        object.__setattr__(self, "gamma", as_matrix(self.gamma, self.n, self.n))
+        object.__setattr__(self, "gamma", as_matrix(self.gamma, self.n, self.n, symmetric=1e-10))
         object.__setattr__(self, "c", complex(self.c))
-        if self.lam <= 0:
-            raise ShapeError("lambda must be positive")
         if self.c == 0:
             raise ShapeError("kernel amplitude must be nonzero")
-        if norm(self.alpha - self.alpha.T) > 1e-10 * (1 + norm(self.alpha)):
-            raise ShapeError("alpha must be symmetric")
-        if norm(self.gamma - self.gamma.T) > 1e-10 * (1 + norm(self.gamma)):
-            raise ShapeError("gamma must be symmetric")
-        k = np.block([[self.alpha, self.beta], [self.beta.T, self.gamma]])
-        object.__setattr__(self, "_K", self.lam / 4 * k)
+        self._seal()
+
+    @classmethod
+    def _trusted(cls, n: int, lam: float, c: complex, alpha, beta, gamma) -> "GaussianKernel":
+        """From a closed form's data, α and γ symmetric: sealed, not checked again."""
+        return _trusted(cls, n, lam, c, alpha, beta, gamma)._seal()
+
+    def _seal(self) -> "GaussianKernel":
+        """Store K = (λ/4)[[α, β], [β^t, γ]]; ShapeError unless 0 < λ < ∞ and
+        c and K are finite, the one guard against a NaN or inf from a closed form."""
+        if not 0 < self.lam < np.inf:
+            raise ShapeError("lambda must be positive and finite")
+        k = self.lam / 4 * np.block([[self.alpha, self.beta], [self.beta.T, self.gamma]])
+        require_finite(self.c, k)
+        object.__setattr__(self, "_K", k)
+        return self
 
     @staticmethod
     def identity(n: int, lam: float) -> "GaussianKernel":
         """The reproducing kernel exp(λ z wbar / 2)."""
         zero = np.zeros((n, n))
-        return GaussianKernel(n, lam, 1.0, zero, np.eye(n), zero)
+        return GaussianKernel._trusted(n, lam, 1.0, zero, np.eye(n), zero)
 
     def exponent(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The exponent of K(z, w)/c: ζ^t K ζ with ζ = (z, wbar) stacked
@@ -183,7 +187,7 @@ def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
     gamma = k2.gamma + lam * q[n:, n:]
     c = k1.c * k2.c * (lam / 2) ** n / root
     # symmetrise away roundoff
-    return GaussianKernel(n, lam, c, (alpha + alpha.T) / 2, lam * q[:n, n:], (gamma + gamma.T) / 2)
+    return GaussianKernel._trusted(n, lam, c, (alpha + alpha.T) / 2, lam * q[:n, n:], (gamma + gamma.T) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +209,9 @@ def block_inverse_identity_residual(a, d, p) -> float:
     [[a, I-p^t], [p-I, d]] [[α,β],[γ,δ]] [[a, p^t-I], [I-p, d]]
         = [[4δ-a, 3I-4γ-p^t], [3I-4β-p, 4α+d]].
     """
-    a, d, p = (as_matrix(x) for x in (a, d, p))
+    a = as_matrix(a)
     n = a.shape[0]
+    d, p = as_matrix(d, n, n), as_matrix(p, n, n)
     eye = np.eye(n)
     al, be, ga, de = _inverse_blocks(a, d, p)
     left = np.block([[a, eye - p.T], [p - eye, d]])

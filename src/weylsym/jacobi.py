@@ -34,7 +34,7 @@ from .errors import (
 )
 from .heisenberg import symplectic_form
 from .matcore import as_matrix, inv, lu_solve, matrix_J, norm, principal_power, require_invertible
-from .sympgroup import SuBlocks, su_inv
+from .sympgroup import SuBlocks, _trusted, su_inv, su_mul
 
 __all__ = [
     "JacobiPoint",
@@ -69,9 +69,7 @@ class JacobiPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=complex).reshape(self.n))
-        object.__setattr__(self, "Y", as_matrix(self.Y, self.n, self.n))
-        if norm(self.Y - self.Y.T) > 1e-10 * (1 + norm(self.Y)):
-            raise ShapeError("Y must be symmetric")
+        object.__setattr__(self, "Y", as_matrix(self.Y, self.n, self.n, symmetric=1e-10))
 
     def in_domain(self, margin: float = 0.0) -> bool:
         return matcore.hermitian_lam_min(np.eye(self.n) - self.Y @ self.Y.conj()) > margin
@@ -171,8 +169,6 @@ def jacobi_mul(g1: JacobiGroupElt, g2: JacobiGroupElt) -> JacobiGroupElt:
         raise ShapeError("mismatched n")
     kz = g1.k.act(g2.z0)
     om = symplectic_form(g1.z0, g1.z0.conj(), kz, kz.conj())
-    from .sympgroup import su_mul
-
     return JacobiGroupElt(g1.n, g1.z0 + kz, g1.c + g2.c + 0.5 * om.real, su_mul(g1.k, g2.k))
 
 
@@ -183,9 +179,7 @@ def jacobi_inv(g: JacobiGroupElt) -> JacobiGroupElt:
 
 def complexify(g: JacobiGroupElt) -> JacobiGroupEltC:
     k = g.k
-    return JacobiGroupEltC(
-        g.n, g.z0, g.z0.conj(), g.c, k.P, k.Q, k.Q.conj(), k.P.conj()
-    )
+    return _trusted(JacobiGroupEltC, g.n, g.z0, g.z0.conj(), g.c, k.P, k.Q, k.Q.conj(), k.P.conj())
 
 
 def jc_mul(g1: JacobiGroupEltC, g2: JacobiGroupEltC) -> JacobiGroupEltC:
@@ -194,7 +188,8 @@ def jc_mul(g1: JacobiGroupEltC, g2: JacobiGroupEltC) -> JacobiGroupEltC:
     kz = g1.A @ g2.z0 + g1.B @ g2.w0
     kw = g1.C @ g2.z0 + g1.D @ g2.w0
     c = g1.c + g2.c + 0.5 * symplectic_form(g1.z0, g1.w0, kz, kw)
-    return JacobiGroupEltC.from_mat(g1.z0 + kz, g1.w0 + kw, c, g1.mat @ g2.mat)
+    m, n = g1.mat @ g2.mat, g1.n
+    return _trusted(JacobiGroupEltC, n, g1.z0 + kz, g1.w0 + kw, c, m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +218,9 @@ def pkp_recompose(y, Y, c, P, v, V) -> JacobiGroupEltC:
     n = y.shape[0]
     eye = np.eye(n)
     zero = np.zeros(n)
+    P = as_matrix(P, n, n)
     p_plus = JacobiGroupEltC.from_mat(y, zero, 0.0, np.block([[eye, as_matrix(Y, n, n)], [0 * eye, eye]]))
-    kc = JacobiGroupEltC.from_mat(
-        zero, zero, c, np.block([[as_matrix(P, n, n), 0 * eye], [0 * eye, inv(as_matrix(P, n, n)).T]])
-    )
+    kc = JacobiGroupEltC.from_mat(zero, zero, c, np.block([[P, 0 * eye], [0 * eye, inv(P).T]]))
     p_minus = JacobiGroupEltC.from_mat(
         zero, np.asarray(v, dtype=complex), 0.0, np.block([[eye, 0 * eye], [as_matrix(V, n, n), eye]])
     )
@@ -240,8 +234,7 @@ def jacobi_action(g: JacobiGroupEltC, z_pt: JacobiPoint, check_domain: bool = Fa
     cyd_inv = inv(g.C @ Y + g.D, scale=norm(g.C) * norm(Y) + norm(g.D))
     big_y = (g.A @ Y + g.B) @ cyd_inv
     y_new = g.z0 + g.A @ y - big_y @ (g.w0 + g.C @ y)
-    big_y = (big_y + big_y.T) / 2
-    out = JacobiPoint(z_pt.n, y_new, big_y)
+    out = _trusted(JacobiPoint, z_pt.n, y_new, (big_y + big_y.T) / 2)
     if check_domain and not out.in_domain():
         raise DomainViolation("action left the bounded domain")
     return out

@@ -2,6 +2,8 @@
 
 Matrices are plain ``numpy`` arrays of ``complex128``, row-major.  Everything
 here is pure: inputs are never mutated and results are freshly allocated.
+`as_matrix` checks an array arriving from outside the library; the other
+functions take the square arrays their callers built and do not check them.
 
 The branch convention used throughout the library is the principal
 determination: ``Arg`` in (-pi, pi], so the square root of a negative real
@@ -21,7 +23,7 @@ from .errors import NotPositiveReal, ShapeError, SingularMatrix, CayleySingular
 
 __all__ = [
     "as_matrix",
-    "require_square",
+    "require_finite",
     "matrix_J",
     "matrix_U",
     "mat_exp",
@@ -34,7 +36,6 @@ __all__ = [
     "lu_solve",
     "solve",
     "inv",
-    "eigenvalues",
     "det_sqrt",
     "det_powhalf_posreal",
     "hermitian_lam_min",
@@ -43,8 +44,9 @@ __all__ = [
     "quad_form",
 ]
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a finite complex 2-D array, optionally checking its shape."""
+def as_matrix(data, rows: int | None = None, cols: int | None = None, symmetric: float | None = None) -> np.ndarray:
+    """Coerce to a finite complex 2-D array, optionally checking its shape
+    and that ‖m - m^t‖ ≤ symmetric·(1 + ‖m‖)."""
     m = np.asarray(data, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D array, got ndim={m.ndim}")
@@ -52,16 +54,17 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndar
         raise ShapeError(f"expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
         raise ShapeError(f"expected {cols} cols, got {m.shape[1]}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeError("matrix contains NaN/Inf entries")
+    require_finite(m)
+    if symmetric is not None and norm(m - m.T) > symmetric * (1 + norm(m)):
+        raise ShapeError("matrix is not symmetric")
     return m
 
 
-def require_square(m: np.ndarray) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    return m
+def require_finite(*values) -> None:
+    """ShapeError unless every scalar or array in `values` is finite."""
+    for v in values:
+        if not np.isfinite(v).all():
+            raise ShapeError("NaN/Inf entries")
 
 
 @functools.cache
@@ -99,13 +102,13 @@ def quad_form(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def mat_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling and squaring via scipy)."""
-    return scipy.linalg.expm(require_square(m))
+    """Matrix exponential (scaling and squaring via scipy), in complex arithmetic."""
+    return scipy.linalg.expm(np.asarray(m, dtype=complex))
 
 
 def mat_cosh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cosh(M), sinh(M)) from exp(±M); cos(M) = cosh(iM), sin(M) = -i sinh(iM)."""
-    m = require_square(m)
+    m = np.asarray(m, dtype=complex)
     ep = scipy.linalg.expm(m)
     em = scipy.linalg.expm(-m)
     return (ep + em) / 2, (ep - em) / 2
@@ -114,7 +117,6 @@ def mat_cosh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def cayley(g: np.ndarray) -> tuple[np.ndarray, complex]:
     """((g - I)(g + I)^{-1}, Det(g + I)) from one LU factorisation of g + I;
     CayleySingular when `require_invertible` refuses it."""
-    g = require_square(g)
     eye = np.eye(g.shape[0])
     factors, d = require_invertible(g + eye, CayleySingular, 1 + norm(g))
     # g - I and g + I commute, so the right quotient is the left one
@@ -140,7 +142,7 @@ def principal_power(c: complex, expo: float) -> complex:
 
 
 def det(m: np.ndarray) -> complex:
-    return complex(np.linalg.det(require_square(m)))
+    return complex(np.linalg.det(m))
 
 
 def require_invertible(m: np.ndarray, error=SingularMatrix, scale: float = 0.0):
@@ -149,7 +151,6 @@ def require_invertible(m: np.ndarray, error=SingularMatrix, scale: float = 0.0):
     ‖m^{-1}‖ estimated by LAPACK).  A sum passes the size of its operands as
     `scale`, so that roundoff left by cancellation (I + k ≈ 1e-16·diag(i, -i))
     is refused however well conditioned it is."""
-    m = require_square(m)
     lu, piv, info = zgetrf(m)
     anorm = zlange("1", m)
     rcond = zgecon(lu, anorm)[0] if info == 0 else 0.0
@@ -170,16 +171,11 @@ def solve(m: np.ndarray, b: np.ndarray, error=SingularMatrix, scale: float = 0.0
 
 
 def inv(m: np.ndarray, error=SingularMatrix, scale: float = 0.0) -> np.ndarray:
-    return solve(m, np.eye(require_square(m).shape[0]), error, scale)
-
-
-def eigenvalues(m: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvals(require_square(m))
+    return solve(m, np.eye(m.shape[0]), error, scale)
 
 
 def hermitian_lam_min(m: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part (m + m^H)/2 of m."""
-    m = require_square(m)
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
 
 
@@ -196,7 +192,7 @@ def det_sqrt(m: np.ndarray) -> complex:
     """det(M)^{1/2} as the product of per-eigenvalue principal roots; an
     eigenvalue of modulus ≤ 1e-12 raises SingularMatrix."""
     root = complex(1.0)
-    for ev in eigenvalues(m):
+    for ev in np.linalg.eigvals(m):
         if abs(ev) <= 1e-12:
             raise SingularMatrix("eigenvalue at zero: square root undefined")
         root *= principal_sqrt(complex(ev))

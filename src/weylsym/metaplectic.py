@@ -22,7 +22,7 @@ from .errors import NotInLie, NotUnimodular
 from .gaussint import GaussianKernel, compose_kernels
 from .matcore import norm, principal_power, principal_sqrt
 from .polys import Poly
-from .sympgroup import SuBlocks, SuLie, su_mul
+from .sympgroup import SuBlocks, SuLie, su_inv, su_mul
 from .weylsymbols import GaussianSymbol
 
 __all__ = [
@@ -51,7 +51,7 @@ def sigma_kernel(k: SuBlocks, lam: float) -> GaussianKernel:
     # S invariants make these symmetric; clean roundoff
     alpha = (alpha + alpha.T) / 2
     gamma = (gamma + gamma.T) / 2
-    return GaussianKernel(k.n, lam, c, alpha, beta, gamma)
+    return GaussianKernel._trusted(k.n, lam, c, alpha, beta, gamma)
 
 
 def verify_intertwining(k: SuBlocks, z0, z, w, lam: float) -> float:
@@ -122,8 +122,6 @@ def alpha_from_dets(k1: SuBlocks, k2: SuBlocks) -> complex:
 def sigma_adjoint_check(k: SuBlocks, z, w, lam: float, swapped: bool = False) -> float:
     """Residual of b_{k^{-1}}(z, w) = conj(b_k(z, w)) as stated, or of the
     argument-swapped variant conj(b_k(w, z)) when ``swapped`` is set."""
-    from .sympgroup import su_inv
-
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     lhs = sigma_kernel(su_inv(k), lam).eval(z, w)

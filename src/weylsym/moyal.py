@@ -25,7 +25,7 @@ import numpy as np
 from . import matcore
 from .errors import BadConfig, NonConvergent, ShapeError
 from .polys import Poly
-from .weylsymbols import GaussianSymbol, QuadForm2n, _cosh_law_symbol
+from .weylsymbols import GaussianSymbol, QuadForm2n, _cosh_law_symbol, w1_exp_closed
 
 __all__ = [
     "DiffOp",
@@ -394,8 +394,6 @@ def homomorphism_residual(f1: Poly, f2: Poly) -> float:
 
 def star_exp_bridge_residual(x_lie, point) -> float:
     """|exp_*(-i q_M)(point) - W1(σ'(exp X))(point)| with M = (1/2) J X."""
-    from .weylsymbols import w1_exp_closed
-
     n = x_lie.n
     m = matcore.matrix_J(n) @ x_lie.full / 2
     m = np.real((m + m.T) / 2)

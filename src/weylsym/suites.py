@@ -32,6 +32,7 @@ from .moyal import (
 from .quadrature import lebesgue_cn
 from .sympgroup import (
     SpReal,
+    random_sp,
     random_sp_lie,
     random_su,
     rng_for,
@@ -229,7 +230,7 @@ def _suite_w1_bridge(n, lam, trials, seed, nodes):
     for trial in range(trials):
         ts = _tseed(seed, trial)
         x_lie = random_sp_lie(n, ts, scale=0.4)
-        g = SpReal(n, matcore.mat_exp(x_lie.full).real)
+        g = random_sp(n, ts, scale=0.4)  # exp(x_lie), from the same draw
         rng = rng_for(ts, "w1-points")
         x = rng.uniform(-1, 1, n)
         y = rng.uniform(-1, 1, n)

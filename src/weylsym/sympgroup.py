@@ -76,15 +76,19 @@ def _require(report: ValidationReport, error, what: str) -> None:
         raise error(f"{what} (residual {report.max_residual:.3g})")
 
 
-def _trusted(cls, n: int, *mats):
-    """An element of `cls` from matrices computed from checked elements: the
-    checking constructor's dtypes (float for SpLieReal, complex otherwise),
-    without its check."""
+def _trusted(cls, *values):
+    """The one unchecked construction: the frozen dataclass `cls` from field
+    values computed from checked ones.  Array fields take the constructor's
+    dtype (float for SpLieReal, complex otherwise), `complex` fields become
+    complex, and the others are kept as given."""
     dtype = float if cls is SpLieReal else complex
     out = object.__new__(cls)
-    object.__setattr__(out, "n", n)
-    for f, m in zip(fields(cls)[1:], mats):
-        object.__setattr__(out, f.name, np.asarray(m, dtype=dtype))
+    for f, v in zip(fields(cls), values):
+        if f.type == "np.ndarray":
+            v = np.asarray(v, dtype=dtype)
+        elif f.type == "complex":
+            v = complex(v)
+        object.__setattr__(out, f.name, v)
     return out
 
 
@@ -221,7 +225,8 @@ def validate_sp(g: SpReal) -> ValidationReport:
         "symplectic": norm(g.g.T @ j @ g.g - j),
         "real": norm(g.g.imag),
     }
-    return ValidationReport(res, _tol(scale))
+    # the roundoff in the products grows like ε‖g‖², and the tolerance with it
+    return ValidationReport(res, _tol(scale) * (1 + scale))
 
 
 def validate_su(k: SuBlocks) -> ValidationReport:
@@ -234,7 +239,8 @@ def validate_su(k: SuBlocks) -> ValidationReport:
         "PsP-QtQbar=I": norm(p.conj().T @ p - q.T @ q.conj() - eye),
         "PsQ=QtPbar": norm(p.conj().T @ q - q.T @ p.conj()),
     }
-    return ValidationReport(res, _tol(scale))
+    # as in validate_sp, quadratic in the size of k
+    return ValidationReport(res, _tol(scale) * (1 + scale))
 
 
 def validate_sp_lie(x: SpLieReal) -> ValidationReport:

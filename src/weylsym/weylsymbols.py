@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import AmbiguousPhase, HeatFlowSingular, ShapeError, SingularMatrix
+from .errors import AmbiguousPhase, HeatFlowSingular, NonConvergent, ShapeError, SingularMatrix
 from .gaussint import GaussianKernel
-from .matcore import as_matrix, matrix_J, matrix_U, norm, principal_sqrt
+from .matcore import as_matrix, matrix_J, matrix_U, norm, principal_sqrt, require_finite
 from .quadrature import gh_nodes, lebesgue_rn, quadrature_cn
-from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, su_from_sp
+from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, _trusted, su_from_sp
 
 __all__ = [
     "GaussianSymbol",
@@ -64,26 +64,22 @@ class GaussianSymbol:
     S: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "S", as_matrix(self.S, 2 * self.n, 2 * self.n))
+        object.__setattr__(self, "S", as_matrix(self.S, 2 * self.n, 2 * self.n, symmetric=1e-10))
         object.__setattr__(self, "gamma", complex(self.gamma))
-        if norm(self.S - self.S.T) > 1e-10 * (1 + norm(self.S)):
-            raise ShapeError("S must be symmetric")
+        require_finite(self.gamma)
 
     @classmethod
     def _trusted(cls, n: int, gamma: complex, s: np.ndarray) -> "GaussianSymbol":
-        """For a closed form's finite 2n×2n exponent s, symmetric up to
-        roundoff: symmetrised, not validated again."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "gamma", complex(gamma))
-        object.__setattr__(out, "S", (s + s.T) / 2)
+        """For a closed form's exponent s, symmetric up to roundoff: symmetrised,
+        not checked again, but refused when γ or S is not finite."""
+        out = _trusted(cls, n, gamma, (s + s.T) / 2)
+        require_finite(out.gamma, out.S)
         return out
 
     @staticmethod
     def from_zz(n: int, gamma: complex, C: np.ndarray) -> "GaussianSymbol":
         """From the (z, zbar)-frame exponent (z zbar) C (z zbar)^t via
         (z zbar)^t = U (x y)^t, so S = sym(U^t C U)."""
-        C = as_matrix(C, 2 * n, 2 * n)
         u = matrix_U(n)
         return GaussianSymbol._trusted(n, gamma, u.T @ C @ u)
 
@@ -111,13 +107,7 @@ class QuadForm2n:
     M: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.M, dtype=float)
-        if m.shape != (2 * self.n, 2 * self.n):
-            raise ShapeError(f"expected {2*self.n}x{2*self.n} matrix, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ShapeError("M contains NaN/Inf entries")
-        if norm(m - m.T) > 1e-12 * (1 + norm(m)):
-            raise ShapeError("M must be symmetric")
+        m = as_matrix(np.asarray(self.M, dtype=float), 2 * self.n, 2 * self.n, symmetric=1e-12).real
         object.__setattr__(self, "M", (m + m.T) / 2)
 
     def eval(self, v) -> float:
@@ -186,10 +176,17 @@ def _phase_c(n: int, d: complex, p: np.ndarray) -> complex:
     return -1j * mag if dp.imag > 0 else 1j * mag
 
 
+# how far the quadrature's phase may lie from the value it is snapped to
+PHASE_SNAP = np.pi / 8
+
+
 def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
     """Fix the phase of c_n(k) by quadrature: W0(σ(k))(0) = c_n(k), so the
     integral formula at z = 0 decides the sign when the case analysis is
-    ambiguous."""
+    ambiguous.  The quadrature value q is snapped to the nearest allowed
+    value, ±|c| when Det(I+k) > 0 and ±i|c| when Det(I+k) < 0;
+    NonConvergent when q is PHASE_SNAP or more from it."""
+    # metaplectic imports this module, so its import waits for the call
     from .metaplectic import sigma_kernel
 
     _, d = matcore.cayley(k.full)
@@ -197,7 +194,11 @@ def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
     q = w0_integral(sigma_kernel(k, lam), np.zeros(k.n), lam, nodes=nodes)
     if abs(q) == 0:
         raise AmbiguousPhase("quadrature value vanished")
-    return mag * q / abs(q)
+    unit = 1 if d.real > 0 else 1j
+    c = complex(mag * unit if (q / unit).real >= 0 else -mag * unit)
+    if abs(np.angle(q / c)) >= PHASE_SNAP:
+        raise NonConvergent(f"quadrature phase {np.angle(q):.3f} is not near an allowed value at {nodes} nodes")
+    return c
 
 
 def w0_sigma_closed(k: SuBlocks, z, lam: float) -> complex:
@@ -326,6 +327,7 @@ def berezin_transform_quadrature(f, z, lam: float, nodes: int = 80) -> complex:
 def polar_relation_residual(k: SuBlocks, lam: float, npoints: int = 10, seed: int = 0) -> float:
     """sup_z |B_λ^{1/2}(W0(σ(k)))(z) - S_λ(σ(k))(z)| over sample points;
     B_λ^{1/2} = heat flow at t = 1/(4λ)."""
+    # metaplectic imports this module, so its import waits for the call
     from .metaplectic import berezin_sigma_symbol
 
     half = heat_flow_gaussian(w0_sigma_symbol(k, lam), 1.0 / (4 * lam))

@@ -1,16 +1,29 @@
+import sys
+
 import pytest
 
-import weylsym
+
+def _count_calls(monkeypatch, home: str, names) -> list:
+    """Wrap every binding in the loaded weylsym modules of the functions
+    `names` of module `home`, to append to the returned list on each call."""
+    calls = []
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "weylsym"]:
+        for name in names:
+            fn = getattr(mod, name, None)
+            if getattr(fn, "__module__", None) == home:
+                monkeypatch.setattr(mod, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+    return calls
 
 
 @pytest.fixture
 def validator_calls(monkeypatch):
-    """Every binding of a sympgroup validate_* function in the package,
-    wrapped to append to the returned list on each call."""
-    calls = []
-    for mod in vars(weylsym).values():
-        for name in ("validate_sp", "validate_su", "validate_sp_lie", "validate_su_lie"):
-            fn = getattr(mod, name, None)
-            if getattr(fn, "__module__", None) == "weylsym.sympgroup":
-                monkeypatch.setattr(mod, name, lambda x, _fn=fn: calls.append(1) or _fn(x))
-    return calls
+    """Calls of the sympgroup validate_* functions."""
+    return _count_calls(
+        monkeypatch, "weylsym.sympgroup", ("validate_sp", "validate_su", "validate_sp_lie", "validate_su_lie")
+    )
+
+
+@pytest.fixture
+def as_matrix_calls(monkeypatch):
+    """Calls of matcore.as_matrix, the check of an array from outside."""
+    return _count_calls(monkeypatch, "weylsym.matcore", ("as_matrix",))

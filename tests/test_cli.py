@@ -7,7 +7,7 @@ import pytest
 from weylsym.cli import main
 from weylsym.mjson import dump_matrix
 from weylsym.suites import SuiteReport
-from weylsym.sympgroup import SpReal, random_sp, su_from_sp
+from weylsym.sympgroup import SpReal, random_sp, sp_mul, su_from_sp
 
 
 def _run(capsys, argv):
@@ -187,6 +187,18 @@ def test_eval_refuses_a_matrix_its_element_does_not_reproduce(tmp_path, capsys, 
     assert main(args + [flag, _matrix_file(tmp_path, "good.json", good)]) == 0
     assert main(args + [flag, _matrix_file(tmp_path, "bad.json", bad)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_accepts_a_large_symplectic_product(tmp_path, capsys):
+    # ‖g‖ = 8.4e7: g^t J g misses J by 0.19 in roundoff alone
+    g = sp_mul(random_sp(3, 7, 6.0), random_sp(3, 1007, 6.0))
+    path = _matrix_file(tmp_path, "g.json", g.g)
+    code, out = _run(capsys, ["eval", "w1-sigma", "--n", "3", "--g", path, "--at", "0.1", "0.2", "0.3", "-0.1", "0", "0.2"])
+    assert code == 0
+    from weylsym.weylsymbols import w1_sigma_closed
+
+    expect = w1_sigma_closed(g, [0.1, 0.2, 0.3], [-0.1, 0, 0.2])
+    assert json.loads(out)["value"] == [expect.real, expect.imag]
 
 
 def test_w0_sigma_refuses_k_outside_s(tmp_path, capsys):

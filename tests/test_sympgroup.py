@@ -115,6 +115,28 @@ def test_validators_reject_bad_input():
         SuLie(1, np.array([[1.0]]), np.array([[0.0]]))  # A must be skew-Hermitian
 
 
+def test_large_products_are_members():
+    # the roundoff in g^t J g - J grows like ε‖g‖², and the tolerance with it
+    for s in range(40):
+        g = sp_mul(random_sp(3, s, 6.0), random_sp(3, s + 1000, 6.0))
+        k = su_from_sp(g)
+        SpReal(3, g.g)
+        SuBlocks(3, k.P, k.Q)
+    # s = 7: ‖g‖ = 8.4e7 and ‖g^t J g - J‖ = 0.19, but one entry moved by
+    # 1e-6 of the size is refused
+    g = sp_mul(random_sp(3, 7, 6.0), random_sp(3, 1007, 6.0))
+    k = su_from_sp(g)
+    for i, j in ((0, 0), (2, 3), (5, 5)):
+        bad = g.g.copy()
+        bad[i, j] += 1e-6 * np.linalg.norm(g.g)
+        with pytest.raises(NotSymplectic):
+            SpReal(3, bad)
+        bad = k.P.copy()
+        bad[i % 3, j % 3] += 1e-6 * (np.linalg.norm(k.P) + np.linalg.norm(k.Q))
+        with pytest.raises(NotInS):
+            SuBlocks(3, bad, k.Q)
+
+
 def test_validation_report_nan_residual():
     # a NaN residual fails the report and is its maximum, in either order
     for residuals in ({"a": float("nan"), "b": 1e-3}, {"b": 1e-3, "a": float("nan")}):

@@ -6,6 +6,7 @@ from weylsym.errors import (
     AmbiguousPhase,
     CayleySingular,
     HeatFlowSingular,
+    NonConvergent,
     ShapeError,
     SingularMatrix,
 )
@@ -108,6 +109,17 @@ def test_phase_ambiguous_when_det_p_real():
     # quadrature still resolves it
     c = adjudicate_phase(k, 1.0)
     assert abs(c) == pytest.approx(2 / np.sqrt(abs(np.linalg.det(np.eye(2) + g.g))), rel=1e-6)
+
+
+def test_adjudicated_phase_is_an_allowed_value():
+    # near the identity the quadrature's phase snaps onto the case analysis
+    for seed in range(3):
+        k = random_su(1, seed)
+        assert abs(adjudicate_phase(k, 1.0, nodes=80) - metaplectic_phase_c(k)) <= 1e-15
+    # Det(I+k) = 0.0088 > 0: at 40 nodes the quadrature gives -36.69+21.68i,
+    # 30.6° from -|c|, which is not clearly one of ±|c|
+    with pytest.raises(NonConvergent):
+        adjudicate_phase(su_from_sp(random_sp(2, 183, 3.0)), 1.0, nodes=40)
 
 
 def test_phase_singular_when_det_vanishes():
