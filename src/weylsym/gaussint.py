@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matcore
 from .errors import DivergentIntegral, ShapeError
-from .matcore import as_matrix, det_powhalf_posreal, matrix_U, norm, quad_form, require_finite
+from .matcore import as_matrix, as_vector, det_powhalf_posreal, matrix_U, norm, quad_form, require_finite
 from .sympgroup import SuBlocks, _trusted
 
 __all__ = [
@@ -57,8 +57,8 @@ class GaussianIntegrand:
         object.__setattr__(self, "A", as_matrix(self.A, self.n, self.n, symmetric=1e-12))
         object.__setattr__(self, "B", as_matrix(self.B, self.n, self.n))
         object.__setattr__(self, "D", as_matrix(self.D, self.n, self.n, symmetric=1e-12))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=complex).reshape(self.n))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=complex).reshape(self.n))
+        object.__setattr__(self, "u", as_vector(self.u, self.n))
+        object.__setattr__(self, "v", as_vector(self.v, self.n))
         m = np.block([[self.A, self.B.T], [self.B, self.D]])
         m.flags.writeable = False
         object.__setattr__(self, "_M", m)
@@ -74,13 +74,17 @@ class GaussianIntegrand:
         u = matrix_U(self.n)
         return u.T @ self._M @ u
 
-    def eval(self, w: np.ndarray) -> np.ndarray:
-        """Pointwise integrand at w of shape (..., n): exp(r ω - ω^t M ω)
-        with ω = (w, wbar) stacked axis-major and r = (u, v)."""
+    def exponent(self, w: np.ndarray) -> np.ndarray:
+        """The exponent r ω - ω^t M ω at w of shape (..., n), with
+        ω = (w, wbar) stacked axis-major and r = (u, v)."""
         wt = np.asarray(w, dtype=complex).T
         omega = np.concatenate([wt, wt.conj()]).reshape(2 * self.n, -1)
         expo = self._r @ omega - quad_form(self._M, omega)
-        return np.exp(expo.reshape(wt.shape[1:]).T)
+        return expo.reshape(wt.shape[1:]).T
+
+    def eval(self, w: np.ndarray) -> np.ndarray:
+        """Pointwise integrand exp(`exponent`(w)) at w of shape (..., n)."""
+        return np.exp(self.exponent(w))
 
 
 def quadrature_scale(gi: GaussianIntegrand) -> float:

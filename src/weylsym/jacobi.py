@@ -33,7 +33,7 @@ from .errors import (
     ShapeError,
 )
 from .heisenberg import symplectic_form
-from .matcore import as_matrix, inv, lu_solve, matrix_J, norm, principal_power, require_invertible
+from .matcore import as_matrix, as_vector, inv, lu_solve, matrix_J, norm, principal_power, require_invertible
 from .sympgroup import SuBlocks, _trusted, su_inv, su_mul
 
 __all__ = [
@@ -68,7 +68,7 @@ class JacobiPoint:
     Y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=complex).reshape(self.n))
+        object.__setattr__(self, "y", as_vector(self.y, self.n))
         object.__setattr__(self, "Y", as_matrix(self.Y, self.n, self.n, symmetric=1e-10))
 
     def in_domain(self, margin: float = 0.0) -> bool:

@@ -2,8 +2,9 @@
 
 Matrices are plain ``numpy`` arrays of ``complex128``, row-major.  Everything
 here is pure: inputs are never mutated and results are freshly allocated.
-`as_matrix` checks an array arriving from outside the library; the other
-functions take the square arrays their callers built and do not check them.
+`as_matrix` and `as_vector` check arrays arriving from outside the library;
+the other functions take the square arrays their callers built and do not
+check them.
 
 The branch convention used throughout the library is the principal
 determination: ``Arg`` in (-pi, pi], so the square root of a negative real
@@ -23,6 +24,7 @@ from .errors import NotPositiveReal, ShapeError, SingularMatrix, CayleySingular
 
 __all__ = [
     "as_matrix",
+    "as_vector",
     "require_finite",
     "matrix_J",
     "matrix_U",
@@ -58,6 +60,16 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None, symmetric:
     if symmetric is not None and norm(m - m.T) > symmetric * (1 + norm(m)):
         raise ShapeError("matrix is not symmetric")
     return m
+
+
+def as_vector(data, size: int, dtype=complex) -> np.ndarray:
+    """Coerce to a finite 1-D array of `size` entries of `dtype` (a scalar
+    counts as one entry); ShapeError otherwise."""
+    v = np.atleast_1d(np.asarray(data, dtype=dtype))
+    if v.shape != (size,):
+        raise ShapeError(f"expected a vector of length {size}, got shape {v.shape}")
+    require_finite(v)
+    return v
 
 
 def require_finite(*values) -> None:

@@ -19,13 +19,20 @@ Integrands must be vectorised: they receive an array of points of shape
 array.  The array is the transpose of a C-contiguous (n, m) buffer that the
 next chunk overwrites, so an integrand works row by row and must not keep
 it.
+
+An integrand wrapped as ``GaussianExponent(fn)`` is exp(fn(x)), where fn
+returns the exponent and is a quadratic polynomial in the real coordinates
+of x.  Its sum is taken in factorised form: fn is evaluated on the block
+and on the leading grid once each, and the cross term between the two
+splits into one factor per trailing axis (see `_stream_exponent`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -33,6 +40,7 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import BadConfig, NonConvergent
 
 __all__ = [
+    "GaussianExponent",
     "quadrature_cn",
     "lebesgue_cn",
     "lebesgue_rn",
@@ -51,6 +59,16 @@ MAX_POINTS = 2**26
 # hermgauss builds a dense nodes x nodes matrix; numpy's weights stop being
 # finite well below this (about 370 nodes)
 MAX_NODES = 512
+
+
+@dataclass(frozen=True)
+class GaussianExponent:
+    """The integrand exp(fn(x)), for a vectorised fn that returns the
+    exponent and is a quadratic polynomial in the real coordinates of x.
+    The quadratures sum it in factorised form, and raise NonConvergent when
+    fn does not fit a quadratic at the corners of the grid."""
+
+    fn: Callable
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -76,13 +94,17 @@ class _Plan(NamedTuple):
     ``lead`` (dim, L), the grid of the leading axes with zero rows for the
     trailing ones; each column of ``lead`` makes one chunk.  The weights
     are indexed by ``lebesgue``: plain Gauss–Hermite, or with the e^{s^2}
-    correction folded in.
+    correction folded in.  The block spans the last ``trailing`` axes;
+    ``s`` and ``axis_w`` hold the nodes and weights of one axis.
     """
 
     block: np.ndarray
     lead: np.ndarray
     block_w: tuple
     lead_w: tuple
+    trailing: int
+    s: np.ndarray
+    axis_w: tuple
 
 
 def _tensor(s, weights, dim: int, lo: int, hi: int):
@@ -107,7 +129,7 @@ def _plan(dim: int, nodes: int) -> _Plan:
         trailing += 1
     block, block_w = _tensor(s, (w, wl), dim, dim - trailing, dim)
     lead, lead_w = _tensor(s, (w, wl), dim, 0, dim - trailing)
-    return _Plan(_frozen(block), _frozen(lead), block_w, lead_w)
+    return _Plan(_frozen(block), _frozen(lead), block_w, lead_w, trailing, s, (w, _frozen(wl)))
 
 
 def _checked_plan(dim: int, nodes: int) -> _Plan:
@@ -122,26 +144,111 @@ def _checked_plan(dim: int, nodes: int) -> _Plan:
     return _plan(dim, nodes)
 
 
-def _stream(f, plan: _Plan, base: np.ndarray, offsets: np.ndarray, lebesgue: bool) -> complex:
-    """Σ_i w_i f(x_i) over the grid x = base column + offsets column.
+def _stream(f, plan: _Plan, to_x, lin, lebesgue: bool) -> complex:
+    """Σ_i w_i f(x_i) over the grid, x = to_x(grid point).
 
-    `base` (k, m) is the block mapped to integrand coordinates and
-    `offsets` (k, L) the leading grid through the linear part of that map.
+    `to_x` maps real axis-major grid points (dim, k) to integrand
+    coordinates and `lin` is its linear part: the block maps through
+    `to_x` and the leading grid through `lin`.  A `GaussianExponent` is
+    summed in factorised form, any other callable chunk by chunk.
     """
-    bw, lw = plan.block_w[lebesgue], plan.lead_w[lebesgue]
-    if offsets.shape[1] == 1:
-        # one chunk: the offset is zero, so hand the block over as it is
-        total = np.dot(f(base.T), bw) * lw[0]
+    if isinstance(f, GaussianExponent):
+        # an overflow shows as a sum that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = _stream_exponent(f.fn, plan, to_x, lebesgue)
     else:
-        sums = np.empty(offsets.shape[1], dtype=complex)
-        buf = np.empty(base.shape, dtype=np.result_type(base, offsets))
-        for j in range(offsets.shape[1]):
-            np.add(base, offsets[:, j, None], out=buf)
-            sums[j] = np.dot(f(buf.T), bw)
-        total = sums @ lw
+        bw, lw = plan.block_w[lebesgue], plan.lead_w[lebesgue]
+        total = _stream_chunks(f, to_x(plan.block), lin(plan.lead), bw, lw)
     total = complex(total)
     if not (np.isfinite(total.real) and np.isfinite(total.imag)):
         raise NonConvergent(f"quadrature sum is not finite ({total})")
+    return total
+
+
+def _stream_chunks(f, base: np.ndarray, offsets: np.ndarray, bw, lw):
+    """One integrand call per chunk: the block `base` shifted by each column
+    of `offsets`."""
+    if offsets.shape[1] == 1:
+        # one chunk: the offset is zero, so hand the block over as it is
+        return np.dot(f(base.T), bw) * lw[0]
+    sums = np.empty(offsets.shape[1], dtype=complex)
+    buf = np.empty(base.shape, dtype=np.result_type(base, offsets))
+    for j in range(offsets.shape[1]):
+        np.add(base, offsets[:, j, None], out=buf)
+        sums[j] = np.dot(f(buf.T), bw)
+    return sums @ lw
+
+
+def _stream_exponent(fn, plan: _Plan, to_x, lebesgue: bool):
+    """Σ w exp(E) for a quadratic exponent E = fn(to_x(s)) of the grid point s.
+
+    Write s = b + o, b on the t trailing axes (a block point) and o on the
+    leading ones.  Then E(b + o) = E(o) + E(b) - E(0) + Σ_j b_j c_j(o) with
+    c = C o, where C = E(e_j + e_l) - E(e_j) - E(e_l) + E(0) is the
+    trailing-by-leading block of the Hessian, read off by polarisation.
+    Each lead point's block sum is then one table over the block, of
+    exp(E(b) - E(0)), contracted with t factor vectors w(s_i) exp(s_i c_j(o)),
+    one per trailing axis: a matmul and t - 1 reductions.  The exponents of
+    the table and of each factor vector are shifted by their largest real
+    part, and the shifts go into the lead point's factor.
+    """
+    lw = plan.lead_w[lebesgue]
+    e_block = fn(to_x(plan.block).T)
+    lead = plan.lead
+    if lead.shape[1] == 1:
+        # one chunk: E was evaluated at every grid point
+        return np.dot(np.exp(e_block), plan.block_w[lebesgue]) * lw[0]
+    t, s = plan.trailing, plan.s
+    dim, nodes = lead.shape[0], len(s)
+    k = dim - t
+    eye = np.eye(dim)
+    pairs = (eye[:, k:, None] + eye[:, None, :k]).reshape(dim, t * k)
+    ends = [0, 0, -1, -1], [0, -1, 0, -1]
+    corners = plan.block[:, ends[0]] + lead[:, ends[1]]
+    e = fn(to_x(np.hstack([np.zeros((dim, 1)), eye, pairs, lead[:, [0, -1]], corners])).T)
+    e0, e_unit = e[0], e[1 : dim + 1]
+    cross = e[dim + 1 : dim + 1 + t * k].reshape(t, k) - e_unit[k:, None] - e_unit[None, :k] + e0
+    # certificate: the factorised exponent against fn at the four corners of the grid
+    fit = e_block[ends[0]] + e[-6:-4][[0, 1, 0, 1]] - e0
+    fit = fit + np.sum(plan.block[k:, ends[0]] * (cross @ lead[:k, ends[1]]), axis=0)
+    if not np.all(np.abs(e[-4:] - fit) <= 1e-8 * (1 + np.abs(e[-4:]))):
+        raise NonConvergent("integrand exponent is not a finite quadratic polynomial of the grid coordinates")
+    aw = plan.axis_w[lebesgue][:, None]
+    # lead points per batch, so that no temporary exceeds about CHUNK entries
+    step = max(1, CHUNK // max(1, nodes**t // nodes, t * nodes))
+
+    def block_sums(d):
+        """The sum with d_j(s_i) moved from the table into factor j."""
+        rest = e_block.reshape((nodes,) * t) - e0
+        for j in range(t):
+            rest = rest - d[j].reshape([-1 if a == j else 1 for a in range(t)])
+        f0 = np.max(rest.real)
+        table = np.exp(rest - f0).reshape(-1, nodes if t else 1)
+        total = 0j
+        for lo in range(0, lead.shape[1], CHUNK):
+            o = lead[:, lo : lo + CHUNK]
+            h = fn(to_x(o).T) + f0
+            ow = lw[lo : lo + CHUNK]
+            c = cross @ o[:k]
+            for a in range(0, o.shape[1], step):
+                r = s[:, None] * c[:, None, a : a + step] + d[:, :, None]
+                shift = np.max(r.real, axis=1)
+                g = np.exp(r - shift[:, None]) * aw
+                x = table @ g[-1] if t else table
+                for gj in g[-2::-1]:
+                    x = (x.reshape(-1, nodes, x.shape[1]) * gj).sum(axis=1)
+                total += np.sum(ow[a : a + step] * np.exp(h[a : a + step] + shift.sum(axis=0)) * x[0])
+        return total
+
+    total = block_sums(np.zeros((t, nodes)))
+    if not np.isfinite(total):
+        # The shifts bound the largest term loosely when the table's and the
+        # factors' maxima lie apart: E(b) may peak where b_j c_j(o) does not.
+        # Moving each axis' own part d_j(s) = E(s e_j) - E(0) into its factor
+        # makes the bound tight when the block has no cross terms between
+        # trailing axes, at the price of roundoff from the subtraction.
+        along = (eye[:, k:, None] * s).reshape(dim, t * nodes)
+        total = block_sums(fn(to_x(along).T).reshape(t, nodes) - e0)
     return total
 
 
@@ -158,21 +265,21 @@ def quadrature_cn(f, lam: float, n: int, nodes_per_axis: int = 80) -> complex:
     weight and the measure normalisation: the prefactor collapses to π^{-n}.
     """
     plan = _checked_plan(2 * n, nodes_per_axis)
-    scale = math.sqrt(2.0 / lam)
-    base, offsets = _to_cn(plan.block, scale), _to_cn(plan.lead, scale)
-    return complex(np.pi ** (-n) * _stream(f, plan, base, offsets, False))
+    to_x = functools.partial(_to_cn, scale=math.sqrt(2.0 / lam))
+    return complex(np.pi ** (-n) * _stream(f, plan, to_x, to_x, False))
 
 
 def lebesgue_cn(f, n: int, nodes_per_axis: int = 80, scale: float = 1.0) -> complex:
     """∫_{C^n} f(w) dm(w) for integrands decaying at least like e^{-|w|^2/scale^2}."""
     plan = _checked_plan(2 * n, nodes_per_axis)
-    base, offsets = _to_cn(plan.block, scale), _to_cn(plan.lead, scale)
+    to_x = functools.partial(_to_cn, scale=scale)
     # scale^{2n} is the Jacobian
-    return complex(scale ** (2 * n) * _stream(f, plan, base, offsets, True))
+    return complex(scale ** (2 * n) * _stream(f, plan, to_x, to_x, True))
 
 
 def lebesgue_rn(f, n: int, nodes_per_axis: int = 80, scale: float = 1.0, center=0.0) -> complex:
     """∫_{R^n} f(x) dx for integrands decaying like a Gaussian around `center`."""
     plan = _checked_plan(n, nodes_per_axis)
-    base = np.reshape(center, (-1, 1)) + scale * plan.block
-    return complex(scale**n * _stream(f, plan, base, scale * plan.lead, True))
+    center = np.reshape(center, (-1, 1))
+    to_x = lambda v: center + scale * v  # noqa: E731
+    return complex(scale**n * _stream(f, plan, to_x, lambda v: scale * v, True))

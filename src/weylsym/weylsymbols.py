@@ -26,7 +26,7 @@ from . import matcore
 from .errors import AmbiguousPhase, HeatFlowSingular, NonConvergent, ShapeError, SingularMatrix
 from .gaussint import GaussianKernel
 from .matcore import as_matrix, matrix_J, matrix_U, norm, principal_sqrt, require_finite
-from .quadrature import gh_nodes, lebesgue_rn, quadrature_cn
+from .quadrature import GaussianExponent, gh_nodes, lebesgue_rn, quadrature_cn
 from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, _trusted, su_from_sp
 
 __all__ = [
@@ -89,6 +89,7 @@ class GaussianSymbol:
         v = np.asarray(v)
         if v.shape[-1:] != (2 * self.n,):
             raise ShapeError(f"expected points of length {2 * self.n}, got shape {v.shape}")
+        require_finite(v)
         val = self.gamma * np.exp(np.einsum("...i,ij,...j->...", v, self.S, v))
         return complex(val) if v.ndim == 1 else val
 
@@ -122,30 +123,29 @@ def w0_integral(kernel: GaussianKernel, z, lam: float, nodes: int = 80, symmetri
     - zbar w)) dμ_λ(w); the exp(-(λ/2) w wbar) factor is the quadrature
     weight and the rest is folded into the integrand.  The non-symmetric
     variant integrates 2^n k(w, 2z-w) exp(λ(-z zbar + z wbar - w wbar / 2)).
-    Either integrand adds the kernel's exponent to the W0 phase and takes
-    one exp.
+    Either integrand's exponent, the kernel's exponent plus the W0 phase, is
+    quadratic in w, so it is summed as a `GaussianExponent`.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     n = z.shape[0]
     zz = float(np.sum(np.abs(z) ** 2))
-    amp = 2**n * kernel.c
 
     if symmetric:
 
-        def f(w):
+        def expo(w):
             # the phase's linear part (λ/2)(wbar z - w zbar) is iλ Im(wbar z)
-            expo = kernel.exponent(z + w, z - w) - lam / 2 * zz
-            expo.imag += lam * (w.conj() @ z).imag
-            return amp * np.exp(expo, out=expo)
+            e = kernel.exponent(z + w, z - w) - lam / 2 * zz
+            e.imag += lam * (w.conj() @ z).imag
+            return e
 
     else:
 
-        def f(w):
-            expo = kernel.exponent(w, 2 * z - w)
-            expo += lam * (w.conj() @ z - zz)
-            return amp * np.exp(expo, out=expo)
+        def expo(w):
+            e = kernel.exponent(w, 2 * z - w)
+            e += lam * (w.conj() @ z - zz)
+            return e
 
-    return quadrature_cn(f, lam, n, nodes_per_axis=nodes)
+    return 2**n * kernel.c * quadrature_cn(GaussianExponent(expo), lam, n, nodes_per_axis=nodes)
 
 
 def metaplectic_phase_c(k: SuBlocks) -> complex:

@@ -16,6 +16,19 @@ def _count_calls(monkeypatch, home: str, names) -> list:
 
 
 @pytest.fixture
+def set_chunk(monkeypatch):
+    """Sets quadrature.CHUNK for the rest of the test, with the plan cache cleared."""
+    from weylsym import quadrature
+
+    def set_chunk(chunk):
+        monkeypatch.setattr(quadrature, "CHUNK", chunk)
+        quadrature._plan.cache_clear()
+
+    yield set_chunk
+    quadrature._plan.cache_clear()
+
+
+@pytest.fixture
 def validator_calls(monkeypatch):
     """Calls of the sympgroup validate_* functions."""
     return _count_calls(

@@ -83,3 +83,34 @@ def test_constructors_refuse_nan_and_wrong_shape(cls, args, pos):
     for bad in (nan, wide):
         with pytest.raises(ShapeError):
             cls(*args[:pos], bad, *args[pos + 1 :])
+
+
+def test_non_finite_points_are_refused():
+    k, g = random_su(1, 1), random_sp(1, 1)
+    sym = GaussianSymbol(1, 1.0, -np.eye(2))
+    for call in (
+        lambda: w0_sigma_closed(k, [np.nan], 1.0),
+        lambda: w0_sigma_closed(k, [complex(0.1, np.inf)], 1.0),
+        lambda: w1_sigma_closed(g, [np.nan], [0.0]),
+        lambda: w1_exp_closed(random_sp_lie(1, 2), [0.0], [np.inf]),
+        lambda: sym.eval([[0.1, 0.2], [np.nan, 0.0]]),
+        lambda: sym.eval_z([0.1j, np.nan]),
+    ):
+        with pytest.raises(ShapeError):
+            call()
+
+
+# (constructor, valid arguments, position of the vector argument to spoil)
+VECTOR_ARGS = [
+    (GaussianIntegrand, (1, 0.5 * _I, _Z, 0.5 * _I, np.zeros(1), np.zeros(1)), 4),
+    (GaussianIntegrand, (1, 0.5 * _I, _Z, 0.5 * _I, np.zeros(1), np.zeros(1)), 5),
+    (JacobiPoint, (1, np.zeros(1), 0.5 * _I), 1),
+]
+
+
+@pytest.mark.parametrize("cls, args, pos", VECTOR_ARGS, ids=[f"{c[0].__name__}-{c[2]}" for c in VECTOR_ARGS])
+def test_constructors_refuse_bad_vectors(cls, args, pos):
+    cls(*args)
+    for bad in ([np.nan], [np.inf], [1.0, 2.0], np.zeros((2, 1))):
+        with pytest.raises(ShapeError):
+            cls(*args[:pos], bad, *args[pos + 1 :])

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import weylsym
 
@@ -9,3 +13,14 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(f"weylsym.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"weylsym.{info.name}.__all__ names missing {name!r}"
+
+
+def test_import_loads_no_scipy_special_or_integrate():
+    # scipy.special alone adds about 2.6 MB of peak RSS to every process
+    code = (
+        "import sys, weylsym, weylsym.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.special', 'scipy.integrate'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(weylsym.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from weylsym import quadrature
 from weylsym.errors import BadConfig, NonConvergent
 from weylsym.gaussint import quadrature_scale
-from weylsym.quadrature import CHUNK, gh_nodes, lebesgue_cn, lebesgue_rn, quadrature_cn
+from weylsym.quadrature import CHUNK, GaussianExponent, gh_nodes, lebesgue_cn, lebesgue_rn, quadrature_cn
 from weylsym.suites import random_gaussian_integrand
 from weylsym.sympgroup import rng_for
 
@@ -58,12 +59,10 @@ class _Recorder:
 
 
 @pytest.fixture
-def small_chunk(monkeypatch):
+def small_chunk(set_chunk):
     """CHUNK = 32, so that small grids stream over several leading axes."""
-    quadrature._plan.cache_clear()
-    monkeypatch.setattr(quadrature, "CHUNK", 32)
-    yield 32
-    quadrature._plan.cache_clear()
+    set_chunk(32)
+    return 32
 
 
 def _check_streamed(rec, stream, ref, points, chunk):
@@ -82,6 +81,75 @@ def test_complex_quadratures_match_materialised_grid(n, nodes):
     rec = _Recorder(gi.eval)
     _check_streamed(rec, quadrature_cn(rec, 1.3, n, nodes), _ref_quadrature_cn(gi.eval, 1.3, n, nodes),
                     nodes ** (2 * n), CHUNK)
+
+
+# (n, nodes, CHUNK) -> (trailing axes t, lead points L) of the 2n-axis grid:
+# (1, 80) is one chunk; (2, 12) has t = 3 and 12 chunks, t = 1 at CHUNK 32;
+# (2, 40) has t = 2; (1, 12) at CHUNK 8 has no trailing axis
+LAYOUTS = [(1, 80, CHUNK, 2, 1), (2, 12, CHUNK, 3, 12), (2, 40, CHUNK, 2, 1600), (2, 12, 32, 1, 1728),
+           (1, 12, 8, 0, 144)]
+
+
+@pytest.mark.parametrize("n, nodes, chunk, t, lead", LAYOUTS)
+def test_factorised_sum_matches_per_chunk_sum(set_chunk, n, nodes, chunk, t, lead):
+    set_chunk(chunk)
+    plan = quadrature._plan(2 * n, nodes)
+    assert (plan.trailing, plan.lead.shape[1]) == (t, lead)
+    # one draw on the 2.56M-point grid, whose per-chunk sums take a second
+    for seed in range(1 if nodes**(2 * n) > 20736 else 2):
+        gi = random_gaussian_integrand(rng_for(seed, f"factorised-{n}"), n)
+        scale = 1.25 * quadrature_scale(gi)
+        for quad, args in ((lebesgue_cn, (n, nodes, scale)), (quadrature_cn, (1.3, n, nodes))):
+            got = quad(GaussianExponent(gi.exponent), *args)
+            assert got == pytest.approx(quad(gi.eval, *args), rel=1e-13, abs=0)
+        if nodes**(2 * n) <= 20736:
+            assert got == pytest.approx(_ref_quadrature_cn(gi.eval, 1.3, n, nodes), rel=1e-13, abs=0)
+
+
+def test_factorised_real_sum_matches_materialised_grid():
+    # 120 nodes on 2 axes: t = 1 and 120 lead points
+    center = np.array([0.3, -0.2])
+
+    def expo(x):
+        return -np.sum((x - 0.1) ** 2, axis=1) + 0.4j * x[:, 0] * x[:, 1] - 0.3 * x[:, 0]
+
+    got = lebesgue_rn(GaussianExponent(expo), 2, 120, scale=0.9, center=center)
+    ref = _ref_lebesgue_rn(lambda x: np.exp(expo(x)), 2, 120, 0.9, center)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_exponent_that_is_not_quadratic_is_refused():
+    def cubic(w):
+        return -np.sum(np.abs(w) ** 2, axis=1) + 0.05 * w[:, 0] ** 2 * w[:, 1].conj()
+
+    with pytest.raises(NonConvergent):
+        quadrature_cn(GaussianExponent(cubic), 1.0, 2, nodes_per_axis=12)
+    with pytest.raises(NonConvergent):
+        lebesgue_rn(GaussianExponent(lambda x: -np.sum(x**2, axis=1) + 0.1 * x[:, 0] ** 2 * x[:, 1]), 2, 120)
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 80), (2, 12)])
+def test_overflowing_exponent_is_non_convergent(n, nodes):
+    def growing(w):
+        return 1e3 * np.sum(np.abs(w) ** 2, axis=1)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent):
+            quadrature_cn(GaussianExponent(growing), 1.0, n, nodes_per_axis=nodes)
+        with pytest.raises(NonConvergent):
+            quadrature_cn(GaussianExponent(lambda w: growing(w) - 2e4), 1.0, n, nodes_per_axis=nodes)
+
+
+def test_factorised_sum_is_stable_where_the_integrand_is():
+    # the integrand stays below e^600, but the plain shifts bound a lead
+    # point's terms by up to e^(600+420) (Re w0 on a leading axis, Im w0 on a
+    # trailing one), which overflows; the tight split must take over
+    def expo(w):
+        return 600 - np.sum(np.abs(w) ** 2, axis=1) + 1.6 * w[:, 0].real * w[:, 0].imag
+
+    got = lebesgue_cn(GaussianExponent(expo), 2, 40, scale=2.0)
+    assert got == pytest.approx(lebesgue_cn(lambda w: np.exp(expo(w)), 2, 40, scale=2.0), rel=1e-12)
 
 
 def _shifted_gaussian(center):
@@ -113,22 +181,27 @@ def test_many_leading_axes_match_materialised_grid(small_chunk):
 
 
 def test_streaming_memory_is_bounded():
+    gi = random_gaussian_integrand(rng_for(5, "factorised-memory"), 2)
     quadrature._plan.cache_clear()
     tracemalloc.start()
     try:
         val = quadrature_cn(_one, 1.0, 2, nodes_per_axis=40)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        factorised = lebesgue_cn(GaussianExponent(gi.exponent), 2, nodes_per_axis=40, scale=quadrature_scale(gi))
+        _, factorised_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert val == pytest.approx(1.0, rel=1e-12)
+    assert np.isfinite(factorised)
     # the materialised 40^4 grid took 353 MB
-    assert peak < 16 * 2**20
+    assert max(peak, factorised_peak) < 16 * 2**20
 
 
 def test_cached_arrays_are_read_only():
     s, w = gh_nodes(40)
     plan = quadrature._plan(4, 40)
-    for arr in (s, w, plan.block, plan.lead, *plan.block_w, *plan.lead_w):
+    for arr in (s, w, plan.s, plan.block, plan.lead, *plan.block_w, *plan.lead_w, *plan.axis_w):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         s[0] = 0.0

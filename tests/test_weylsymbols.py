@@ -12,7 +12,7 @@ from weylsym.errors import (
 )
 from weylsym.metaplectic import berezin_sigma_symbol, berezin_symbol_sigma, sigma_kernel
 from weylsym.moyal import star_exp_quadratic_closed, star_exp_quadratic_symbol
-from weylsym.quadrature import quadrature_cn
+from weylsym.quadrature import CHUNK, quadrature_cn
 from weylsym.suites import random_su_negdet
 from weylsym.sympgroup import (
     SpLieReal,
@@ -116,6 +116,10 @@ def test_adjudicated_phase_is_an_allowed_value():
     for seed in range(3):
         k = random_su(1, seed)
         assert abs(adjudicate_phase(k, 1.0, nodes=80) - metaplectic_phase_c(k)) <= 1e-15
+    # n = 2 at the CLI's default of 80 nodes, 41M grid points each
+    for seed in (5, 11):
+        k = random_su(2, seed)
+        assert abs(adjudicate_phase(k, 1.0, nodes=80) - metaplectic_phase_c(k)) <= 1e-15
     # Det(I+k) = 0.0088 > 0: at 40 nodes the quadrature gives -36.69+21.68i,
     # 30.6° from -|c|, which is not clearly one of ±|c|
     with pytest.raises(NonConvergent):
@@ -165,9 +169,12 @@ def _ref_kernel_exponent(k, z, w):
     )
 
 
-def test_w0_integral_matches_two_exp_integrand():
-    for n, nodes in ((1, 80), (2, 12)):
-        for seed in range(3):
+def test_w0_integral_matches_two_exp_integrand(set_chunk):
+    # (n, nodes, CHUNK, draws): one chunk at (1, 80); 3, 2 and 1 trailing axes
+    # of the factorised sum at (2, 12), (2, 40) and (2, 12) with CHUNK = 32
+    for n, nodes, chunk, draws in ((1, 80, CHUNK, 3), (2, 12, CHUNK, 3), (2, 40, CHUNK, 1), (2, 12, 32, 2)):
+        set_chunk(chunk)
+        for seed in range(draws):
             lam = 0.8 + 0.2 * seed
             kernel = sigma_kernel(random_su(n, 60 + seed), lam)
             z = _cpx(rng_for(seed, "w0-one-exp"), n, 0.4)
