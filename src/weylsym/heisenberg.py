@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussint import GaussianKernel
+from .matcore import as_vector, require_finite
 from .quadrature import lebesgue_rn
 
 __all__ = [
@@ -39,8 +40,9 @@ class HeisElt:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "z0", np.asarray(self.z0, dtype=complex).reshape(self.n))
+        object.__setattr__(self, "z0", as_vector(self.z0, self.n))
         object.__setattr__(self, "c", float(self.c))
+        require_finite(self.c)
 
     @staticmethod
     def identity(n: int) -> "HeisElt":

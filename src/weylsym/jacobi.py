@@ -78,11 +78,6 @@ class JacobiPoint:
     def origin(n: int) -> "JacobiPoint":
         return JacobiPoint(n, np.zeros(n), np.zeros((n, n)))
 
-    @staticmethod
-    def vector(y) -> "JacobiPoint":
-        y = np.atleast_1d(np.asarray(y, dtype=complex))
-        return JacobiPoint(len(y), y, np.zeros((len(y), len(y))))
-
 
 @dataclass(frozen=True)
 class JacobiGroupElt:
@@ -94,8 +89,9 @@ class JacobiGroupElt:
     k: SuBlocks
 
     def __post_init__(self):
-        object.__setattr__(self, "z0", np.asarray(self.z0, dtype=complex).reshape(self.n))
+        object.__setattr__(self, "z0", as_vector(self.z0, self.n))
         object.__setattr__(self, "c", float(self.c))
+        matcore.require_finite(self.c)
 
     @staticmethod
     def identity(n: int) -> "JacobiGroupElt":
@@ -117,9 +113,10 @@ class JacobiGroupEltC:
 
     def __post_init__(self):
         n = self.n
-        object.__setattr__(self, "z0", np.asarray(self.z0, dtype=complex).reshape(n))
-        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=complex).reshape(n))
+        object.__setattr__(self, "z0", as_vector(self.z0, n))
+        object.__setattr__(self, "w0", as_vector(self.w0, n))
         object.__setattr__(self, "c", complex(self.c))
+        matcore.require_finite(self.c)
         for name in "ABCD":
             object.__setattr__(self, name, as_matrix(getattr(self, name), n, n))
         j = matrix_J(n)
@@ -214,16 +211,13 @@ def pkp_decompose(g: JacobiGroupEltC):
 
 def pkp_recompose(y, Y, c, P, v, V) -> JacobiGroupEltC:
     """Product of the P+, Kc, P- factors; inverse of pkp_decompose."""
-    y = np.asarray(y, dtype=complex)
-    n = y.shape[0]
+    n = len(y)
     eye = np.eye(n)
     zero = np.zeros(n)
     P = as_matrix(P, n, n)
     p_plus = JacobiGroupEltC.from_mat(y, zero, 0.0, np.block([[eye, as_matrix(Y, n, n)], [0 * eye, eye]]))
     kc = JacobiGroupEltC.from_mat(zero, zero, c, np.block([[P, 0 * eye], [0 * eye, inv(P).T]]))
-    p_minus = JacobiGroupEltC.from_mat(
-        zero, np.asarray(v, dtype=complex), 0.0, np.block([[eye, 0 * eye], [as_matrix(V, n, n), eye]])
-    )
+    p_minus = JacobiGroupEltC.from_mat(zero, v, 0.0, np.block([[eye, 0 * eye], [as_matrix(V, n, n), eye]]))
     return jc_mul(jc_mul(p_plus, kc), p_minus)
 
 
@@ -289,8 +283,6 @@ def bk_via_jacobi(k: SuBlocks, y, v, chi: CharParams) -> complex:
 
     Independent of the closed-form kernel: uses only j_chi, k_chi and the
     domain action, with g = ((0,0), 0, k)."""
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    v = np.atleast_1d(np.asarray(v, dtype=complex))
     n = k.n
     g = JacobiGroupElt(n, np.zeros(n), 0.0, k)
     ginv = jacobi_inv(g)

@@ -62,13 +62,24 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None, symmetric:
     return m
 
 
-def as_vector(data, size: int, dtype=complex) -> np.ndarray:
-    """Coerce to a finite 1-D array of `size` entries of `dtype` (a scalar
-    counts as one entry); ShapeError otherwise."""
-    v = np.atleast_1d(np.asarray(data, dtype=dtype))
-    if v.shape != (size,):
+def as_vector(data, size: int | None, dtype=complex) -> np.ndarray:
+    """Coerce to a finite 1-D array of `size` entries (any length if None) of
+    `dtype`, complex or float; a scalar counts as one.  ShapeError otherwise:
+    on non-numeric entries, or a nonzero imaginary part when dtype is float."""
+    try:
+        v = np.atleast_1d(data)
+    except (TypeError, ValueError) as err:
+        raise ShapeError(f"expected a numeric vector: {err}") from None
+    if v.dtype.kind not in "biufc":
+        raise ShapeError(f"expected a numeric vector, got {v.dtype} entries")
+    if dtype is float and v.dtype.kind == "c" and v.imag.any():
+        raise ShapeError("expected a real vector, got a nonzero imaginary part")
+    v = (v.real if dtype is float else v).astype(dtype, copy=False)
+    if v.ndim != 1 or size not in (None, v.shape[0]):
         raise ShapeError(f"expected a vector of length {size}, got shape {v.shape}")
-    require_finite(v)
+    # a Python loop beats numpy's reductions on the few entries of a point
+    if not all(map(cmath.isfinite, v.tolist())):
+        raise ShapeError("NaN/Inf entries")
     return v
 
 

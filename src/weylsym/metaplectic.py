@@ -20,7 +20,7 @@ import numpy as np
 from . import matcore
 from .errors import NotInLie, NotUnimodular
 from .gaussint import GaussianKernel, compose_kernels
-from .matcore import norm, principal_power, principal_sqrt
+from .matcore import as_vector, norm, principal_power, principal_sqrt
 from .polys import Poly
 from .sympgroup import SuBlocks, SuLie, su_inv, su_mul
 from .weylsymbols import GaussianSymbol
@@ -60,9 +60,7 @@ def verify_intertwining(k: SuBlocks, z0, z, w, lam: float) -> float:
     exp(-(λ/4)|kz0|^2 + (λ/2) conj(kz0) z) b_k(z - kz0, w)
         = exp(-(λ/4)|z0|^2 - (λ/2) wbar z0) b_k(z, w + z0).
     """
-    z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    z0, z, w = (as_vector(v, k.n) for v in (z0, z, w))
     bk = sigma_kernel(k, lam)
     kz0 = k.act(z0)
     lhs = np.exp(-lam / 4 * np.sum(np.abs(kz0) ** 2) + lam / 2 * (kz0.conj() @ z)) * bk.eval(
@@ -122,8 +120,7 @@ def alpha_from_dets(k1: SuBlocks, k2: SuBlocks) -> complex:
 def sigma_adjoint_check(k: SuBlocks, z, w, lam: float, swapped: bool = False) -> float:
     """Residual of b_{k^{-1}}(z, w) = conj(b_k(z, w)) as stated, or of the
     argument-swapped variant conj(b_k(w, z)) when ``swapped`` is set."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    z, w = as_vector(z, k.n), as_vector(w, k.n)
     lhs = sigma_kernel(su_inv(k), lam).eval(z, w)
     bk = sigma_kernel(k, lam)
     rhs = np.conj(bk.eval(w, z) if swapped else bk.eval(z, w))
@@ -144,15 +141,17 @@ class DsigmaKernel:
     B: np.ndarray
 
     def eval(self, z, w) -> complex:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        wb = np.atleast_1d(np.asarray(w, dtype=complex)).conj()
-        pref = (
+        z, wb = as_vector(z, self.n), as_vector(w, self.n).conj()
+        return complex(self._pref(z, wb) * np.exp(self.lam / 2 * (z @ wb)))
+
+    def _pref(self, z: np.ndarray, wb: np.ndarray) -> complex:
+        """The prefactor of b_X(z, w) at checked z and wbar; S_λ(dσ(X))(z) at w = z."""
+        return (
             -0.5 * np.trace(self.A)
             + self.lam / 4 * (z @ (self.B.conj() @ z))
             - self.lam / 2 * ((self.A @ z) @ wb)
             - self.lam / 4 * (wb @ (self.B @ wb))
         )
-        return complex(pref * np.exp(self.lam / 2 * (z @ wb)))
 
 
 def dsigma_kernel(x: SuLie, lam: float) -> DsigmaKernel:
@@ -191,7 +190,7 @@ def dsigma_apply(x: SuLie, f: Poly, lam: float) -> Poly:
 
 def berezin_symbol_sigma(k: SuBlocks, z, lam: float) -> complex:
     """S_λ(σ(k))(z); see `berezin_sigma_symbol`."""
-    return berezin_sigma_symbol(k, lam).eval_z(z)
+    return berezin_sigma_symbol(k, lam)._at_z(z)
 
 
 def berezin_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
@@ -206,11 +205,5 @@ def berezin_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
 def berezin_symbol_dsigma(x: SuLie, z, lam: float) -> complex:
     """S_λ(dσ(X))(z) = -Tr(A)/2 + (λ/4) z(Bbar z) - (λ/2)(Az) zbar
     - (λ/4) zbar(B zbar)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zb = z.conj()
-    return complex(
-        -0.5 * np.trace(x.A)
-        + lam / 4 * (z @ (x.B.conj() @ z))
-        - lam / 2 * ((x.A @ z) @ zb)
-        - lam / 4 * (zb @ (x.B @ zb))
-    )
+    z = as_vector(z, x.n)
+    return complex(dsigma_kernel(x, lam)._pref(z, z.conj()))

@@ -25,7 +25,7 @@ import numpy as np
 from . import matcore
 from .errors import BadConfig, NonConvergent, ShapeError
 from .polys import Poly
-from .weylsymbols import GaussianSymbol, QuadForm2n, _cosh_law_symbol, w1_exp_closed
+from .weylsymbols import GaussianSymbol, QuadForm2n, _cosh_law_symbol, w1_exp_symbol
 
 __all__ = [
     "DiffOp",
@@ -237,10 +237,10 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
     """
     if order < 0:
         raise BadConfig(f"series order must be nonnegative, got {order}")
-    point = np.asarray(point, dtype=float).reshape(2 * q.n)
-    if np.linalg.norm(complex(s) * q.M, 2) > 0.25 + 1e-12:
+    point = matcore.as_vector(point, 2 * q.n, float)
+    if not np.linalg.norm(complex(s) * q.M, 2) <= 0.25 + 1e-12:
         raise NonConvergent("‖s M‖ exceeds the convergence envelope (0.25)")
-    if np.linalg.norm(point) > 1.5 + 1e-12:
+    if not np.linalg.norm(point) <= 1.5 + 1e-12:
         raise NonConvergent("|point| exceeds the convergence envelope (1.5)")
     if order > 60:
         raise NonConvergent("truncation order exceeds 60")
@@ -267,14 +267,14 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
         total += term
         if l < order:
             coeffs = _star_step(tab, coeffs, 2 * l, s_mat, lam)
-    if last > 1e-10 * max(abs(total), 1e-30):
+    if not last <= 1e-10 * max(abs(total), 1e-30):
         raise NonConvergent(f"last term {last:.3g} is not negligible")
     return complex(total), last
 
 
 def star_exp_quadratic_closed(q: QuadForm2n, point) -> complex:
     """exp_*(-i q_M)(x, y); see `star_exp_quadratic_symbol`."""
-    return star_exp_quadratic_symbol(q).eval(np.asarray(point, dtype=float).reshape(2 * q.n))
+    return star_exp_quadratic_symbol(q)._at(matcore.as_vector(point, 2 * q.n, float))
 
 
 def star_exp_quadratic_symbol(q: QuadForm2n) -> GaussianSymbol:
@@ -397,7 +397,6 @@ def star_exp_bridge_residual(x_lie, point) -> float:
     n = x_lie.n
     m = matcore.matrix_J(n) @ x_lie.full / 2
     m = np.real((m + m.T) / 2)
-    point = np.asarray(point, dtype=float).reshape(2 * n)
-    closed = star_exp_quadratic_closed(QuadForm2n(n, m), point)
-    w1 = w1_exp_closed(x_lie, point[:n], point[n:])
-    return abs(closed - w1)
+    point = matcore.as_vector(point, 2 * n, float)
+    closed = star_exp_quadratic_symbol(QuadForm2n(n, m))._at(point)
+    return abs(closed - w1_exp_symbol(x_lie)._at(point))

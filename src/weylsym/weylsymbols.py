@@ -25,7 +25,7 @@ import numpy as np
 from . import matcore
 from .errors import AmbiguousPhase, HeatFlowSingular, NonConvergent, ShapeError, SingularMatrix
 from .gaussint import GaussianKernel
-from .matcore import as_matrix, matrix_J, matrix_U, norm, principal_sqrt, require_finite
+from .matcore import as_matrix, as_vector, matrix_J, matrix_U, norm, principal_sqrt, require_finite
 from .quadrature import GaussianExponent, gh_nodes, lebesgue_rn, quadrature_cn
 from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, _trusted, su_from_sp
 
@@ -90,8 +90,17 @@ class GaussianSymbol:
         if v.shape[-1:] != (2 * self.n,):
             raise ShapeError(f"expected points of length {2 * self.n}, got shape {v.shape}")
         require_finite(v)
+        return self._at(v)
+
+    def _at(self, v):
+        """`eval` at points v already checked."""
         val = self.gamma * np.exp(np.einsum("...i,ij,...j->...", v, self.S, v))
         return complex(val) if v.ndim == 1 else val
+
+    def _at_z(self, z) -> complex:
+        """The value at one point z of C^n, checked here."""
+        z = as_vector(z, self.n)
+        return self._at(np.concatenate([z.real, z.imag]))
 
     def eval_z(self, z):
         """Evaluate at z ∈ C^n, or at a batch of shape (..., n), via
@@ -112,7 +121,7 @@ class QuadForm2n:
         object.__setattr__(self, "M", (m + m.T) / 2)
 
     def eval(self, v) -> float:
-        v = np.asarray(v, dtype=float).reshape(2 * self.n)
+        v = as_vector(v, 2 * self.n, float)
         return float(v @ (self.M @ v))
 
 
@@ -126,8 +135,7 @@ def w0_integral(kernel: GaussianKernel, z, lam: float, nodes: int = 80, symmetri
     Either integrand's exponent, the kernel's exponent plus the W0 phase, is
     quadratic in w, so it is summed as a `GaussianExponent`.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    n = z.shape[0]
+    z = as_vector(z, kernel.n)
     zz = float(np.sum(np.abs(z) ** 2))
 
     if symmetric:
@@ -145,7 +153,7 @@ def w0_integral(kernel: GaussianKernel, z, lam: float, nodes: int = 80, symmetri
             e += lam * (w.conj() @ z - zz)
             return e
 
-    return 2**n * kernel.c * quadrature_cn(GaussianExponent(expo), lam, n, nodes_per_axis=nodes)
+    return 2**kernel.n * kernel.c * quadrature_cn(GaussianExponent(expo), lam, kernel.n, nodes_per_axis=nodes)
 
 
 def metaplectic_phase_c(k: SuBlocks) -> complex:
@@ -203,7 +211,7 @@ def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
 
 def w0_sigma_closed(k: SuBlocks, z, lam: float) -> complex:
     """W0(σ(k))(z); see `w0_sigma_symbol`."""
-    return w0_sigma_symbol(k, lam).eval_z(z)
+    return w0_sigma_symbol(k, lam)._at_z(z)
 
 
 def w0_sigma_symbol(k: SuBlocks, lam: float, c: complex | None = None) -> GaussianSymbol:
@@ -216,16 +224,14 @@ def w0_sigma_symbol(k: SuBlocks, lam: float, c: complex | None = None) -> Gaussi
     return GaussianSymbol.from_zz(k.n, c, lam / 2 * jc)
 
 
-def _xy(x, y) -> np.ndarray:
-    """The real point v = (x, y) of R^{2n}."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return np.concatenate([x, y])
+def _xy(n: int, x, y) -> np.ndarray:
+    """The real point v = (x, y) of R^{2n}, x and y checked in R^n."""
+    return np.concatenate([as_vector(x, n, float), as_vector(y, n, float)])
 
 
 def w0_dsigma_closed(x: SuLie, z, lam: float) -> complex:
     """W0(dσ(X))(z) = (λ/4)(z(Bbar z) - zbar(B zbar) - 2(Az) zbar)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = as_vector(z, x.n)
     zb = z.conj()
     return complex(
         lam / 4 * (z @ (x.B.conj() @ z) - zb @ (x.B @ zb) - 2 * ((x.A @ z) @ zb))
@@ -234,7 +240,7 @@ def w0_dsigma_closed(x: SuLie, z, lam: float) -> complex:
 
 def w1_sigma_closed(g: SpReal, x, y, lam: float = 1.0) -> complex:
     """W1(σ'(g))(x, y); see `w1_sigma_symbol`."""
-    return w1_sigma_symbol(g, lam).eval(_xy(x, y))
+    return w1_sigma_symbol(g, lam)._at(_xy(g.n, x, y))
 
 
 def w1_sigma_symbol(g: SpReal, lam: float = 1.0) -> GaussianSymbol:
@@ -249,7 +255,7 @@ def w1_sigma_symbol(g: SpReal, lam: float = 1.0) -> GaussianSymbol:
 
 def w1_exp_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
     """W1(σ'(exp X))(x, y); see `w1_exp_symbol`."""
-    return w1_exp_symbol(x_lie, lam).eval(_xy(x, y))
+    return w1_exp_symbol(x_lie, lam)._at(_xy(x_lie.n, x, y))
 
 
 def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
@@ -269,11 +275,10 @@ def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
 def w1_dsigma_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
     """W1(dσ'(X))(x, y) = (i/2)(2y(Ax) + y(By) - x(Cx))
     = -(i/2)(x y) J X (x y)^t; both forms are evaluated and must agree."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    v = _xy(x_lie.n, x, y)
+    x, y = np.split(v, 2)
     a, b, c = x_lie.A, x_lie.B, x_lie.C
     form1 = 0.5j * (2 * (y @ (a @ x)) + y @ (b @ y) - x @ (c @ x))
-    v = np.concatenate([x, y])
     form2 = -0.5j * (v @ ((matrix_J(x_lie.n) @ x_lie.full) @ v))
     if abs(form1 - form2) > 1e-12 * (1 + abs(form1)):
         raise ShapeError(f"quadratic-form mismatch: {form1} vs {form2}")
@@ -282,7 +287,7 @@ def w1_dsigma_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
 
 def hormander_exp_symbol(m: QuadForm2n, x, y) -> complex:
     """W1(exp(dσ'(iX)))(x, y); see `hormander_symbol`."""
-    return hormander_symbol(m).eval(_xy(x, y))
+    return hormander_symbol(m)._at(_xy(m.n, x, y))
 
 
 def hormander_symbol(m: QuadForm2n) -> GaussianSymbol:
@@ -317,11 +322,9 @@ def berezin_transform_gaussian(f: GaussianSymbol, lam: float) -> GaussianSymbol:
 def berezin_transform_quadrature(f, z, lam: float, nodes: int = 80) -> complex:
     """(B_λ f)(z) = ∫ f(w) e^{-λ|z-w|^2/2} dμ_λ(w) by quadrature; `f` is a
     GaussianSymbol or a vectorised callable on complex points (N, n)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    n = z.shape[0]
-
+    z = as_vector(z, f.n if isinstance(f, GaussianSymbol) else None)
     fval = f.eval_z if isinstance(f, GaussianSymbol) else f
-    return quadrature_cn(lambda w: fval(z + w), lam, n, nodes_per_axis=nodes)
+    return quadrature_cn(lambda w: fval(z + w), lam, z.shape[0], nodes_per_axis=nodes)
 
 
 def polar_relation_residual(k: SuBlocks, lam: float, npoints: int = 10, seed: int = 0) -> float:

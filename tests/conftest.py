@@ -40,3 +40,9 @@ def validator_calls(monkeypatch):
 def as_matrix_calls(monkeypatch):
     """Calls of matcore.as_matrix, the check of an array from outside."""
     return _count_calls(monkeypatch, "weylsym.matcore", ("as_matrix",))
+
+
+@pytest.fixture
+def as_vector_calls(monkeypatch):
+    """Calls of matcore.as_vector, the check of a vector from outside."""
+    return _count_calls(monkeypatch, "weylsym.matcore", ("as_vector",))

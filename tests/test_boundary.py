@@ -1,19 +1,46 @@
-"""Arrays are checked once, where they enter the library: public
-constructors refuse bad input, closed forms refuse a non-finite result, and
-nothing re-checks the arrays the library built itself."""
+"""Arrays and vectors are checked once, where they enter the library:
+public constructors and point-taking functions refuse bad input, closed
+forms refuse a non-finite result, and nothing re-checks the arrays the
+library built itself."""
 
 import numpy as np
 import pytest
 
 from weylsym.errors import ShapeError, WeylsymError
 from weylsym.gaussint import GaussianIntegrand, GaussianKernel, compose_kernels
-from weylsym.jacobi import CharParams, JacobiGroupEltC, JacobiPoint, bk_via_jacobi
-from weylsym.metaplectic import berezin_sigma_symbol, berezin_symbol_sigma, sigma_cocycle_scalar, sigma_kernel
-from weylsym.sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, random_sp, random_sp_lie, random_su, su_from_sp
+from weylsym.heisenberg import HeisElt
+from weylsym.jacobi import CharParams, JacobiGroupElt, JacobiGroupEltC, JacobiPoint, bk_via_jacobi
+from weylsym.metaplectic import (
+    berezin_sigma_symbol,
+    berezin_symbol_dsigma,
+    berezin_symbol_sigma,
+    dsigma_kernel,
+    sigma_adjoint_check,
+    sigma_cocycle_scalar,
+    sigma_kernel,
+    verify_intertwining,
+)
+from weylsym.moyal import star_exp_bridge_residual, star_exp_quadratic_closed, star_exp_series
+from weylsym.sympgroup import (
+    SpLieReal,
+    SpReal,
+    SuBlocks,
+    SuLie,
+    random_sp,
+    random_sp_lie,
+    random_su,
+    su_from_sp,
+    su_lie_from_sp_lie,
+)
 from weylsym.weylsymbols import (
     GaussianSymbol,
     QuadForm2n,
+    berezin_transform_quadrature,
+    hormander_exp_symbol,
+    w0_dsigma_closed,
+    w0_integral,
     w0_sigma_closed,
+    w1_dsigma_closed,
     w1_exp_closed,
     w1_exp_symbol,
     w1_sigma_closed,
@@ -105,6 +132,10 @@ VECTOR_ARGS = [
     (GaussianIntegrand, (1, 0.5 * _I, _Z, 0.5 * _I, np.zeros(1), np.zeros(1)), 4),
     (GaussianIntegrand, (1, 0.5 * _I, _Z, 0.5 * _I, np.zeros(1), np.zeros(1)), 5),
     (JacobiPoint, (1, np.zeros(1), 0.5 * _I), 1),
+    (HeisElt, (1, np.zeros(1), 0.0), 1),
+    (JacobiGroupElt, (1, np.zeros(1), 0.0, SuBlocks.identity(1)), 1),
+    (JacobiGroupEltC, (1, np.zeros(1), np.zeros(1), 0.0, _I, _Z, _Z, _I), 1),
+    (JacobiGroupEltC, (1, np.zeros(1), np.zeros(1), 0.0, _I, _Z, _Z, _I), 2),
 ]
 
 
@@ -114,3 +145,111 @@ def test_constructors_refuse_bad_vectors(cls, args, pos):
     for bad in ([np.nan], [np.inf], [1.0, 2.0], np.zeros((2, 1))):
         with pytest.raises(ShapeError):
             cls(*args[:pos], bad, *args[pos + 1 :])
+
+
+# (constructor, valid arguments, position of the scalar c)
+SCALAR_C = [
+    (HeisElt, (1, np.zeros(1), 0.0), 2),
+    (JacobiGroupElt, (1, np.zeros(1), 0.0, SuBlocks.identity(1)), 2),
+    (JacobiGroupEltC, (1, np.zeros(1), np.zeros(1), 0.0, _I, _Z, _Z, _I), 3),
+]
+
+
+@pytest.mark.parametrize("cls, args, pos", SCALAR_C, ids=[c[0].__name__ for c in SCALAR_C])
+def test_constructors_refuse_non_finite_c(cls, args, pos):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ShapeError):
+            cls(*args[:pos], bad, *args[pos + 1 :])
+
+
+_k, _g = random_su(2, 3), random_sp(2, 4)
+_xl = random_sp_lie(2, 5)
+_xs = su_lie_from_sp_lie(_xl)
+_q = QuadForm2n(2, 0.05 * np.eye(4))
+_z = np.array([0.1 + 0.2j, -0.3j])
+_x, _y = np.array([0.1, 0.2]), np.array([0.3, -0.1])
+# every function of a point at n = 2: kind "z" takes a point of C^n, "v" one
+# of R^{2n} and "xy" one as a pair (x, y) of R^n
+POINTS = [
+    ("w0_sigma_closed", "z", lambda z: w0_sigma_closed(_k, z, 1.0)),
+    ("w0_dsigma_closed", "z", lambda z: w0_dsigma_closed(_xs, z, 1.0)),
+    ("berezin_symbol_sigma", "z", lambda z: berezin_symbol_sigma(_k, z, 1.0)),
+    ("berezin_symbol_dsigma", "z", lambda z: berezin_symbol_dsigma(_xs, z, 1.0)),
+    ("DsigmaKernel.eval-z", "z", lambda z: dsigma_kernel(_xs, 1.0).eval(z, _z)),
+    ("DsigmaKernel.eval-w", "z", lambda w: dsigma_kernel(_xs, 1.0).eval(_z, w)),
+    ("verify_intertwining-z0", "z", lambda z0: verify_intertwining(_k, z0, _z, _z, 1.0)),
+    ("verify_intertwining-z", "z", lambda z: verify_intertwining(_k, _z, z, _z, 1.0)),
+    ("verify_intertwining-w", "z", lambda w: verify_intertwining(_k, _z, _z, w, 1.0)),
+    ("sigma_adjoint_check-z", "z", lambda z: sigma_adjoint_check(_k, z, _z, 1.0)),
+    ("sigma_adjoint_check-w", "z", lambda w: sigma_adjoint_check(_k, _z, w, 1.0)),
+    ("bk_via_jacobi-y", "z", lambda y: bk_via_jacobi(_k, y, _z, CharParams(1.0, -0.5))),
+    ("bk_via_jacobi-v", "z", lambda v: bk_via_jacobi(_k, _z, v, CharParams(1.0, -0.5))),
+    ("w0_integral", "z", lambda z: w0_integral(sigma_kernel(_k, 1.0), z, 1.0, nodes=12)),
+    (
+        "berezin_transform_quadrature",
+        "z",
+        lambda z: berezin_transform_quadrature(GaussianSymbol(2, 1.0, -np.eye(4)), z, 1.0, nodes=12),
+    ),
+    ("w1_sigma_closed", "xy", lambda x, y: w1_sigma_closed(_g, x, y)),
+    ("w1_exp_closed", "xy", lambda x, y: w1_exp_closed(_xl, x, y)),
+    ("w1_dsigma_closed", "xy", lambda x, y: w1_dsigma_closed(_xl, x, y)),
+    ("hormander_exp_symbol", "xy", lambda x, y: hormander_exp_symbol(_q, x, y)),
+    ("QuadForm2n.eval", "v", lambda v: _q.eval(v)),
+    ("star_exp_series", "v", lambda v: star_exp_series(_q, -1j, 8, v)),
+    ("star_exp_quadratic_closed", "v", lambda v: star_exp_quadratic_closed(_q, v)),
+    ("star_exp_bridge_residual", "v", lambda v: star_exp_bridge_residual(_xl, v)),
+]
+GOOD = {"z": (_z,), "v": (np.concatenate([_x, _y]),), "xy": (_x, _y)}
+# NaN, inf, a wrong length, complex data for a real point, strings
+BAD = {
+    "z": [([np.nan, 0],), ([0, complex(0, np.inf)],), (np.zeros(3),), (np.zeros((2, 1)),), (["a", "b"],)],
+    "v": [([0.1, np.nan, 0, 0],), ([0, 0, np.inf, 0],), (np.zeros(5),), ([0.1 + 1j, 0, 0, 0],), (["0.1"] * 4,)],
+    "xy": [
+        ([np.nan, 0], _y),
+        (_x, [0, np.inf]),
+        (np.zeros(3), np.zeros(1)),
+        (np.array([0.1 + 1j, 0.2]), _y),
+        (_x, ["0.3", "0.1"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, kind, call", POINTS, ids=[p[0] for p in POINTS])
+def test_points_are_checked_where_they_enter(name, kind, call):
+    call(*GOOD[kind])
+    for bad in BAD[kind]:
+        with pytest.raises(ShapeError):
+            call(*bad)
+
+
+def test_wrong_answers_at_n1_are_refused():
+    g, x, q = random_sp(1, 1), random_sp_lie(1, 2), QuadForm2n(1, 0.1 * np.eye(2))
+    for call in (
+        # the NaN passed the series' convergence certificate
+        lambda: star_exp_series(q, -1j, 12, [np.nan, 0.1]),
+        # (x, y) split as (2, 0)
+        lambda: w1_exp_closed(x, [0.1, 0.2], []),
+        lambda: hormander_exp_symbol(q, [0.1, 0.2], []),
+        # the imaginary part was dropped with a ComplexWarning
+        lambda: w1_sigma_closed(g, np.array([0.1 + 1j]), [0.2]),
+        lambda: star_exp_quadratic_closed(q, np.array([0.1 + 2j, 0.2])),
+    ):
+        with pytest.raises(ShapeError):
+            call()
+
+
+def test_callable_berezin_transform_takes_any_length():
+    f = lambda w: np.exp(-np.sum(np.abs(w) ** 2, axis=-1))  # noqa: E731
+    berezin_transform_quadrature(f, [0.1], 1.0, nodes=8)
+    berezin_transform_quadrature(f, [0.1, 0.2j], 1.0, nodes=8)
+    for bad in ([np.nan], [[0.1]], ["a"]):
+        with pytest.raises(ShapeError):
+            berezin_transform_quadrature(f, bad, 1.0, nodes=8)
+
+
+@pytest.mark.parametrize("nodes", [12, 40])
+def test_w0_integral_checks_its_point_once(as_vector_calls, nodes):
+    kernel = sigma_kernel(_k, 1.0)
+    as_vector_calls.clear()
+    w0_integral(kernel, _z, 1.0, nodes=nodes)
+    assert len(as_vector_calls) == 1
