@@ -2,7 +2,8 @@
 named verification suites.
 
 Exit codes: 0 success, 1 suite failures, 2 bad input, 3 unresolved phase
-ambiguity (pass --adjudicate-phase to resolve it by quadrature).
+ambiguity (pass --adjudicate-phase to resolve it by quadrature), or a
+cosh-law constant that fails its certificate.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -173,7 +175,7 @@ def _run_eval(args) -> int:
     elif kind in ("star-exp", "hormander"):
         if not args.M:
             raise WeylsymError(f"{kind} requires --M")
-        m = _load_square(args.M, 2 * n).real
+        m = _load_square(args.M, 2 * n)
         q = QuadForm2n(n, (m + m.T) / 2)
         pt = np.asarray(args.point if args.point else args.at, dtype=float)
         if pt.size != 2 * n:
@@ -215,6 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a symbol or kernel at a point")
+    # a coordinate such as -3.7e-05 is a number, not an option: Python
+    # 3.11's argparse takes only the forms -1 and -1.5 for numbers
+    pe._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     pe.add_argument("kind", choices=EVAL_KINDS)
     pe.add_argument("--k", help="element of S (2n x 2n complex matrix JSON)")
     pe.add_argument("--g", help="element of Sp(n, R) (2n x 2n real matrix JSON)")

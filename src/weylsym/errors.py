@@ -54,7 +54,8 @@ class NotUnimodular(WeylsymError):
 
 
 class AmbiguousPhase(WeylsymError):
-    """Phase case analysis is undecidable (det(I+k) < 0 with real det P)."""
+    """A sign the library cannot vouch for: the case analysis at det(I+k) < 0
+    with real det P, or a spectrum not split into ±μ pairs."""
 
 
 class NonConvergent(WeylsymError):

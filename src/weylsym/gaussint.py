@@ -88,15 +88,27 @@ class GaussianIntegrand:
 
 
 def quadrature_scale(gi: GaussianIntegrand) -> float:
-    """Gauss–Hermite axis scale matched to the slowest decay direction.
+    """Gauss–Hermite axis scale matched to the fastest decay direction.
 
     In real coordinates v = (x, y) the integrand decays like
     exp(-v^t Re(N) v), so sampling at w = scale·s with
-    scale = max(1, λ_min(Re N)^{-1/2}) keeps the transformed integrand
-    bounded by the e^{-s^2} weight on every axis.
+    scale = λ_max(Re N)^{-1/2} leaves, along an eigenvector of Re N with
+    eigenvalue λ, the factor exp(c s^2) over the e^{-s^2} weight, with
+    0 ≤ c = 1 - λ/λ_max < 1.  DivergentIntegral unless Re N > 0.
     """
-    lam_min = matcore.require_posreal(gi.N, DivergentIntegral)
-    return max(1.0, 1.0 / np.sqrt(lam_min))
+    n_mat = gi.N
+    matcore.require_posreal(n_mat, DivergentIntegral)
+    # Re N is the Hermitian part of N, so λ_max(Re N) = -λ_min(Re(-N))
+    return 1.0 / np.sqrt(-matcore.hermitian_lam_min(-n_mat))
+
+
+def quadrature_centre(gi: GaussianIntegrand) -> np.ndarray:
+    """The peak w_c of |gi.eval|, where a quadrature grid is centred by
+    integrating w ↦ gi.exponent(w + w_c): in real coordinates v = (x, y),
+    |gi.eval| = exp(Re(U^t r) v - v^t Re(N) v) peaks at
+    v_c = (1/2) Re(N)^{-1} Re(U^t r)."""
+    v = matcore.solve(gi.N.real, (matrix_U(gi.n).T @ gi._r).real) / 2
+    return v[: gi.n] + 1j * v[gi.n :]
 
 
 def gaussian_law(m: np.ndarray, r: np.ndarray):

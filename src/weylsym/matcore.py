@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs, zlange
 
-from .errors import NotPositiveReal, ShapeError, SingularMatrix, CayleySingular
+from .errors import AmbiguousPhase, NotPositiveReal, ShapeError, SingularMatrix, CayleySingular
 
 __all__ = [
     "as_matrix",
@@ -38,17 +39,19 @@ __all__ = [
     "lu_solve",
     "solve",
     "inv",
-    "det_sqrt",
     "det_powhalf_posreal",
+    "hamiltonian_cosh_det",
     "hermitian_lam_min",
     "require_posreal",
     "norm",
     "quad_form",
 ]
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None, symmetric: float | None = None) -> np.ndarray:
-    """Coerce to a finite complex 2-D array, optionally checking its shape
-    and that ‖m - m^t‖ ≤ symmetric·(1 + ‖m‖)."""
+def as_matrix(data, rows: int | None = None, cols: int | None = None, symmetric: float | None = None,
+              dtype=complex) -> np.ndarray:
+    """Coerce to a finite 2-D array of `dtype`, complex or float, optionally
+    checking its shape and that ‖m - m^t‖ ≤ symmetric·(1 + ‖m‖); ShapeError
+    otherwise, and on a nonzero imaginary part when dtype is float."""
     m = np.asarray(data, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D array, got ndim={m.ndim}")
@@ -59,6 +62,10 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None, symmetric:
     require_finite(m)
     if symmetric is not None and norm(m - m.T) > symmetric * (1 + norm(m)):
         raise ShapeError("matrix is not symmetric")
+    if dtype is float:
+        if m.imag.any():
+            raise ShapeError("expected a real matrix, got a nonzero imaginary part")
+        return m.real.copy()
     return m
 
 
@@ -211,24 +218,23 @@ def require_posreal(m: np.ndarray, error=NotPositiveReal) -> float:
     return lam_min
 
 
-def det_sqrt(m: np.ndarray) -> complex:
-    """det(M)^{1/2} as the product of per-eigenvalue principal roots; an
-    eigenvalue of modulus ≤ 1e-12 raises SingularMatrix."""
-    root = complex(1.0)
-    for ev in np.linalg.eigvals(m):
-        if abs(ev) <= 1e-12:
-            raise SingularMatrix("eigenvalue at zero: square root undefined")
-        root *= principal_sqrt(complex(ev))
-    return root
-
-
 def det_powhalf_posreal(n_mat: np.ndarray, error=NotPositiveReal) -> complex:
     """det(N)^{1/2} for complex symmetric N with Re(N) positive definite
-    (`require_posreal`, raising `error`).
-
-    All eigenvalues of N lie in its field of values, hence in the open right
-    half-plane, so the per-eigenvalue principal roots of `det_sqrt` are
-    branch-consistent and the result has positive real part.
-    """
+    (`require_posreal`, raising `error`): every eigenvalue of N lies in its
+    field of values, in the open right half-plane, so the product of their
+    principal roots is branch-consistent and has positive real part."""
     require_posreal(n_mat, error)
-    return det_sqrt(n_mat)
+    return math.prod(map(principal_sqrt, np.linalg.eigvals(n_mat).tolist()))
+
+
+def hamiltonian_cosh_det(a: np.ndarray, det_cosh: complex) -> complex:
+    """(Det cosh a)^{1/2} = Π cosh(μ) over one μ of each ±μ pair of eigenvalues
+    of a Hamiltonian matrix a: Re μ > 0, or Re μ ≈ 0 < Im μ (a pair at 0 adds 1).
+    cosh is even, so no root is taken.  AmbiguousPhase unless the square matches
+    `det_cosh`, Det cosh a from `require_invertible`, to a relative 1e-3."""
+    mu = np.linalg.eigvals(a).tolist()
+    tol = 1e-8 * (1 + max(map(abs, mu)))
+    root = complex(math.prod(cmath.cosh(m) for m in mu if m.real > tol or (abs(m.real) <= tol and m.imag > tol)))
+    if not abs(root * root - det_cosh) <= 1e-3 * abs(det_cosh):
+        raise AmbiguousPhase(f"Π cosh(μ)² {root * root:.3g} ≠ Det cosh {det_cosh:.3g}: no ±μ pairs, or a pole")
+    return root

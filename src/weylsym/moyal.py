@@ -228,8 +228,9 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
 
     Refuses outside the convergence envelope ‖sM‖ ≤ 0.25, |point| ≤ 1.5,
     L ≤ 60, and raises NonConvergent if the certificate fails.  Raises
-    BadConfig for L < 0, and when the packed powers would need more than
-    2^21 monomials (n = 3 or more at order 40).
+    ShapeError for a non-finite s, and BadConfig for L < 0 and when the
+    packed powers would need more than 2^21 monomials (n = 3 or more at
+    order 40).
 
     Each power is a dense coefficient array over the monomials of degree
     ≤ 2l in graded order (see `_star_step`), evaluated by one dot product
@@ -238,7 +239,9 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
     if order < 0:
         raise BadConfig(f"series order must be nonnegative, got {order}")
     point = matcore.as_vector(point, 2 * q.n, float)
-    if not np.linalg.norm(complex(s) * q.M, 2) <= 0.25 + 1e-12:
+    s = complex(s)
+    matcore.require_finite(s)
+    if not np.linalg.norm(s * q.M, 2) <= 0.25 + 1e-12:
         raise NonConvergent("‖s M‖ exceeds the convergence envelope (0.25)")
     if not np.linalg.norm(point) <= 1.5 + 1e-12:
         raise NonConvergent("|point| exceeds the convergence envelope (1.5)")
@@ -252,7 +255,7 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
             f"(limit {_MAX_MONOMIALS})"
         )
     tab = _graded_table(k, top)
-    s_mat = complex(s) * (q.M + q.M.T) / 2
+    s_mat = s * (q.M + q.M.T) / 2
     lam = matcore.matrix_J(q.n).real
     powers = point[:, None] ** np.arange(top + 1)
     values = np.ones(_prefix(tab, top))

@@ -270,7 +270,8 @@ def quadrature_cn(f, lam: float, n: int, nodes_per_axis: int = 80) -> complex:
 
 
 def lebesgue_cn(f, n: int, nodes_per_axis: int = 80, scale: float = 1.0) -> complex:
-    """∫_{C^n} f(w) dm(w) for integrands decaying at least like e^{-|w|^2/scale^2}."""
+    """∫_{C^n} f(w) dm(w) for integrands decaying like a Gaussian of width
+    about `scale` on each real axis (see `gaussint.quadrature_scale`)."""
     plan = _checked_plan(2 * n, nodes_per_axis)
     to_x = functools.partial(_to_cn, scale=scale)
     # scale^{2n} is the Jacobian

@@ -18,6 +18,7 @@ from .gaussint import (
     compose_kernels,
     det_identity_residual,
     gaussian_integral_closed,
+    quadrature_centre,
     quadrature_scale,
 )
 from .heisenberg import HeisElt, bargmann_apply, rho_fock_apply, rho_schrod_apply
@@ -153,7 +154,9 @@ def _suite_gaussint(n, lam, trials, seed, nodes):
         rng = rng_for(_tseed(seed, trial), "gaussint")
         gi = random_gaussian_integrand(rng, n)
         closed = gaussian_integral_closed(gi)
-        quad = lebesgue_cn(GaussianExponent(gi.exponent), n, nodes_per_axis=nodes, scale=quadrature_scale(gi))
+        wc = quadrature_centre(gi)
+        quad = lebesgue_cn(GaussianExponent(lambda w: gi.exponent(w + wc)), n, nodes_per_axis=nodes,
+                           scale=quadrature_scale(gi))
         yield f"trial{trial}", abs(closed - quad) / abs(closed)
 
 

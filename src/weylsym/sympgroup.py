@@ -159,9 +159,9 @@ class SpLieReal:
     C: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, self.n, self.n).real.astype(float))
-        object.__setattr__(self, "B", as_matrix(self.B, self.n, self.n).real.astype(float))
-        object.__setattr__(self, "C", as_matrix(self.C, self.n, self.n).real.astype(float))
+        object.__setattr__(self, "A", as_matrix(self.A, self.n, self.n, dtype=float))
+        object.__setattr__(self, "B", as_matrix(self.B, self.n, self.n, dtype=float))
+        object.__setattr__(self, "C", as_matrix(self.C, self.n, self.n, dtype=float))
         _require(validate_sp_lie(self), NotInLie, "X is not in the Lie algebra")
 
     @property

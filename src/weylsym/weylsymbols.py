@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import AmbiguousPhase, HeatFlowSingular, NonConvergent, ShapeError, SingularMatrix
+from .errors import AmbiguousPhase, HeatFlowSingular, NonConvergent, ShapeError
 from .gaussint import GaussianKernel
 from .matcore import as_matrix, as_vector, matrix_J, matrix_U, norm, principal_sqrt, require_finite
 from .quadrature import GaussianExponent, gh_nodes, lebesgue_rn, quadrature_cn
@@ -117,7 +117,7 @@ class QuadForm2n:
     M: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(np.asarray(self.M, dtype=float), 2 * self.n, 2 * self.n, symmetric=1e-12).real
+        m = as_matrix(self.M, 2 * self.n, 2 * self.n, symmetric=1e-12, dtype=float)
         object.__setattr__(self, "M", (m + m.T) / 2)
 
     def eval(self, v) -> float:
@@ -260,16 +260,13 @@ def w1_exp_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
 
 def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
     """W1(σ'(exp X))(x, y) = (Det cosh(X/2))^{-1/2}
-    exp(-iλ (x y) J tanh(X/2) (x y)^t).
-
-    Det cosh(X/2) is nonnegative on sp(n, R); the real square root is used.
-    """
-    ch, sh = matcore.mat_cosh(x_lie.full / 2)
+    exp(-iλ (x y) J tanh(X/2) (x y)^t), the root by `matcore.hamiltonian_cosh_det`."""
+    half = x_lie.full / 2
+    ch, sh = matcore.mat_cosh(half)
     factors, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
-    if abs(d.imag) > 1e-8 * (1 + abs(d)) or d.real < 0:
-        raise SingularMatrix(f"Det cosh(X/2) = {d} is not positive")
     th = matcore.lu_solve(factors, sh)
-    return GaussianSymbol._trusted(x_lie.n, 1 / np.sqrt(d.real), -1j * lam * (matrix_J(x_lie.n) @ th))
+    gamma = 1 / matcore.hamiltonian_cosh_det(half, d)
+    return GaussianSymbol._trusted(x_lie.n, gamma, -1j * lam * (matrix_J(x_lie.n) @ th))
 
 
 def w1_dsigma_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
@@ -297,11 +294,12 @@ def hormander_symbol(m: QuadForm2n) -> GaussianSymbol:
 
 
 def _cosh_law_symbol(n: int, jm: np.ndarray) -> GaussianSymbol:
-    """(Det cosh(jm))^{-1/2} exp(i (x y) J tanh(jm) (x y)^t), per-eigenvalue
-    roots of Det cosh(jm): exp_*(-i q_M) at jm = JM, Hörmander's at iJM."""
+    """(Det cosh(jm))^{-1/2} exp(i (x y) J tanh(jm) (x y)^t), the root by
+    `matcore.hamiltonian_cosh_det`: exp_*(-i q_M) at jm = JM, Hörmander's at iJM."""
     ch, sh = matcore.mat_cosh(jm)
-    th = sh @ matcore.inv(ch, scale=norm(ch) + norm(sh))
-    return GaussianSymbol._trusted(n, 1 / matcore.det_sqrt(ch), 1j * (matrix_J(n) @ th))
+    factors, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
+    th = sh @ matcore.lu_solve(factors, np.eye(2 * n))
+    return GaussianSymbol._trusted(n, 1 / matcore.hamiltonian_cosh_det(jm, d), 1j * (matrix_J(n) @ th))
 
 
 def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:

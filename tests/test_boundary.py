@@ -112,6 +112,19 @@ def test_constructors_refuse_nan_and_wrong_shape(cls, args, pos):
             cls(*args[:pos], bad, *args[pos + 1 :])
 
 
+def test_real_matrices_refuse_an_imaginary_part():
+    spoilt = np.array([[1 + 1j, 0], [0, 1]])
+    for call in (
+        lambda: QuadForm2n(1, spoilt),
+        lambda: QuadForm2n(1, spoilt.tolist()),
+        lambda: SpLieReal(1, [[1j]], _Z, _Z),
+        lambda: SpLieReal(1, _Z, [[0.5j]], _Z),
+    ):
+        with pytest.raises(ShapeError):
+            call()
+    assert QuadForm2n(1, np.eye(2) + 0j).M.dtype == SpLieReal(1, _I + 0j, _Z, _Z).A.dtype == float
+
+
 def test_non_finite_points_are_refused():
     k, g = random_su(1, 1), random_sp(1, 1)
     sym = GaussianSymbol(1, 1.0, -np.eye(2))

@@ -6,8 +6,10 @@ import pytest
 
 from weylsym.cli import main
 from weylsym.mjson import dump_matrix
+from weylsym.moyal import star_exp_quadratic_closed
 from weylsym.suites import SuiteReport
 from weylsym.sympgroup import SpReal, random_sp, sp_mul, su_from_sp
+from weylsym.weylsymbols import QuadForm2n
 
 
 def _run(capsys, argv):
@@ -179,8 +181,10 @@ def _matrix_file(tmp_path, name, m):
         ("w1-exp", "--X", [[0.1, 0.2], [0.3, -0.1]], [[0.1, 0.2], [0.3, 5.0]]),
         # X = [[A, B], [Bbar, Abar]]
         ("w0-dsigma", "--X", [[0.1j, 0.2], [0.2, -0.1j]], [[0.1j, 0.2], [0.7, -0.1j]]),
+        # M must be real
+        ("star-exp", "--M", 0.1 * np.eye(2), [[0.1, 0.05j], [0.05j, 0.1]]),
     ],
-    ids=["SuBlocks", "SpReal", "SpLieReal", "SuLie"],
+    ids=["SuBlocks", "SpReal", "SpLieReal", "SuLie", "QuadForm2n"],
 )
 def test_eval_refuses_a_matrix_its_element_does_not_reproduce(tmp_path, capsys, kind, flag, good, bad):
     args = ["eval", kind, "--at", "0.1", "0.2"]
@@ -211,3 +215,12 @@ def test_w0_sigma_refuses_k_outside_s(tmp_path, capsys):
 def test_negative_series_order_is_bad_config(capsys):
     assert main(["eval", "star-exp", "--M", "0.1I", "--point", "0.1", "0.2", "--order", "-1"]) == 2
     assert "order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, at", [("--at", ["-3.7e-05", "0.1"]), ("--point", ["0.2", "-1e-05"]),
+                                      ("--at", ["-2E+0", "-.5"])])
+def test_eval_takes_negative_coordinates_with_an_exponent(capsys, flag, at):
+    code, out = _run(capsys, ["eval", "star-exp", "--M", "0.1I", flag, *at, "--closed"])
+    assert code == 0
+    expect = star_exp_quadratic_closed(QuadForm2n(1, 0.1 * np.eye(2)), [float(a) for a in at])
+    assert json.loads(out)["value"] == [expect.real, expect.imag]

@@ -22,7 +22,7 @@ def _cpx(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-from weylsym.suites import random_gaussian_integrand
+from weylsym.suites import random_gaussian_integrand, run_suite
 
 
 def test_pure_gaussian_value():
@@ -42,6 +42,13 @@ def test_closed_form_matches_quadrature():
             closed = gaussian_integral_closed(gi)
             quad = lebesgue_cn(GaussianExponent(gi.exponent), n, nodes_per_axis=nodes, scale=quadrature_scale(gi))
             assert abs(closed - quad) / abs(closed) < 1e-8
+
+
+def test_suite_resolves_large_linear_terms():
+    # suite seeds whose n = 2 draws the default 40 nodes missed (worst 4.9e-4)
+    # while the grid sat at the origin with axis scale max(1, λ_min^{-1/2})
+    for seed in (1185148834, 603779526, 651204975, 127500470, 46318034, 1924864901):
+        assert run_suite("gaussint", n=2, trials=1, seed=seed).failures == 0
 
 
 def test_divergent_integrand_rejected():

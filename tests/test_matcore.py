@@ -7,7 +7,7 @@ import pytest
 
 import weylsym
 from weylsym import matcore
-from weylsym.errors import CayleySingular, DivergentIntegral, NoDecomposition, NotPositiveReal, SingularMatrix
+from weylsym.errors import AmbiguousPhase, CayleySingular, DivergentIntegral, NoDecomposition, NotPositiveReal, SingularMatrix
 
 
 def test_frame_matrices():
@@ -86,6 +86,29 @@ def test_det_powhalf_posreal():
 def test_det_powhalf_rejects_indefinite():
     with pytest.raises(NotPositiveReal):
         matcore.det_powhalf_posreal(np.diag([1.0, -1.0]))
+
+
+def test_hamiltonian_cosh_det_pairs_the_spectrum():
+    def paired(a):
+        ch, sh = matcore.mat_cosh(a)
+        d = matcore.require_invertible(ch, scale=matcore.norm(ch) + matcore.norm(sh))[1]
+        return matcore.hamiltonian_cosh_det(a, d), d
+
+    # eigenvalues ±2i: Π cosh = cos 2 < 0, a sign no root of Det cosh = cos²2 picks
+    rot = np.array([[0.0, 2.0], [-2.0, 0.0]])
+    root, d = paired(rot)
+    assert root == pytest.approx(np.cos(2.0), rel=1e-14)
+    # ±(1 + 2i) and ±(1 - 2i), and a nilpotent pair at zero that adds cosh 0 = 1
+    a = np.zeros((6, 6))
+    a[:2, :2] = [[1.0, 2.0], [-2.0, 1.0]]
+    a[2:4, 2:4] = [[-1.0, 2.0], [-2.0, -1.0]]
+    a[4, 5] = 1.0
+    assert paired(a)[0] == pytest.approx(abs(np.cosh(1 + 2j)) ** 2, rel=1e-14)
+    # a spectrum not made of ± pairs, or a determinant the product does not square to
+    with pytest.raises(AmbiguousPhase):
+        paired(np.diag([1.0, 2.0]))
+    with pytest.raises(AmbiguousPhase):
+        matcore.hamiltonian_cosh_det(rot, 2 * d)
 
 
 def test_solve_and_inv_singular():

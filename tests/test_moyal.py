@@ -22,7 +22,7 @@ from weylsym.moyal import (
     weyl_quantize_poly,
 )
 from weylsym.polys import Poly
-from weylsym.sympgroup import random_sp_lie, rng_for
+from weylsym.sympgroup import SpLieReal, random_sp_lie, rng_for
 from weylsym.weylsymbols import QuadForm2n
 
 
@@ -281,6 +281,9 @@ def test_star_exp_envelope_rejections():
         star_exp_series(q, -1j, 80, [0.1, 0.1])
     with pytest.raises(NonConvergent):
         star_exp_series(q, -1j, 2, [1.0, 1.0])  # last term not negligible
+    for s in (np.nan, complex(0.0, np.inf)):
+        with pytest.raises(ShapeError):
+            star_exp_series(q, s, 12, [0.1, 0.1])
 
 
 def test_star_exp_bridge_to_w1():
@@ -289,6 +292,10 @@ def test_star_exp_bridge_to_w1():
         x = random_sp_lie(1, 900 + seed, scale=0.4)
         point = rng.uniform(-1, 1, 2)
         assert star_exp_bridge_residual(x, point) < 1e-10
+    # the rotation generator, past the first pole of the constant at ω = π
+    for omega in (1.0, 4.0, 7.0):
+        x = SpLieReal(1, [[0.0]], [[omega]], [[-omega]])
+        assert star_exp_bridge_residual(x, [0.1, 0.2]) < 1e-12
 
 
 def test_phase_poly_from_quadform():

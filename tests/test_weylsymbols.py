@@ -302,12 +302,75 @@ def test_closed_forms_refuse_singular_cosh():
         star_exp_quadratic_symbol(QuadForm2n(1, np.pi / 2 * np.eye(2)))
 
 
+def test_w1_exp_of_a_full_turn_is_minus_one():
+    # exp X = I, and the metaplectic lift of a full turn is -I
+    sym = w1_exp_symbol(SpLieReal(1, [[0.0]], [[2 * np.pi]], [[-2 * np.pi]]))
+    assert sym.gamma == pytest.approx(-1.0, abs=1e-12)
+    assert np.abs(sym.S).max() < 1e-12
+
+
+def _conjugated_lie(n, seed, a, b, c):
+    """S X S^{-1} for X = [[A, B], [C, -A^t]] and S = random_sp(n, seed)."""
+    s = random_sp(n, seed).g.real
+    x = s @ np.block([[a, b], [c, -a.T]]) @ np.linalg.inv(s)
+    return SpLieReal(n, x[:n, :n], x[:n, n:], x[n:, :n])
+
+
+@pytest.mark.parametrize("omegas", [(1.0, 4.0), (4.0, 0.5, 2.0), (7.0, 2 * np.pi - 0.3, 3.5)])
+def test_cosh_law_constants_past_the_pole(omegas):
+    """X = S R S^{-1}, R a direct sum of rotation generators ω_j: W1(exp X)
+    and exp_*(-i q_M) at M = JX/2 have constant Π 1/cos(ω_j/2).  With boosts
+    a_j in place of the rotations, Hörmander's symbol at M = JX/2 has
+    Π 1/cos(a_j/2)."""
+    n, w = len(omegas), np.diag(omegas)
+    zero = np.zeros((n, n))
+    want = np.prod(1 / np.cos(np.array(omegas) / 2))
+    for seed in range(3):
+        x = _conjugated_lie(n, seed, zero, w, -w)
+        m = QuadForm2n(n, np.real(matcore.matrix_J(n) @ x.full) / 2)
+        assert w1_exp_symbol(x).gamma == pytest.approx(want, rel=1e-9)
+        assert star_exp_quadratic_symbol(m).gamma == pytest.approx(want, rel=1e-9)
+        boost = _conjugated_lie(n, seed, w, zero, zero)
+        m = QuadForm2n(n, np.real(matcore.matrix_J(n) @ boost.full) / 2)
+        assert hormander_symbol(m).gamma == pytest.approx(want, rel=1e-9)
+
+
+def test_star_exp_constant_changes_sign_only_at_poles():
+    """Along t ↦ γ(tM), t ∈ [0, 1], the constant of exp_*(-i q_{tM}) is
+    Π 1/cos(tω_j) up to a positive factor, over the elliptic pairs ±iω_j of
+    JM: its sign flips only where some tω_j crosses π/2 + kπ.  40 draws of
+    spectral norm 3 for each n from one stream; those with a pole on the
+    path (9, 4 and 5) are walked on an 800-point grid."""
+    rng = np.random.default_rng(5)
+    t = np.linspace(0, 1, 800)
+    walked = []
+    for n in (1, 2, 3):
+        walked.append(0)
+        for _ in range(40):
+            a = rng.standard_normal((2 * n, 2 * n))
+            m = a + a.T
+            m *= 3 / np.linalg.norm(m, 2)
+            mu = np.linalg.eigvals(matcore.matrix_J(n) @ m)
+            omega = mu.imag[(abs(mu.real) < 1e-9) & (mu.imag > 0)]
+            if not omega.size or omega.max() <= np.pi / 2:
+                continue
+            walked[-1] += 1
+            gamma = np.array([star_exp_quadratic_symbol(QuadForm2n(n, tt * m)).gamma for tt in t])
+            want = np.sign(np.prod(np.cos(np.outer(t, omega)), axis=1))
+            assert np.array_equal(np.sign(gamma.real), want)
+            assert np.all(abs(gamma.imag) <= 1e-10 * abs(gamma))
+    assert walked == [9, 4, 5]
+
+
 def _hormander_by_cos_tan(m):
-    """Hörmander's formula written out with cos(JM) and tan(JM)."""
+    """Hörmander's formula written out with cos(JM) and tan(JM); the root of
+    Det cos(JM) as per-eigenvalue principal roots, which is its branch away
+    from the poles."""
     jm = matcore.matrix_J(m.n) @ m.M
     cos, sinh_ijm = matcore.mat_cosh(1j * jm)
     tan = -1j * sinh_ijm @ matcore.inv(cos, scale=matcore.norm(cos) + matcore.norm(sinh_ijm))
-    return 1 / matcore.det_sqrt(cos), -(matcore.matrix_J(m.n) @ tan)
+    root = np.prod(np.sqrt(np.linalg.eigvals(cos)))
+    return 1 / root, -(matcore.matrix_J(m.n) @ tan)
 
 
 def test_hormander_symbol_is_cos_tan_formula():
@@ -318,7 +381,7 @@ def test_hormander_symbol_is_cos_tan_formula():
             m = QuadForm2n(n, (a + a.T) / 2)
             gamma, s = _hormander_by_cos_tan(m)
             sym = hormander_symbol(m)
-            assert sym.gamma == gamma
+            assert sym.gamma == pytest.approx(gamma, rel=1e-13, abs=0)
             assert np.array_equal(sym.S, (s + s.T) / 2)
 
 
