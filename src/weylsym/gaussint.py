@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import matcore, sympgroup
 from .errors import DivergentIntegral, ShapeError
 from .matcore import as_matrix, as_vector, det_powhalf_posreal, matrix_U, norm, quad_form, require_finite
-from .sympgroup import SuBlocks, _trusted
+from .sympgroup import SuBlocks
 
 __all__ = [
     "GaussianIntegrand",
@@ -42,9 +42,34 @@ __all__ = [
 ]
 
 
+class _Gaussian:
+    """x ↦ c exp(x^t Q x + r·x) at axis-major points x of C^{2n}: the record under the
+    three Gaussian types, whose `_init` says how their fields give (c, Q, r)."""
+
+    @classmethod
+    def _trusted(cls, *values):
+        """From fields computed from checked data: not checked again, but sealed."""
+        out = sympgroup._trusted(cls, *values)
+        out._init()
+        return out
+
+    def _seal(self, c, q: np.ndarray, r: np.ndarray | None = None) -> None:
+        """Store Q and r; ShapeError unless c and Q are finite, the one guard
+        against a NaN or inf from a closed form (r comes from checked vectors)."""
+        require_finite(c, q)
+        object.__setattr__(self, "Q", q)
+        object.__setattr__(self, "r", r)
+
+    def _form(self, x: np.ndarray) -> np.ndarray:
+        """The one exponent evaluator: x^t Q x + r·x at x (2n, ...), or (2n, m) with r."""
+        f = quad_form(self.Q, x)
+        return f if self.r is None else f + self.r @ x
+
+
 @dataclass(frozen=True)
-class GaussianIntegrand:
-    """Data of exp(-(w(Aw) + wbar(D wbar) + 2 wbar(Bw))) exp(uw + v wbar)."""
+class GaussianIntegrand(_Gaussian):
+    """Data of exp(-(w(Aw) + wbar(D wbar) + 2 wbar(Bw))) exp(uw + v wbar):
+    Q = -M, r = (u, v) at ω = (w, wbar)."""
 
     n: int
     A: np.ndarray
@@ -59,27 +84,26 @@ class GaussianIntegrand:
         object.__setattr__(self, "D", as_matrix(self.D, self.n, self.n, symmetric=1e-12))
         object.__setattr__(self, "u", as_vector(self.u, self.n))
         object.__setattr__(self, "v", as_vector(self.v, self.n))
-        m = np.block([[self.A, self.B.T], [self.B, self.D]])
-        m.flags.writeable = False
-        object.__setattr__(self, "_M", m)
-        object.__setattr__(self, "_r", np.concatenate([self.u, self.v]))
+        self._init()
+
+    def _init(self):
+        self._seal(1, -np.block([[self.A, self.B.T], [self.B, self.D]]), np.concatenate([self.u, self.v]))
 
     @property
     def M(self) -> np.ndarray:
-        """[[A, B^t], [B, D]], read-only."""
-        return self._M
+        """[[A, B^t], [B, D]]."""
+        return -self.Q
 
     @property
     def N(self) -> np.ndarray:
         u = matrix_U(self.n)
-        return u.T @ self._M @ u
+        return u.T @ self.M @ u
 
     def exponent(self, w: np.ndarray) -> np.ndarray:
         """The exponent r ω - ω^t M ω at w of shape (..., n), with
-        ω = (w, wbar) stacked axis-major and r = (u, v)."""
+        ω = (w, wbar) stacked axis-major."""
         wt = np.asarray(w, dtype=complex).T
-        omega = np.concatenate([wt, wt.conj()]).reshape(2 * self.n, -1)
-        expo = self._r @ omega - quad_form(self._M, omega)
+        expo = self._form(np.concatenate([wt, wt.conj()]).reshape(2 * self.n, -1))
         return expo.reshape(wt.shape[1:]).T
 
     def eval(self, w: np.ndarray) -> np.ndarray:
@@ -107,7 +131,7 @@ def quadrature_centre(gi: GaussianIntegrand) -> np.ndarray:
     integrating w ↦ gi.exponent(w + w_c): in real coordinates v = (x, y),
     |gi.eval| = exp(Re(U^t r) v - v^t Re(N) v) peaks at
     v_c = (1/2) Re(N)^{-1} Re(U^t r)."""
-    v = matcore.solve(gi.N.real, (matrix_U(gi.n).T @ gi._r).real) / 2
+    v = matcore.solve(gi.N.real, (matrix_U(gi.n).T @ gi.r).real) / 2
     return v[: gi.n] + 1j * v[gi.n :]
 
 
@@ -124,13 +148,14 @@ def gaussian_law(m: np.ndarray, r: np.ndarray):
 
 def gaussian_integral_closed(gi: GaussianIntegrand) -> complex:
     """Closed-form value of ∫ gi.eval(w) dm(w); requires Re(N) > 0."""
-    root, quad = gaussian_law(gi.M, gi._r)
+    root, quad = gaussian_law(gi.M, gi.r)
     return np.pi**gi.n / root * np.exp(quad)
 
 
 @dataclass(frozen=True)
-class GaussianKernel:
-    """K(z,w) = c exp((λ/4)(z(αz) + 2 z(β wbar) + wbar(γ wbar)))."""
+class GaussianKernel(_Gaussian):
+    """K(z,w) = c exp((λ/4)(z(αz) + 2 z(β wbar) + wbar(γ wbar))):
+    Q = (λ/4)[[α, β], [β^t, γ]] at ζ = (z, wbar)."""
 
     n: int
     lam: float
@@ -146,22 +171,12 @@ class GaussianKernel:
         object.__setattr__(self, "c", complex(self.c))
         if self.c == 0:
             raise ShapeError("kernel amplitude must be nonzero")
-        self._seal()
+        self._init()
 
-    @classmethod
-    def _trusted(cls, n: int, lam: float, c: complex, alpha, beta, gamma) -> "GaussianKernel":
-        """From a closed form's data, α and γ symmetric: sealed, not checked again."""
-        return _trusted(cls, n, lam, c, alpha, beta, gamma)._seal()
-
-    def _seal(self) -> "GaussianKernel":
-        """Store K = (λ/4)[[α, β], [β^t, γ]]; ShapeError unless 0 < λ < ∞ and
-        c and K are finite, the one guard against a NaN or inf from a closed form."""
+    def _init(self):
         if not 0 < self.lam < np.inf:
             raise ShapeError("lambda must be positive and finite")
-        k = self.lam / 4 * np.block([[self.alpha, self.beta], [self.beta.T, self.gamma]])
-        require_finite(self.c, k)
-        object.__setattr__(self, "_K", k)
-        return self
+        self._seal(self.c, self.lam / 4 * np.block([[self.alpha, self.beta], [self.beta.T, self.gamma]]))
 
     @staticmethod
     def identity(n: int, lam: float) -> "GaussianKernel":
@@ -170,17 +185,16 @@ class GaussianKernel:
         return GaussianKernel._trusted(n, lam, 1.0, zero, np.eye(n), zero)
 
     def exponent(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """The exponent of K(z, w)/c: ζ^t K ζ with ζ = (z, wbar) stacked
-        axis-major and K = (λ/4)[[α, β], [β^t, γ]]; z, w broadcastable with
-        shape (..., n)."""
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
+        """The exponent of K(z, w)/c, ζ^t Q ζ, at z, w broadcastable with
+        shape (..., n); the quadrature's path, which checks nothing."""
+        z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
         if z.shape != w.shape:
             z, w = np.broadcast_arrays(z, w)
-        return quad_form(self._K, np.concatenate([z.T, w.T.conj()])).T
+        return self._form(np.concatenate([z.T, w.T.conj()])).T
 
     def eval(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Kernel value at (z, w); both broadcastable with shape (..., n)."""
+        """Kernel value at (z, w), broadcastable with shape (..., n); ShapeError unless finite."""
+        require_finite(z, w)
         return self.c * np.exp(self.exponent(z, w))
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ShapeError
 from .gaussint import GaussianKernel
 from .matcore import as_vector, require_finite
 from .quadrature import lebesgue_rn
@@ -23,7 +24,6 @@ __all__ = [
     "rho_fock_apply",
     "rho_schrod_apply",
     "coherent_eval",
-    "coherent_overlap",
     "bargmann_apply",
     "omega0_apply",
     "omega1_apply",
@@ -66,7 +66,7 @@ def heis_inv(h: HeisElt) -> HeisElt:
 
 def rho_fock_apply(h: HeisElt, f, z: np.ndarray, lam: float) -> complex:
     """(ρ_λ(h) f)(z) = exp(iλc0 + (λ/2) z0bar z - (λ/4)|z0|^2) f(z - z0)."""
-    z = np.asarray(z, dtype=complex)
+    z = as_vector(z, h.n)
     z0 = h.z0
     pref = np.exp(1j * lam * h.c + lam / 2 * (z0.conj() @ z) - lam / 4 * np.sum(np.abs(z0) ** 2))
     return pref * f(z - z0)
@@ -74,22 +74,20 @@ def rho_fock_apply(h: HeisElt, f, z: np.ndarray, lam: float) -> complex:
 
 def rho_schrod_apply(h: HeisElt, phi, x: np.ndarray, lam: float) -> complex:
     """(ρ'_λ(h) φ)(x) = exp(iλ(c - bx + ab/2)) φ(x - a) with z0 = a + ib."""
-    x = np.asarray(x, dtype=float)
+    x = as_vector(x, h.n, float)
     a, b = h.z0.real, h.z0.imag
     pref = np.exp(1j * lam * (h.c - b @ x + 0.5 * (a @ b)))
     return pref * phi(x - a)
 
 
 def coherent_eval(z: np.ndarray, w: np.ndarray, lam: float) -> complex:
-    """e_z(w) = exp(λ zbar w / 2); w may be batched with shape (..., n)."""
-    z = np.asarray(z, dtype=complex)
+    """e_z(w) = <e_z, e_w> = exp(λ zbar w / 2); w may be batched with shape (..., n)."""
+    z = as_vector(z, None)
     w = np.asarray(w, dtype=complex)
+    if w.shape[-1:] != z.shape:
+        raise ShapeError(f"expected points of length {z.shape[0]}, got shape {w.shape}")
+    require_finite(w)
     return np.exp(lam / 2 * (w @ z.conj()))
-
-
-def coherent_overlap(w: np.ndarray, z: np.ndarray, lam: float) -> complex:
-    """<e_w, e_z> = e_w(z) = exp(λ wbar z / 2)."""
-    return coherent_eval(w, z, lam)
 
 
 def bargmann_apply(phi, z: np.ndarray, lam: float, nodes: int = 80) -> complex:
@@ -97,15 +95,14 @@ def bargmann_apply(phi, z: np.ndarray, lam: float, nodes: int = 80) -> complex:
 
     (Bφ)(z) = (λ/π)^{n/4} ∫ exp(-(λ/4)z^2 + λ zx - (λ/2)x^2) φ(x) dx.
     """
-    z = np.asarray(z, dtype=complex)
+    z = as_vector(z, None)
     n = z.shape[0]
 
     def integrand(x):
         expo = -lam / 4 * (z @ z) + lam * (x @ z) - lam / 2 * np.sum(x**2, axis=-1)
         return np.exp(expo) * phi(x)
 
-    # integrand decays like e^{-λ x^2 / 2}; recentre on Re(z)/... the Gaussian
-    # peak sits at x = Re(z) for φ slowly varying, scale sqrt(2/λ)
+    # for φ slowly varying the integrand peaks at x = Re(z), with width sqrt(2/λ)
     scale = np.sqrt(2.0 / lam)
     return (lam / np.pi) ** (n / 4) * lebesgue_rn(
         integrand, n, nodes_per_axis=nodes, scale=scale, center=z.real
@@ -114,29 +111,23 @@ def bargmann_apply(phi, z: np.ndarray, lam: float, nodes: int = 80) -> complex:
 
 def omega0_apply(zc: np.ndarray, f, w: np.ndarray, lam: float) -> complex:
     """(Ω0(z) f)(w) = 2^n exp(λ(w zbar - |z|^2)) f(2z - w)."""
-    zc = np.asarray(zc, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    zc = as_vector(zc, None)
     n = zc.shape[0]
+    w = as_vector(w, n)
     pref = 2**n * np.exp(lam * ((w @ zc.conj()) - np.sum(np.abs(zc) ** 2)))
     return pref * f(2 * zc - w)
 
 
 def omega1_apply(a: np.ndarray, b: np.ndarray, phi, x: np.ndarray, lam: float) -> complex:
     """(Ω1(a, b) φ)(x) = 2^n exp(2iλ b(a - x)) φ(2a - x)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
+    a = as_vector(a, None, float)
     n = a.shape[0]
+    b, x = as_vector(b, n, float), as_vector(x, n, float)
     return 2**n * np.exp(2j * lam * (b @ (a - x))) * phi(2 * a - x)
 
 
-def berezin_double_symbol(kernel, z: np.ndarray, w: np.ndarray, lam: float) -> complex:
-    """Double Berezin symbol s(z, w) = k_A(z, w) / <e_w, e_z>.
-
-    `kernel` is a GaussianKernel or any callable (z, w) -> value; the diagonal
-    z = w gives the covariant symbol.
-    """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    val = kernel.eval(z, w) if isinstance(kernel, GaussianKernel) else kernel(z, w)
-    return val / coherent_overlap(w, z, lam)
+def berezin_double_symbol(kernel: GaussianKernel, z: np.ndarray, w: np.ndarray, lam: float) -> complex:
+    """Double Berezin symbol s(z, w) = k_A(z, w) / <e_w, e_z>, with
+    <e_w, e_z> = exp(λ wbar z / 2); the diagonal z = w gives the covariant symbol."""
+    z, w = as_vector(z, kernel.n), as_vector(w, kernel.n)
+    return complex(kernel.c * np.exp(kernel.exponent(z, w) - lam / 2 * (z @ w.conj())))

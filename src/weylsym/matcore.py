@@ -124,7 +124,9 @@ def quad_form(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v^t m v for axis-major points v of shape (k, ...) and m of shape
     (k, k), as an array of shape (...): one (k, k) matmul over the stacked
     points, then a product and a sum over axis 0.  A batch w of shape
-    (..., k) is ``quad_form(m, w.T).T``."""
+    (..., k) is ``quad_form(m, w.T).T``; one point (k,) takes two products."""
+    if v.ndim == 1:
+        return v @ (m @ v)
     flat = v.reshape(v.shape[0], -1)
     mv = m @ flat
     mv *= flat

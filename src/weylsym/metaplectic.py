@@ -42,16 +42,14 @@ __all__ = [
 
 def sigma_kernel(k: SuBlocks, lam: float) -> GaussianKernel:
     """Gaussian-kernel data of σ(k): c = (Det P)^{-1/2}, α = Qbar P^{-1},
-    β = (P^t)^{-1}, γ = -P^{-1} Q."""
-    pinv = matcore.inv(k.P)
+    β = (P^t)^{-1}, γ = -P^{-1} Q, with P^{-1} and Det P from one LU."""
+    factors, det_p = matcore.require_invertible(k.P)
+    pinv = matcore.lu_solve(factors, np.eye(k.n))
     alpha = k.Q.conj() @ pinv
     gamma = -pinv @ k.Q
-    beta = pinv.T
-    c = 1.0 / principal_sqrt(matcore.det(k.P))
-    # S invariants make these symmetric; clean roundoff
-    alpha = (alpha + alpha.T) / 2
-    gamma = (gamma + gamma.T) / 2
-    return GaussianKernel._trusted(k.n, lam, c, alpha, beta, gamma)
+    c = 1.0 / principal_sqrt(det_p)
+    # S invariants make α and γ symmetric; clean roundoff
+    return GaussianKernel._trusted(k.n, lam, c, (alpha + alpha.T) / 2, pinv.T, (gamma + gamma.T) / 2)
 
 
 def verify_intertwining(k: SuBlocks, z0, z, w, lam: float) -> float:
@@ -194,12 +192,11 @@ def berezin_symbol_sigma(k: SuBlocks, z, lam: float) -> complex:
 
 
 def berezin_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
-    """S_λ(σ(k))(z) = (Det P)^{-1/2} exp((λ/4)(z(Qbar P^{-1} z)
-    + 2 zbar((P^{-1} - I) z) - zbar(P^{-1} Q zbar))) on R^{2n}, z = x + iy."""
-    pinv = matcore.inv(k.P)
-    off = pinv - np.eye(k.n)
-    c = np.block([[k.Q.conj() @ pinv, off.T], [off, -pinv @ k.Q]])
-    return GaussianSymbol.from_zz(k.n, 1 / principal_sqrt(matcore.det(k.P)), lam / 4 * c)
+    """S_λ(σ(k))(z) = b_k(z, z)/e_z(z) from the σ kernel (c, α, β, γ):
+    c exp((λ/4)(z(αz) + 2 z((β - I) zbar) + zbar(γ zbar))) on R^{2n}, z = x + iy."""
+    bk = sigma_kernel(k, lam)
+    off = bk.beta - np.eye(k.n)
+    return GaussianSymbol.from_zz(k.n, bk.c, lam / 4 * np.block([[bk.alpha, off], [off.T, bk.gamma]]))
 
 
 def berezin_symbol_dsigma(x: SuLie, z, lam: float) -> complex:

@@ -24,10 +24,10 @@ import numpy as np
 
 from . import matcore
 from .errors import AmbiguousPhase, HeatFlowSingular, NonConvergent, ShapeError
-from .gaussint import GaussianKernel
+from .gaussint import GaussianKernel, _Gaussian
 from .matcore import as_matrix, as_vector, matrix_J, matrix_U, norm, principal_sqrt, require_finite
 from .quadrature import GaussianExponent, gh_nodes, lebesgue_rn, quadrature_cn
-from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, _trusted, su_from_sp
+from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, su_from_sp
 
 __all__ = [
     "GaussianSymbol",
@@ -55,9 +55,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GaussianSymbol:
+class GaussianSymbol(_Gaussian):
     """v ↦ γ exp(v^t S v) on R^{2n}, S complex symmetric: every closed-form
-    symbol, built by the ``*_symbol`` constructors in the (x, y) frame."""
+    symbol, built by the ``*_symbol`` constructors in the (x, y) frame; Q = S, symmetrised."""
 
     n: int
     gamma: complex
@@ -66,15 +66,11 @@ class GaussianSymbol:
     def __post_init__(self):
         object.__setattr__(self, "S", as_matrix(self.S, 2 * self.n, 2 * self.n, symmetric=1e-10))
         object.__setattr__(self, "gamma", complex(self.gamma))
-        require_finite(self.gamma)
+        self._init()
 
-    @classmethod
-    def _trusted(cls, n: int, gamma: complex, s: np.ndarray) -> "GaussianSymbol":
-        """For a closed form's exponent s, symmetric up to roundoff: symmetrised,
-        not checked again, but refused when γ or S is not finite."""
-        out = _trusted(cls, n, gamma, (s + s.T) / 2)
-        require_finite(out.gamma, out.S)
-        return out
+    def _init(self):
+        object.__setattr__(self, "S", (self.S + self.S.T) / 2)
+        self._seal(self.gamma, self.S)
 
     @staticmethod
     def from_zz(n: int, gamma: complex, C: np.ndarray) -> "GaussianSymbol":
@@ -94,7 +90,7 @@ class GaussianSymbol:
 
     def _at(self, v):
         """`eval` at points v already checked."""
-        val = self.gamma * np.exp(np.einsum("...i,ij,...j->...", v, self.S, v))
+        val = self.gamma * np.exp(self._form(v.T).T)
         return complex(val) if v.ndim == 1 else val
 
     def _at_z(self, z) -> complex:

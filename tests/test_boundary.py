@@ -8,7 +8,16 @@ import pytest
 
 from weylsym.errors import ShapeError, WeylsymError
 from weylsym.gaussint import GaussianIntegrand, GaussianKernel, compose_kernels
-from weylsym.heisenberg import HeisElt
+from weylsym.heisenberg import (
+    HeisElt,
+    bargmann_apply,
+    berezin_double_symbol,
+    coherent_eval,
+    omega0_apply,
+    omega1_apply,
+    rho_fock_apply,
+    rho_schrod_apply,
+)
 from weylsym.jacobi import CharParams, JacobiGroupElt, JacobiGroupEltC, JacobiPoint, bk_via_jacobi
 from weylsym.metaplectic import (
     berezin_sigma_symbol,
@@ -181,8 +190,10 @@ _xs = su_lie_from_sp_lie(_xl)
 _q = QuadForm2n(2, 0.05 * np.eye(4))
 _z = np.array([0.1 + 0.2j, -0.3j])
 _x, _y = np.array([0.1, 0.2]), np.array([0.3, -0.1])
-# every function of a point at n = 2: kind "z" takes a point of C^n, "v" one
-# of R^{2n} and "xy" one as a pair (x, y) of R^n
+_h = HeisElt(2, _z, 0.3)
+_f = lambda u: np.sum(u)  # noqa: E731
+# every function of a point at n = 2: kind "z" takes a point of C^n, "x" one
+# of R^n, "v" one of R^{2n} and "xy" one as a pair (x, y) of R^n
 POINTS = [
     ("w0_sigma_closed", "z", lambda z: w0_sigma_closed(_k, z, 1.0)),
     ("w0_dsigma_closed", "z", lambda z: w0_dsigma_closed(_xs, z, 1.0)),
@@ -203,6 +214,16 @@ POINTS = [
         "z",
         lambda z: berezin_transform_quadrature(GaussianSymbol(2, 1.0, -np.eye(4)), z, 1.0, nodes=12),
     ),
+    ("rho_fock_apply", "z", lambda z: rho_fock_apply(_h, _f, z, 1.0)),
+    ("rho_schrod_apply", "x", lambda x: rho_schrod_apply(_h, _f, x, 1.0)),
+    ("coherent_eval", "z", lambda z: coherent_eval(z, _z, 1.0)),
+    ("omega0_apply-z", "z", lambda z: omega0_apply(z, _f, _z, 1.0)),
+    ("omega0_apply-w", "z", lambda w: omega0_apply(_z, _f, w, 1.0)),
+    ("omega1_apply-a", "x", lambda a: omega1_apply(a, _y, _f, _x, 1.0)),
+    ("omega1_apply-b", "x", lambda b: omega1_apply(_x, b, _f, _x, 1.0)),
+    ("omega1_apply-x", "x", lambda x: omega1_apply(_x, _y, _f, x, 1.0)),
+    ("berezin_double_symbol-z", "z", lambda z: berezin_double_symbol(sigma_kernel(_k, 1.0), z, _z, 1.0)),
+    ("berezin_double_symbol-w", "z", lambda w: berezin_double_symbol(sigma_kernel(_k, 1.0), _z, w, 1.0)),
     ("w1_sigma_closed", "xy", lambda x, y: w1_sigma_closed(_g, x, y)),
     ("w1_exp_closed", "xy", lambda x, y: w1_exp_closed(_xl, x, y)),
     ("w1_dsigma_closed", "xy", lambda x, y: w1_dsigma_closed(_xl, x, y)),
@@ -212,10 +233,11 @@ POINTS = [
     ("star_exp_quadratic_closed", "v", lambda v: star_exp_quadratic_closed(_q, v)),
     ("star_exp_bridge_residual", "v", lambda v: star_exp_bridge_residual(_xl, v)),
 ]
-GOOD = {"z": (_z,), "v": (np.concatenate([_x, _y]),), "xy": (_x, _y)}
+GOOD = {"z": (_z,), "x": (_x,), "v": (np.concatenate([_x, _y]),), "xy": (_x, _y)}
 # NaN, inf, a wrong length, complex data for a real point, strings
 BAD = {
     "z": [([np.nan, 0],), ([0, complex(0, np.inf)],), (np.zeros(3),), (np.zeros((2, 1)),), (["a", "b"],)],
+    "x": [([np.nan, 0],), ([0, np.inf],), (np.zeros(3),), (np.array([0.1 + 1j, 0.2]),), (["0.3", "0.1"],)],
     "v": [([0.1, np.nan, 0, 0],), ([0, 0, np.inf, 0],), (np.zeros(5),), ([0.1 + 1j, 0, 0, 0],), (["0.1"] * 4,)],
     "xy": [
         ([np.nan, 0], _y),
@@ -266,3 +288,29 @@ def test_w0_integral_checks_its_point_once(as_vector_calls, nodes):
     as_vector_calls.clear()
     w0_integral(kernel, _z, 1.0, nodes=nodes)
     assert len(as_vector_calls) == 1
+
+
+def test_bargmann_takes_a_point_of_any_length():
+    phi = lambda x: np.exp(-np.sum(x**2, axis=-1))  # noqa: E731
+    bargmann_apply(phi, [0.1], 1.0, nodes=8)
+    bargmann_apply(phi, [0.1, 0.2j], 1.0, nodes=8)
+    for bad in ([np.nan], [0.1, np.inf], [[0.1]], ["a"]):
+        with pytest.raises(ShapeError):
+            bargmann_apply(phi, bad, 1.0, nodes=8)
+
+
+def test_batched_points_are_refused_when_not_finite():
+    """The batch entries check their points with one require_finite:
+    `GaussianKernel.eval` (its `exponent`, the quadrature's path, does not)
+    and the batched w of `coherent_eval`, which must match z in length."""
+    kernel = sigma_kernel(random_su(1, 1), 1.0)
+    batch = np.array([[0.1], [np.nan]])
+    for call in (
+        lambda: kernel.eval([np.nan], [0.0]),
+        lambda: kernel.eval([0.1], [complex(0, np.inf)]),
+        lambda: kernel.eval(batch, [0.0]),
+        lambda: coherent_eval([0.1], batch, 1.0),
+        lambda: coherent_eval([0.1], np.zeros((3, 2)), 1.0),
+    ):
+        with pytest.raises(ShapeError):
+            call()

@@ -224,3 +224,24 @@ def test_stacked_forms_match_einsum_reference():
             expo, ref = k.exponent(z, w), _ref_kernel_exponent(k, z, w)
             assert expo.shape == ref.shape
             assert np.max(np.abs(expo - ref)) < 1e-13 * (1 + np.max(np.abs(ref)))
+
+
+def test_symbol_form_matches_einsum_reference():
+    """GaussianSymbol evaluates v^t S v through the same stacked form as the
+    kernel and the integrand; the per-point einsum it replaced is kept here."""
+    from weylsym.weylsymbols import GaussianSymbol
+
+    for n in (1, 2, 3):
+        rng = rng_for(n, "symbol-form")
+        s = _cpx(rng, (2 * n, 2 * n), 0.3)
+        sym = GaussianSymbol(n, _cpx(rng, ()), s + s.T)
+        for v in (
+            rng.standard_normal(2 * n),
+            rng.standard_normal((64, 2 * n)),
+            rng.standard_normal((3, 4, 2 * n)),
+            np.ascontiguousarray(rng.standard_normal((2 * n, 9))).T,
+        ):
+            got = sym.eval(v)
+            ref = sym.gamma * np.exp(np.einsum("...i,ij,...j->...", v, sym.S, v))
+            _assert_rel(got, ref)
+            assert isinstance(got, complex) == (v.ndim == 1)

@@ -7,7 +7,6 @@ from weylsym.heisenberg import (
     bargmann_apply,
     berezin_double_symbol,
     coherent_eval,
-    coherent_overlap,
     heis_inv,
     heis_mul,
     omega0_apply,
@@ -101,9 +100,10 @@ def test_coherent_overlap_convention():
     rng = rng_for(11, "overlap")
     z, w = _cpx(rng, 1), _cpx(rng, 1)
     lam = 1.5
-    assert coherent_overlap(w, z, lam) == pytest.approx(coherent_eval(w, z, lam))
+    # <e_w, e_z> = e_w(z) = exp(λ wbar z / 2)
+    assert coherent_eval(w, z, lam) == pytest.approx(np.exp(lam / 2 * (w.conj() @ z)))
     # Hermitian symmetry <e_w, e_z> = conj(<e_z, e_w>)
-    assert coherent_overlap(w, z, lam) == pytest.approx(np.conj(coherent_overlap(z, w, lam)))
+    assert coherent_eval(w, z, lam) == pytest.approx(np.conj(coherent_eval(z, w, lam)))
 
 
 def test_bargmann_of_ground_state():
@@ -172,3 +172,26 @@ def test_berezin_double_symbol_of_identity():
     rng = rng_for(30, "double")
     z, w = _cpx(rng, 1), _cpx(rng, 1)
     assert berezin_double_symbol(k, z, w, lam) == pytest.approx(1.0)
+
+
+def test_berezin_double_symbol_of_sigma():
+    """On the diagonal the double symbol of σ(k) is its Berezin symbol, which
+    also matches the formula in P^{-1} that the σ kernel's data replaced."""
+    from weylsym.matcore import principal_sqrt
+    from weylsym.metaplectic import berezin_sigma_symbol, sigma_kernel
+    from weylsym.sympgroup import random_su
+
+    lam = 0.8
+    for n in (1, 2, 3):
+        rng = rng_for(n, "double-sigma")
+        for seed in range(4):
+            k = random_su(n, 40 + seed, 1.5)
+            z = _cpx(rng, n, 0.5)
+            sym = berezin_sigma_symbol(k, lam).eval_z(z)
+            pinv = np.linalg.inv(k.P)
+            zb = z.conj()
+            expo = z @ (k.Q.conj() @ pinv @ z) + 2 * zb @ ((pinv - np.eye(n)) @ z) - zb @ (pinv @ k.Q @ zb)
+            ref = np.exp(lam / 4 * expo) / principal_sqrt(np.linalg.det(k.P))
+            assert abs(sym - ref) < 1e-13 * abs(ref)
+            double = berezin_double_symbol(sigma_kernel(k, lam), z, z, lam)
+            assert abs(sym - double) < 1e-13 * abs(double)

@@ -229,3 +229,16 @@ def test_require_posreal_threshold_and_error():
         matcore.require_posreal(np.diag([1e-12, 1.0]), DivergentIntegral)
     with pytest.raises(NotPositiveReal):
         matcore.det_powhalf_posreal(np.diag([1e-12, 1.0]))
+
+
+def test_one_quadratic_form_evaluator():
+    """No module calls einsum: every Gaussian exponent goes through
+    `matcore.quad_form`, by way of the one evaluator of `gaussint._Gaussian`."""
+    found = []
+    for path in sorted(pathlib.Path(weylsym.__file__).parent.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call):
+                name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", "")
+                if name == "einsum":
+                    found.append(f"{path.name}:{call.lineno}: {ast.unparse(call)}")
+    assert not found, found

@@ -174,3 +174,16 @@ def test_dsigma_apply_validates_variable_count():
     x = su_lie_from_sp_lie(random_sp_lie(2, 33))
     with pytest.raises(NotInLie):
         dsigma_apply(x, Poly.var(1, 0), 1.0)
+
+
+def test_sigma_kernel_constant_from_its_own_lu():
+    """sigma_kernel takes Det P from the LU that inverts P; its constant is
+    still the principal (Det P)^{-1/2} of numpy's determinant, and never on
+    the other sheet, far from the identity too."""
+    from weylsym.matcore import principal_sqrt
+
+    for n in (1, 2, 3):
+        for seed in range(40):
+            k = random_su(n, 900 + seed, 3.0)
+            ref = 1 / principal_sqrt(np.linalg.det(k.P))
+            assert abs(sigma_kernel(k, 1.0).c - ref) < 1e-14 * abs(ref)
