@@ -27,8 +27,8 @@ import numpy as np
 
 from . import matcore, sympgroup
 from .errors import DivergentIntegral, ShapeError
-from .matcore import as_matrix, as_vector, det_powhalf_posreal, matrix_U, norm, quad_form, require_finite
-from .sympgroup import SuBlocks
+from .matcore import as_batch, as_matrix, as_vector, det_powhalf_posreal, matrix_U, norm, quad_form, require_finite
+from .sympgroup import SuBlocks, _owned
 
 __all__ = [
     "GaussianIntegrand",
@@ -54,11 +54,12 @@ class _Gaussian:
         return out
 
     def _seal(self, c, q: np.ndarray, r: np.ndarray | None = None) -> None:
-        """Store Q and r; ShapeError unless c and Q are finite, the one guard
-        against a NaN or inf from a closed form (r comes from checked vectors)."""
+        """Store Q and r as `sympgroup._owned` arrays; ShapeError unless c and Q
+        are finite, the one guard against a NaN or inf from a closed form (r
+        comes from checked vectors)."""
         require_finite(c, q)
-        object.__setattr__(self, "Q", q)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "Q", _owned(q))
+        object.__setattr__(self, "r", None if r is None else _owned(r))
 
     def _form(self, x: np.ndarray) -> np.ndarray:
         """The one exponent evaluator: x^t Q x + r·x at x (2n, ...), or (2n, m) with r."""
@@ -79,11 +80,11 @@ class GaussianIntegrand(_Gaussian):
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, self.n, self.n, symmetric=1e-12))
-        object.__setattr__(self, "B", as_matrix(self.B, self.n, self.n))
-        object.__setattr__(self, "D", as_matrix(self.D, self.n, self.n, symmetric=1e-12))
-        object.__setattr__(self, "u", as_vector(self.u, self.n))
-        object.__setattr__(self, "v", as_vector(self.v, self.n))
+        object.__setattr__(self, "A", _owned(as_matrix(self.A, self.n, self.n, symmetric=1e-12)))
+        object.__setattr__(self, "B", _owned(as_matrix(self.B, self.n, self.n)))
+        object.__setattr__(self, "D", _owned(as_matrix(self.D, self.n, self.n, symmetric=1e-12)))
+        object.__setattr__(self, "u", _owned(as_vector(self.u, self.n)))
+        object.__setattr__(self, "v", _owned(as_vector(self.v, self.n)))
         self._init()
 
     def _init(self):
@@ -165,9 +166,9 @@ class GaussianKernel(_Gaussian):
     gamma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_matrix(self.alpha, self.n, self.n, symmetric=1e-10))
-        object.__setattr__(self, "beta", as_matrix(self.beta, self.n, self.n))
-        object.__setattr__(self, "gamma", as_matrix(self.gamma, self.n, self.n, symmetric=1e-10))
+        object.__setattr__(self, "alpha", _owned(as_matrix(self.alpha, self.n, self.n, symmetric=1e-10)))
+        object.__setattr__(self, "beta", _owned(as_matrix(self.beta, self.n, self.n)))
+        object.__setattr__(self, "gamma", _owned(as_matrix(self.gamma, self.n, self.n, symmetric=1e-10)))
         object.__setattr__(self, "c", complex(self.c))
         if self.c == 0:
             raise ShapeError("kernel amplitude must be nonzero")
@@ -193,9 +194,13 @@ class GaussianKernel(_Gaussian):
         return self._form(np.concatenate([z.T, w.T.conj()])).T
 
     def eval(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Kernel value at (z, w), broadcastable with shape (..., n); ShapeError unless finite."""
-        require_finite(z, w)
-        return self.c * np.exp(self.exponent(z, w))
+        """Kernel value at (z, w), broadcastable with shape (..., n); ShapeError
+        unless both are finite numeric batches (`matcore.as_batch`) that broadcast."""
+        z, w = as_batch(z, self.n), as_batch(w, self.n)
+        try:
+            return self.c * np.exp(self.exponent(z, w))
+        except ValueError as err:  # from np.broadcast_arrays, the one shape left unchecked
+            raise ShapeError(f"points do not broadcast: {err}") from None
 
 
 def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:

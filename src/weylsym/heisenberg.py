@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
 from .gaussint import GaussianKernel
-from .matcore import as_vector, require_finite
+from .matcore import as_batch, as_vector, require_finite
 from .quadrature import lebesgue_rn
+from .sympgroup import _owned
 
 __all__ = [
     "HeisElt",
@@ -40,7 +40,7 @@ class HeisElt:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "z0", as_vector(self.z0, self.n))
+        object.__setattr__(self, "z0", _owned(as_vector(self.z0, self.n)))
         object.__setattr__(self, "c", float(self.c))
         require_finite(self.c)
 
@@ -83,10 +83,7 @@ def rho_schrod_apply(h: HeisElt, phi, x: np.ndarray, lam: float) -> complex:
 def coherent_eval(z: np.ndarray, w: np.ndarray, lam: float) -> complex:
     """e_z(w) = <e_z, e_w> = exp(λ zbar w / 2); w may be batched with shape (..., n)."""
     z = as_vector(z, None)
-    w = np.asarray(w, dtype=complex)
-    if w.shape[-1:] != z.shape:
-        raise ShapeError(f"expected points of length {z.shape[0]}, got shape {w.shape}")
-    require_finite(w)
+    w = as_batch(w, z.shape[0])
     return np.exp(lam / 2 * (w @ z.conj()))
 
 

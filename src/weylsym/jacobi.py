@@ -34,7 +34,7 @@ from .errors import (
 )
 from .heisenberg import symplectic_form
 from .matcore import as_matrix, as_vector, inv, lu_solve, matrix_J, norm, principal_power, require_invertible
-from .sympgroup import SuBlocks, _trusted, su_inv, su_mul
+from .sympgroup import SuBlocks, _owned, _trusted, su_inv, su_mul
 
 __all__ = [
     "JacobiPoint",
@@ -68,8 +68,8 @@ class JacobiPoint:
     Y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", as_vector(self.y, self.n))
-        object.__setattr__(self, "Y", as_matrix(self.Y, self.n, self.n, symmetric=1e-10))
+        object.__setattr__(self, "y", _owned(as_vector(self.y, self.n)))
+        object.__setattr__(self, "Y", _owned(as_matrix(self.Y, self.n, self.n, symmetric=1e-10)))
 
     def in_domain(self, margin: float = 0.0) -> bool:
         return matcore.hermitian_lam_min(np.eye(self.n) - self.Y @ self.Y.conj()) > margin
@@ -89,7 +89,7 @@ class JacobiGroupElt:
     k: SuBlocks
 
     def __post_init__(self):
-        object.__setattr__(self, "z0", as_vector(self.z0, self.n))
+        object.__setattr__(self, "z0", _owned(as_vector(self.z0, self.n)))
         object.__setattr__(self, "c", float(self.c))
         matcore.require_finite(self.c)
 
@@ -113,12 +113,12 @@ class JacobiGroupEltC:
 
     def __post_init__(self):
         n = self.n
-        object.__setattr__(self, "z0", as_vector(self.z0, n))
-        object.__setattr__(self, "w0", as_vector(self.w0, n))
+        object.__setattr__(self, "z0", _owned(as_vector(self.z0, n)))
+        object.__setattr__(self, "w0", _owned(as_vector(self.w0, n)))
         object.__setattr__(self, "c", complex(self.c))
         matcore.require_finite(self.c)
         for name in "ABCD":
-            object.__setattr__(self, name, as_matrix(getattr(self, name), n, n))
+            object.__setattr__(self, name, _owned(as_matrix(getattr(self, name), n, n)))
         j = matrix_J(n)
         m = self.mat
         if norm(m.T @ j @ m - j) > 1e-8 * (1 + norm(m) ** 2):

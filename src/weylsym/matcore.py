@@ -2,7 +2,7 @@
 
 Matrices are plain ``numpy`` arrays of ``complex128``, row-major.  Everything
 here is pure: inputs are never mutated and results are freshly allocated.
-`as_matrix` and `as_vector` check arrays arriving from outside the library;
+`as_matrix`, `as_vector` and `as_batch` check arrays arriving from outside the library;
 the other functions take the square arrays their callers built and do not
 check them.
 
@@ -26,6 +26,7 @@ from .errors import AmbiguousPhase, NotPositiveReal, ShapeError, SingularMatrix,
 __all__ = [
     "as_matrix",
     "as_vector",
+    "as_batch",
     "require_finite",
     "matrix_J",
     "matrix_U",
@@ -88,6 +89,23 @@ def as_vector(data, size: int | None, dtype=complex) -> np.ndarray:
     if not all(map(cmath.isfinite, v.tolist())):
         raise ShapeError("NaN/Inf entries")
     return v
+
+
+def as_batch(data, size: int) -> np.ndarray:
+    """The batch twin of `as_vector`: coerce to a finite numeric array of
+    points along the last axis, of shape (..., size), keeping a numeric
+    dtype; a scalar counts as one entry.  ShapeError otherwise: on
+    non-numeric or ragged entries, or a last axis of another length."""
+    try:
+        b = np.atleast_1d(data)
+    except (TypeError, ValueError) as err:
+        raise ShapeError(f"expected a numeric batch: {err}") from None
+    if b.dtype.kind not in "biufc":
+        raise ShapeError(f"expected a numeric batch, got {b.dtype} entries")
+    if b.shape[-1:] != (size,):
+        raise ShapeError(f"expected points of length {size}, got shape {b.shape}")
+    require_finite(b)
+    return b
 
 
 def require_finite(*values) -> None:

@@ -22,7 +22,7 @@ from .errors import NotInLie, NotUnimodular
 from .gaussint import GaussianKernel, compose_kernels
 from .matcore import as_vector, norm, principal_power, principal_sqrt
 from .polys import Poly
-from .sympgroup import SuBlocks, SuLie, su_inv, su_mul
+from .sympgroup import SuBlocks, SuLie, _memo, su_inv, su_mul
 from .weylsymbols import GaussianSymbol
 
 __all__ = [
@@ -42,14 +42,19 @@ __all__ = [
 
 def sigma_kernel(k: SuBlocks, lam: float) -> GaussianKernel:
     """Gaussian-kernel data of σ(k): c = (Det P)^{-1/2}, α = Qbar P^{-1},
-    β = (P^t)^{-1}, γ = -P^{-1} Q, with P^{-1} and Det P from one LU."""
-    factors, det_p = matcore.require_invertible(k.P)
-    pinv = matcore.lu_solve(factors, np.eye(k.n))
-    alpha = k.Q.conj() @ pinv
-    gamma = -pinv @ k.Q
-    c = 1.0 / principal_sqrt(det_p)
-    # S invariants make α and γ symmetric; clean roundoff
-    return GaussianKernel._trusted(k.n, lam, c, (alpha + alpha.T) / 2, pinv.T, (gamma + gamma.T) / 2)
+    β = (P^t)^{-1}, γ = -P^{-1} Q, with P^{-1} and Det P from one LU; built
+    once per k and λ."""
+
+    def build():
+        factors, det_p = matcore.require_invertible(k.P)
+        pinv = matcore.lu_solve(factors, np.eye(k.n))
+        alpha = k.Q.conj() @ pinv
+        gamma = -pinv @ k.Q
+        c = 1.0 / principal_sqrt(det_p)
+        # S invariants make α and γ symmetric; clean roundoff
+        return GaussianKernel._trusted(k.n, lam, c, (alpha + alpha.T) / 2, pinv.T, (gamma + gamma.T) / 2)
+
+    return _memo(k, "_sigma_kernel", lam, build)
 
 
 def verify_intertwining(k: SuBlocks, z0, z, w, lam: float) -> float:
@@ -193,10 +198,15 @@ def berezin_symbol_sigma(k: SuBlocks, z, lam: float) -> complex:
 
 def berezin_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
     """S_λ(σ(k))(z) = b_k(z, z)/e_z(z) from the σ kernel (c, α, β, γ):
-    c exp((λ/4)(z(αz) + 2 z((β - I) zbar) + zbar(γ zbar))) on R^{2n}, z = x + iy."""
-    bk = sigma_kernel(k, lam)
-    off = bk.beta - np.eye(k.n)
-    return GaussianSymbol.from_zz(k.n, bk.c, lam / 4 * np.block([[bk.alpha, off], [off.T, bk.gamma]]))
+    c exp((λ/4)(z(αz) + 2 z((β - I) zbar) + zbar(γ zbar))) on R^{2n}, z = x + iy;
+    built once per k and λ."""
+
+    def build():
+        bk = sigma_kernel(k, lam)
+        off = bk.beta - np.eye(k.n)
+        return GaussianSymbol.from_zz(k.n, bk.c, lam / 4 * np.block([[bk.alpha, off], [off.T, bk.gamma]]))
+
+    return _memo(k, "_berezin_sigma_symbol", lam, build)
 
 
 def berezin_symbol_dsigma(x: SuLie, z, lam: float) -> complex:

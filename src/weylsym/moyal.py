@@ -25,6 +25,7 @@ import numpy as np
 from . import matcore
 from .errors import BadConfig, NonConvergent, ShapeError
 from .polys import Poly
+from .sympgroup import _memo
 from .weylsymbols import GaussianSymbol, QuadForm2n, _cosh_law_symbol, w1_exp_symbol
 
 __all__ = [
@@ -283,8 +284,8 @@ def star_exp_quadratic_closed(q: QuadForm2n, point) -> complex:
 def star_exp_quadratic_symbol(q: QuadForm2n) -> GaussianSymbol:
     """exp_*(-i q_M)(x, y) = (Det cosh(JM))^{-1/2}
     exp(i (x y) J tanh(JM) (x y)^t), the cosh law at JM; kept apart
-    from `w1_exp_symbol`, its oracle in star_exp_bridge_residual."""
-    return _cosh_law_symbol(q.n, matcore.matrix_J(q.n) @ q.M)
+    from `w1_exp_symbol`, its oracle in star_exp_bridge_residual; built once per q."""
+    return _memo(q, "_star_exp_quadratic_symbol", None, lambda: _cosh_law_symbol(q.n, matcore.matrix_J(q.n) @ q.M))
 
 
 @dataclass(frozen=True)

@@ -76,16 +76,38 @@ def _require(report: ValidationReport, error, what: str) -> None:
         raise error(f"{what} (residual {report.max_residual:.3g})")
 
 
+def _owned(v, dtype=complex) -> np.ndarray:
+    """A read-only copy of `v` of `dtype` that owns its memory: how every
+    element and Gaussian record stores an array, so that neither the caller's
+    array nor a shared record can change under it."""
+    v = np.array(v, dtype=dtype)
+    v.setflags(write=False)
+    return v
+
+
+def _memo(elt, name: str, lam, build):
+    """`build()`, the record of the immutable `elt` at `lam`, built once: the
+    slot `name` of elt's __dict__ keeps (lam, record) and a call at another
+    lam (by repr, so 1 and 1.0 differ) builds again and replaces it.  A build
+    that raises stores nothing, so it raises again on the next call."""
+    slot = elt.__dict__.get(name)
+    if slot is not None and (slot[0] is lam or repr(slot[0]) == repr(lam)):
+        return slot[1]
+    record = build()
+    elt.__dict__[name] = (lam, record)
+    return record
+
+
 def _trusted(cls, *values):
     """The one unchecked construction: the frozen dataclass `cls` from field
-    values computed from checked ones.  Array fields take the constructor's
-    dtype (float for SpLieReal, complex otherwise), `complex` fields become
-    complex, and the others are kept as given."""
+    values computed from checked ones.  Array fields become `_owned` arrays of
+    the constructor's dtype (float for SpLieReal, complex otherwise), `complex`
+    fields become complex, and the others are kept as given."""
     dtype = float if cls is SpLieReal else complex
     out = object.__new__(cls)
     for f, v in zip(fields(cls), values):
         if f.type == "np.ndarray":
-            v = np.asarray(v, dtype=dtype)
+            v = _owned(v, dtype)
         elif f.type == "complex":
             v = complex(v)
         object.__setattr__(out, f.name, v)
@@ -101,7 +123,7 @@ class SpReal:
     g: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "g", as_matrix(self.g, 2 * self.n, 2 * self.n))
+        object.__setattr__(self, "g", _owned(as_matrix(self.g, 2 * self.n, 2 * self.n)))
         _require(validate_sp(self), NotSymplectic, "g is not real symplectic")
 
     @property
@@ -125,19 +147,15 @@ class SuBlocks:
     Q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "P", as_matrix(self.P, self.n, self.n))
-        object.__setattr__(self, "Q", as_matrix(self.Q, self.n, self.n))
+        object.__setattr__(self, "P", _owned(as_matrix(self.P, self.n, self.n)))
+        object.__setattr__(self, "Q", _owned(as_matrix(self.Q, self.n, self.n)))
         _require(validate_su(self), NotInS, "(P, Q) is not in S")
 
     @property
     def full(self) -> np.ndarray:
         """The 2n×2n matrix k, built from P and Q on first access; read-only."""
-        full = self.__dict__.get("_full")
-        if full is None:
-            full = np.block([[self.P, self.Q], [self.Q.conj(), self.P.conj()]])
-            full.setflags(write=False)
-            object.__setattr__(self, "_full", full)
-        return full
+        p, q = self.P, self.Q
+        return _memo(self, "_full", None, lambda: _owned(np.block([[p, q], [q.conj(), p.conj()]])))
 
     @staticmethod
     def identity(n: int) -> "SuBlocks":
@@ -159,9 +177,9 @@ class SpLieReal:
     C: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, self.n, self.n, dtype=float))
-        object.__setattr__(self, "B", as_matrix(self.B, self.n, self.n, dtype=float))
-        object.__setattr__(self, "C", as_matrix(self.C, self.n, self.n, dtype=float))
+        object.__setattr__(self, "A", _owned(as_matrix(self.A, self.n, self.n, dtype=float), float))
+        object.__setattr__(self, "B", _owned(as_matrix(self.B, self.n, self.n, dtype=float), float))
+        object.__setattr__(self, "C", _owned(as_matrix(self.C, self.n, self.n, dtype=float), float))
         _require(validate_sp_lie(self), NotInLie, "X is not in the Lie algebra")
 
     @property
@@ -179,8 +197,8 @@ class SuLie:
     B: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, self.n, self.n))
-        object.__setattr__(self, "B", as_matrix(self.B, self.n, self.n))
+        object.__setattr__(self, "A", _owned(as_matrix(self.A, self.n, self.n)))
+        object.__setattr__(self, "B", _owned(as_matrix(self.B, self.n, self.n)))
         _require(validate_su_lie(self), NotInLie, "X is not in the Lie algebra")
 
     @property

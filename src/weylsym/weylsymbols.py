@@ -25,9 +25,9 @@ import numpy as np
 from . import matcore
 from .errors import AmbiguousPhase, HeatFlowSingular, NonConvergent, ShapeError
 from .gaussint import GaussianKernel, _Gaussian
-from .matcore import as_matrix, as_vector, matrix_J, matrix_U, norm, principal_sqrt, require_finite
+from .matcore import as_batch, as_matrix, as_vector, matrix_J, matrix_U, norm, principal_sqrt
 from .quadrature import GaussianExponent, gh_nodes, lebesgue_rn, quadrature_cn
-from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, su_from_sp
+from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, _memo, _owned, su_from_sp
 
 __all__ = [
     "GaussianSymbol",
@@ -69,8 +69,8 @@ class GaussianSymbol(_Gaussian):
         self._init()
 
     def _init(self):
-        object.__setattr__(self, "S", (self.S + self.S.T) / 2)
-        self._seal(self.gamma, self.S)
+        self._seal(self.gamma, (self.S + self.S.T) / 2)
+        object.__setattr__(self, "S", self.Q)
 
     @staticmethod
     def from_zz(n: int, gamma: complex, C: np.ndarray) -> "GaussianSymbol":
@@ -82,11 +82,7 @@ class GaussianSymbol(_Gaussian):
     def eval(self, v):
         """γ exp(v^t S v) at one point v of shape (2n,), as a complex, or at
         a batch of shape (..., 2n), as an array of shape (...)."""
-        v = np.asarray(v)
-        if v.shape[-1:] != (2 * self.n,):
-            raise ShapeError(f"expected points of length {2 * self.n}, got shape {v.shape}")
-        require_finite(v)
-        return self._at(v)
+        return self._at(as_batch(v, 2 * self.n))
 
     def _at(self, v):
         """`eval` at points v already checked."""
@@ -101,8 +97,8 @@ class GaussianSymbol(_Gaussian):
     def eval_z(self, z):
         """Evaluate at z ∈ C^n, or at a batch of shape (..., n), via
         v = (Re z, Im z)."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return self.eval(np.concatenate([z.real, z.imag], axis=-1))
+        z = as_batch(z, self.n)
+        return self._at(np.concatenate([z.real, z.imag], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,7 @@ class QuadForm2n:
 
     def __post_init__(self):
         m = as_matrix(self.M, 2 * self.n, 2 * self.n, symmetric=1e-12, dtype=float)
-        object.__setattr__(self, "M", (m + m.T) / 2)
+        object.__setattr__(self, "M", _owned((m + m.T) / 2, float))
 
     def eval(self, v) -> float:
         v = as_vector(v, 2 * self.n, float)
@@ -212,12 +208,15 @@ def w0_sigma_closed(k: SuBlocks, z, lam: float) -> complex:
 
 def w0_sigma_symbol(k: SuBlocks, lam: float, c: complex | None = None) -> GaussianSymbol:
     """W0(σ(k))(z) = c exp((λ/2)(z zbar) J (k-I)(k+I)^{-1} (z zbar)^t) on
-    R^{2n}, z = x + iy, with c = c_n(k) unless given (e.g. adjudicated)."""
-    cay, d = matcore.cayley(k.full)
-    if c is None:
-        c = _phase_c(k.n, d, k.P)
-    jc = matrix_J(k.n) @ cay
-    return GaussianSymbol.from_zz(k.n, c, lam / 2 * jc)
+    R^{2n}, z = x + iy, with c = c_n(k) unless given (e.g. adjudicated);
+    built once per k and λ when c is not given, and afresh when it is."""
+
+    def build():
+        cay, d = matcore.cayley(k.full)
+        jc = matrix_J(k.n) @ cay
+        return GaussianSymbol.from_zz(k.n, _phase_c(k.n, d, k.P) if c is None else c, lam / 2 * jc)
+
+    return build() if c is not None else _memo(k, "_w0_sigma_symbol", lam, build)
 
 
 def _xy(n: int, x, y) -> np.ndarray:
@@ -242,11 +241,14 @@ def w1_sigma_closed(g: SpReal, x, y, lam: float = 1.0) -> complex:
 def w1_sigma_symbol(g: SpReal, lam: float = 1.0) -> GaussianSymbol:
     """W1(σ'(g))(x, y) = c'_n(g) exp(-iλ (x y) J (g-I)(g+I)^{-1} (x y)^t),
     with c'_n(g) = c_n(U g U^{-1}) taken at Det(I+g) = Det(I+k); the exponent
-    is cayley(g) itself, not that of `w0_sigma_symbol`."""
-    cay, d = matcore.cayley(g.g)
-    c = _phase_c(g.n, d, su_from_sp(g).P)
-    jc = matrix_J(g.n) @ cay
-    return GaussianSymbol._trusted(g.n, c, -1j * lam * jc)
+    is cayley(g) itself, not that of `w0_sigma_symbol`; built once per g and λ."""
+
+    def build():
+        cay, d = matcore.cayley(g.g)
+        c = _phase_c(g.n, d, su_from_sp(g).P)
+        return GaussianSymbol._trusted(g.n, c, -1j * lam * (matrix_J(g.n) @ cay))
+
+    return _memo(g, "_w1_sigma_symbol", lam, build)
 
 
 def w1_exp_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
@@ -256,13 +258,18 @@ def w1_exp_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
 
 def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
     """W1(σ'(exp X))(x, y) = (Det cosh(X/2))^{-1/2}
-    exp(-iλ (x y) J tanh(X/2) (x y)^t), the root by `matcore.hamiltonian_cosh_det`."""
-    half = x_lie.full / 2
-    ch, sh = matcore.mat_cosh(half)
-    factors, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
-    th = matcore.lu_solve(factors, sh)
-    gamma = 1 / matcore.hamiltonian_cosh_det(half, d)
-    return GaussianSymbol._trusted(x_lie.n, gamma, -1j * lam * (matrix_J(x_lie.n) @ th))
+    exp(-iλ (x y) J tanh(X/2) (x y)^t), the root by `matcore.hamiltonian_cosh_det`;
+    built once per X and λ."""
+
+    def build():
+        half = x_lie.full / 2
+        ch, sh = matcore.mat_cosh(half)
+        factors, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
+        th = matcore.lu_solve(factors, sh)
+        gamma = 1 / matcore.hamiltonian_cosh_det(half, d)
+        return GaussianSymbol._trusted(x_lie.n, gamma, -1j * lam * (matrix_J(x_lie.n) @ th))
+
+    return _memo(x_lie, "_w1_exp_symbol", lam, build)
 
 
 def w1_dsigma_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
@@ -285,8 +292,8 @@ def hormander_exp_symbol(m: QuadForm2n, x, y) -> complex:
 
 def hormander_symbol(m: QuadForm2n) -> GaussianSymbol:
     """W1(exp(dσ'(iX)))(x, y) = (Det cos(JM))^{-1/2}
-    exp(-(x y) J tan(JM) (x y)^t): the cosh law at iJM."""
-    return _cosh_law_symbol(m.n, 1j * (matrix_J(m.n) @ m.M))
+    exp(-(x y) J tan(JM) (x y)^t): the cosh law at iJM; built once per m."""
+    return _memo(m, "_hormander_symbol", None, lambda: _cosh_law_symbol(m.n, 1j * (matrix_J(m.n) @ m.M)))
 
 
 def _cosh_law_symbol(n: int, jm: np.ndarray) -> GaussianSymbol:

@@ -46,3 +46,9 @@ def as_matrix_calls(monkeypatch):
 def as_vector_calls(monkeypatch):
     """Calls of matcore.as_vector, the check of a vector from outside."""
     return _count_calls(monkeypatch, "weylsym.matcore", ("as_vector",))
+
+
+@pytest.fixture
+def cayley_calls(monkeypatch):
+    """Calls of matcore.cayley, the factorisation under every σ symbol."""
+    return _count_calls(monkeypatch, "weylsym.matcore", ("cayley",))

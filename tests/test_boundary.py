@@ -49,6 +49,7 @@ from weylsym.weylsymbols import (
     w0_dsigma_closed,
     w0_integral,
     w0_sigma_closed,
+    w0_sigma_symbol,
     w1_dsigma_closed,
     w1_exp_closed,
     w1_exp_symbol,
@@ -300,7 +301,7 @@ def test_bargmann_takes_a_point_of_any_length():
 
 
 def test_batched_points_are_refused_when_not_finite():
-    """The batch entries check their points with one require_finite:
+    """The batch entries check their points with `matcore.as_batch`:
     `GaussianKernel.eval` (its `exponent`, the quadrature's path, does not)
     and the batched w of `coherent_eval`, which must match z in length."""
     kernel = sigma_kernel(random_su(1, 1), 1.0)
@@ -314,3 +315,28 @@ def test_batched_points_are_refused_when_not_finite():
     ):
         with pytest.raises(ShapeError):
             call()
+
+
+def test_batches_of_the_wrong_length_or_type_are_refused():
+    """`matcore.as_batch`, the batch twin of `as_vector`, gives every batch
+    entry one typed error where numpy's ValueError or TypeError came out."""
+    k = random_su(1, 1)
+    kernel, symbol = sigma_kernel(k, 1.0), w0_sigma_symbol(k, 1.0)
+    for call in (
+        # a matmul core-dimension mismatch
+        lambda: kernel.eval([0.1, 0.2], [0.0, 0.1]),
+        # np.isfinite on strings
+        lambda: kernel.eval(["a"], [0.0]),
+        lambda: symbol.eval(["a", "b"]),
+        # complex() of a malformed string
+        lambda: coherent_eval([0.1, 0.2], ["a", "b"], 1.0),
+        lambda: symbol.eval_z(["a"]),
+        # ragged, and batches that do not broadcast
+        lambda: symbol.eval([[0.1, 0.2], [0.3]]),
+        lambda: kernel.eval(np.zeros((3, 1)), np.zeros((2, 1))),
+    ):
+        with pytest.raises(ShapeError):
+            call()
+    # a scalar is one entry, as for as_vector
+    assert kernel.eval(0.1, 0.2) == kernel.eval([0.1], [0.2])
+    assert symbol.eval_z(0.1 + 0.2j) == symbol.eval_z([0.1 + 0.2j])
