@@ -12,7 +12,6 @@ from .errors import (
     BadConfig,
     CayleySingular,
     DivergentIntegral,
-    DomainViolation,
     HeatFlowSingular,
     NoDecomposition,
     NonConvergent,

@@ -1,6 +1,12 @@
 """Command-line frontend: evaluate symbols and kernels at points, or run the
 named verification suites.
 
+Each `eval` kind is one entry of a table: the option naming its matrix, the
+element type that matrix must give, how the reals after --at (or --point,
+the same option) are read, and its evaluator.  Every matrix is built through
+its element's checking constructor and refused unless the element
+reproduces it.
+
 Exit codes: 0 success, 1 suite failures, 2 bad input, 3 unresolved phase
 ambiguity (pass --adjudicate-phase to resolve it by quadrature), or a
 cosh-law constant that fails its certificate.
@@ -13,16 +19,14 @@ import json
 import os
 import re
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import AmbiguousPhase, WeylsymError
 from .matcore import norm
-from .metaplectic import (
-    berezin_symbol_dsigma,
-    berezin_symbol_sigma,
-    sigma_kernel,
-)
+from .metaplectic import berezin_symbol_dsigma, berezin_symbol_sigma, sigma_kernel
 from .mjson import load_matrix
 from .moyal import star_exp_quadratic_closed, star_exp_series
 from .suites import SUITE_NAMES, run_suite
@@ -37,19 +41,6 @@ from .weylsymbols import (
     w1_dsigma_closed,
     w1_exp_closed,
     w1_sigma_closed,
-)
-
-EVAL_KINDS = (
-    "w0-sigma",
-    "w0-dsigma",
-    "w1-sigma",
-    "w1-exp",
-    "w1-dsigma",
-    "berezin-sigma",
-    "berezin-dsigma",
-    "star-exp",
-    "hormander",
-    "kernel",
 )
 
 
@@ -70,127 +61,145 @@ def _load_square(spec: str, size: int) -> np.ndarray:
     raise WeylsymError(f"cannot interpret matrix argument {spec!r}")
 
 
-def _complex_point(vals, n):
-    vals = np.asarray(vals, dtype=float)
-    if vals.size != 2 * n:
-        raise WeylsymError(f"expected {2*n} reals (re/im interleaved), got {vals.size}")
-    return vals[0::2] + 1j * vals[1::2]
-
-
-def _real_point(vals, n):
-    vals = np.asarray(vals, dtype=float)
-    if vals.size != 2 * n:
-        raise WeylsymError(f"expected {2*n} reals, got {vals.size}")
-    return vals[:n], vals[n:]
-
-
 def _element_from_file(cls, spec: str, n: int):
-    """An element of `cls` (SuBlocks, SpReal, SpLieReal or SuLie) built from
-    the blocks of a 2n×2n matrix through its checking constructor; refused
-    unless the element reproduces the matrix."""
+    """An element of `cls` (SuBlocks, SpReal, SpLieReal, SuLie or QuadForm2n)
+    built from a 2n×2n matrix, or from its blocks, through its checking
+    constructor; refused unless the element reproduces the matrix."""
     m = _load_square(spec, 2 * n)
-    a, b, c = m[:n, :n], m[:n, n:], m[n:, :n]
-    if cls is SpReal:
-        elt = SpReal(n, m)
+    if cls in (SpReal, QuadForm2n):
+        elt = cls(n, m)
     else:
+        a, b, c = m[:n, :n], m[:n, n:], m[n:, :n]
         elt = SpLieReal(n, a, b, c) if cls is SpLieReal else cls(n, a, b)
-    dev = norm((elt.g if cls is SpReal else elt.full) - m)
+    built = elt.g if cls is SpReal else elt.M if cls is QuadForm2n else elt.full
+    dev = norm(built - m)
     if dev > 1e-10 * (1 + norm(m)):
         raise WeylsymError(
-            f"{spec} is not a {cls.__name__} matrix: the element built from its blocks differs by {dev:.3g}"
+            f"{spec} is not a {cls.__name__} matrix: the element built from it differs by {dev:.3g}"
         )
     return elt
 
 
-def _emit_value(value: complex, args, extra: dict | None = None) -> None:
-    if args.format == "csv":
-        print(f"{value.real:.15g},{value.imag:.15g}")
-        return
-    obj = {"value": [value.real, value.imag]}
-    if extra:
-        obj.update(extra)
-    print(json.dumps(obj))
+def _point(vals: list, n: int, layout: str):
+    """The reals after --at read as `layout`: 'xy', the 2n coordinates
+    (x, y) of R^{2n} as given; 'z', a point of C^n as re/im pairs; 'zw',
+    two such points, z then w."""
+    size = 4 * n if layout == "zw" else 2 * n
+    v = np.asarray(vals, dtype=float)
+    if v.size != size:
+        raise WeylsymError(f"a {layout} point needs {size} reals, got {v.size}")
+    if not np.all(np.isfinite(v)):
+        raise WeylsymError("evaluation point must be finite")
+    if layout == "xy":
+        return v
+    z = v[0::2] + 1j * v[1::2]
+    return z if layout == "z" else np.split(z, 2)
+
+
+# ---------------------------------------------------------------------------
+# evaluators: (element, point, args) -> value, or (value, extra JSON fields)
+
+
+def _adjudicated(closed, closed_args: tuple, k, z, args) -> complex:
+    """closed(*closed_args); when its phase constant is ambiguous and
+    --adjudicate-phase is given, W0(σ(k))(z) with the constant fixed by
+    quadrature instead (`k` a SuBlocks, or an SpReal taken to S)."""
+    try:
+        return closed(*closed_args)
+    except AmbiguousPhase:
+        if not args.adjudicate_phase:
+            raise
+    k = k if isinstance(k, SuBlocks) else su_from_sp(k)
+    c = adjudicate_phase(k, args.lam, nodes=args.nodes)
+    return w0_sigma_symbol(k, args.lam, c).eval_z(z)
+
+
+def _w0_sigma(k, z, args):
+    return _adjudicated(w0_sigma_closed, (k, z, args.lam), k, z, args)
+
+
+def _w0_dsigma(x_lie, z, args):
+    return w0_dsigma_closed(x_lie, z, args.lam)
+
+
+def _w1_sigma(g, v, args):
+    x, y = np.split(v, 2)
+    return _adjudicated(w1_sigma_closed, (g, x, y, args.lam), g, x + 1j * y, args)
+
+
+def _w1_exp(x_lie, v, args):
+    return w1_exp_closed(x_lie, *np.split(v, 2), args.lam)
+
+
+def _w1_dsigma(x_lie, v, args):
+    return w1_dsigma_closed(x_lie, *np.split(v, 2), args.lam)
+
+
+def _berezin_sigma(k, z, args):
+    return berezin_symbol_sigma(k, z, args.lam)
+
+
+def _berezin_dsigma(x_lie, z, args):
+    return berezin_symbol_dsigma(x_lie, z, args.lam)
+
+
+def _star_exp(q, v, args):
+    if args.closed:
+        return star_exp_quadratic_closed(q, v)
+    value, last = star_exp_series(q, -1j, args.order, v)
+    return value, {"last_term": last}
+
+
+def _hormander(q, v, args):
+    return hormander_exp_symbol(q, *np.split(v, 2))
+
+
+def _kernel(k, zw, args):
+    return complex(sigma_kernel(k, args.lam).eval(*zw))
+
+
+@dataclass(frozen=True)
+class _EvalKind:
+    """An `eval` kind: the option naming its matrix, the element type that
+    matrix must be, how the reals after --at read (see `_point`), and its
+    evaluator."""
+
+    flag: str
+    element: type
+    layout: str
+    evaluate: Callable
+
+
+_EVAL = {
+    "w0-sigma": _EvalKind("k", SuBlocks, "z", _w0_sigma),
+    "w0-dsigma": _EvalKind("X", SuLie, "z", _w0_dsigma),
+    "w1-sigma": _EvalKind("g", SpReal, "xy", _w1_sigma),
+    "w1-exp": _EvalKind("X", SpLieReal, "xy", _w1_exp),
+    "w1-dsigma": _EvalKind("X", SpLieReal, "xy", _w1_dsigma),
+    "berezin-sigma": _EvalKind("k", SuBlocks, "z", _berezin_sigma),
+    "berezin-dsigma": _EvalKind("X", SuLie, "z", _berezin_dsigma),
+    "star-exp": _EvalKind("M", QuadForm2n, "xy", _star_exp),
+    "hormander": _EvalKind("M", QuadForm2n, "xy", _hormander),
+    "kernel": _EvalKind("k", SuBlocks, "zw", _kernel),
+}
+
+EVAL_KINDS = tuple(_EVAL)
 
 
 def _run_eval(args) -> int:
-    n = args.n
-    lam = args.lam
-    kind = args.kind
-    extra = None
-    if not 0 < lam < np.inf:
-        raise WeylsymError(f"--lambda must be positive and finite, got {lam}")
-    if not np.all(np.isfinite(args.at + args.point)):
-        raise WeylsymError("evaluation point must be finite")
-
-    if kind in ("w0-sigma", "berezin-sigma", "kernel"):
-        if not args.k:
-            raise WeylsymError(f"{kind} requires --k")
-        k = _element_from_file(SuBlocks, args.k, n)
-        if kind == "kernel":
-            vals = np.asarray(args.at, dtype=float)
-            if vals.size != 4 * n:
-                raise WeylsymError(f"kernel point needs {4*n} reals (z then w)")
-            z = vals[: 2 * n][0::2] + 1j * vals[: 2 * n][1::2]
-            w = vals[2 * n :][0::2] + 1j * vals[2 * n :][1::2]
-            value = complex(sigma_kernel(k, lam).eval(z, w))
-        else:
-            z = _complex_point(args.at, n)
-            if kind == "w0-sigma":
-                try:
-                    value = w0_sigma_closed(k, z, lam)
-                except AmbiguousPhase:
-                    if not args.adjudicate_phase:
-                        raise
-                    c = adjudicate_phase(k, lam, nodes=args.nodes)
-                    value = w0_sigma_symbol(k, lam, c).eval_z(z)
-            else:
-                value = berezin_symbol_sigma(k, z, lam)
-    elif kind in ("w0-dsigma", "berezin-dsigma"):
-        if not args.X:
-            raise WeylsymError(f"{kind} requires --X")
-        x_lie = _element_from_file(SuLie, args.X, n)
-        z = _complex_point(args.at, n)
-        fn = w0_dsigma_closed if kind == "w0-dsigma" else berezin_symbol_dsigma
-        value = fn(x_lie, z, lam)
-    elif kind == "w1-sigma":
-        if not args.g:
-            raise WeylsymError("w1-sigma requires --g")
-        g = _element_from_file(SpReal, args.g, n)
-        x, y = _real_point(args.at, n)
-        try:
-            value = w1_sigma_closed(g, x, y, lam)
-        except AmbiguousPhase:
-            if not args.adjudicate_phase:
-                raise
-            k = su_from_sp(g)
-            c = adjudicate_phase(k, lam, nodes=args.nodes)
-            value = w0_sigma_symbol(k, lam, c).eval_z(x + 1j * y)
-    elif kind in ("w1-exp", "w1-dsigma"):
-        if not args.X:
-            raise WeylsymError(f"{kind} requires --X")
-        x_lie = _element_from_file(SpLieReal, args.X, n)
-        x, y = _real_point(args.at, n)
-        fn = w1_exp_closed if kind == "w1-exp" else w1_dsigma_closed
-        value = fn(x_lie, x, y, lam)
-    elif kind in ("star-exp", "hormander"):
-        if not args.M:
-            raise WeylsymError(f"{kind} requires --M")
-        m = _load_square(args.M, 2 * n)
-        q = QuadForm2n(n, (m + m.T) / 2)
-        pt = np.asarray(args.point if args.point else args.at, dtype=float)
-        if pt.size != 2 * n:
-            raise WeylsymError(f"point needs {2*n} reals")
-        if kind == "hormander":
-            value = hormander_exp_symbol(q, pt[:n], pt[n:])
-        elif args.closed:
-            value = star_exp_quadratic_closed(q, pt)
-        else:
-            value, last = star_exp_series(q, -1j, args.order, pt)
-            extra = {"last_term": last}
-    else:  # pragma: no cover - argparse restricts choices
-        raise WeylsymError(f"unknown eval kind {kind!r}")
-
-    _emit_value(value, args, extra)
+    kind = _EVAL[args.kind]
+    if not 0 < args.lam < np.inf:
+        raise WeylsymError(f"--lambda must be positive and finite, got {args.lam}")
+    point = _point(args.at, args.n, kind.layout)
+    spec = getattr(args, kind.flag)
+    if not spec:
+        raise WeylsymError(f"{args.kind} requires --{kind.flag}")
+    out = kind.evaluate(_element_from_file(kind.element, spec, args.n), point, args)
+    value, extra = out if isinstance(out, tuple) else (out, {})
+    if args.format == "csv":
+        print(f"{value.real:.15g},{value.imag:.15g}")
+    else:
+        print(json.dumps({"value": [value.real, value.imag], **extra}))
     return 0
 
 
@@ -225,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--g", help="element of Sp(n, R) (2n x 2n real matrix JSON)")
     pe.add_argument("--X", help="Lie algebra element (2n x 2n matrix JSON)")
     pe.add_argument("--M", help="real symmetric 2n x 2n matrix JSON, 'identity', or '<t>I'")
-    pe.add_argument("--at", type=float, nargs="+", default=[], help="evaluation point")
-    pe.add_argument("--point", type=float, nargs="*", default=[], help="alias of --at")
+    pe.add_argument("--at", "--point", dest="at", type=float, nargs="+", default=[], help="evaluation point")
     pe.add_argument("--n", type=int, default=1)
     pe.add_argument("--lambda", dest="lam", type=float, default=1.0)
     pe.add_argument("--nodes", type=int, default=80)

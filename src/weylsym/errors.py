@@ -41,10 +41,6 @@ class NoDecomposition(WeylsymError):
     """Group element admits no P+ Kc P- decomposition (det D = 0)."""
 
 
-class DomainViolation(WeylsymError):
-    """Point left the bounded domain (I - Y Ybar no longer positive)."""
-
-
 class HeatFlowSingular(WeylsymError):
     """I - 4tS is singular; the Gaussian heat flow blows up at this time."""
 

@@ -17,6 +17,8 @@ Gaussian kernels are stored exactly as
 the shape shared by every metaplectic kernel; composition against the Fock
 weight e^{-λ|u|^2/2} dμ_λ(u) stays in this family and is evaluated by the
 closed form above with symbolic linear terms (polarisation in (z, wbar)).
+Closed-form symbols γ exp(v^t S v) on R^{2n} are the third Gaussian type,
+`GaussianSymbol`; `weylsymbols` and `metaplectic` build them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .sympgroup import SuBlocks, _owned
 __all__ = [
     "GaussianIntegrand",
     "GaussianKernel",
+    "GaussianSymbol",
     "gaussian_law",
     "gaussian_integral_closed",
     "compose_kernels",
@@ -44,7 +47,7 @@ __all__ = [
 
 class _Gaussian:
     """x ↦ c exp(x^t Q x + r·x) at axis-major points x of C^{2n}: the record under the
-    three Gaussian types, whose `_init` says how their fields give (c, Q, r)."""
+    three Gaussian types below, whose `_init` says how their fields give (c, Q, r)."""
 
     @classmethod
     def _trusted(cls, *values):
@@ -201,6 +204,53 @@ class GaussianKernel(_Gaussian):
             return self.c * np.exp(self.exponent(z, w))
         except ValueError as err:  # from np.broadcast_arrays, the one shape left unchecked
             raise ShapeError(f"points do not broadcast: {err}") from None
+
+
+@dataclass(frozen=True)
+class GaussianSymbol(_Gaussian):
+    """v ↦ γ exp(v^t S v) on R^{2n}, S complex symmetric: every closed-form
+    symbol, built by the ``*_symbol`` constructors in the (x, y) frame; Q = S, symmetrised."""
+
+    n: int
+    gamma: complex
+    S: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "S", as_matrix(self.S, 2 * self.n, 2 * self.n, symmetric=1e-10))
+        object.__setattr__(self, "gamma", complex(self.gamma))
+        self._init()
+
+    def _init(self):
+        self._seal(self.gamma, (self.S + self.S.T) / 2)
+        object.__setattr__(self, "S", self.Q)
+
+    @staticmethod
+    def from_zz(n: int, gamma: complex, C: np.ndarray) -> "GaussianSymbol":
+        """From the (z, zbar)-frame exponent (z zbar) C (z zbar)^t via
+        (z zbar)^t = U (x y)^t, so S = sym(U^t C U)."""
+        u = matrix_U(n)
+        return GaussianSymbol._trusted(n, gamma, u.T @ C @ u)
+
+    def eval(self, v):
+        """γ exp(v^t S v) at one point v of shape (2n,), as a complex, or at
+        a batch of shape (..., 2n), as an array of shape (...)."""
+        return self._at(as_batch(v, 2 * self.n))
+
+    def _at(self, v):
+        """`eval` at points v already checked."""
+        val = self.gamma * np.exp(self._form(v.T).T)
+        return complex(val) if v.ndim == 1 else val
+
+    def _at_z(self, z) -> complex:
+        """The value at one point z of C^n, checked here."""
+        z = as_vector(z, self.n)
+        return self._at(np.concatenate([z.real, z.imag]))
+
+    def eval_z(self, z):
+        """Evaluate at z ∈ C^n, or at a batch of shape (..., n), via
+        v = (Re z, Im z)."""
+        z = as_batch(z, self.n)
+        return self._at(np.concatenate([z.real, z.imag], axis=-1))
 
 
 def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:

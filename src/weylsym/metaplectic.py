@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import NotInLie, NotUnimodular
-from .gaussint import GaussianKernel, compose_kernels
-from .matcore import as_vector, norm, principal_power, principal_sqrt
+from .errors import NotInLie, NotUnimodular, ShapeError
+from .gaussint import GaussianKernel, GaussianSymbol, compose_kernels
+from .matcore import as_matrix, as_vector, norm, principal_power, principal_sqrt
 from .polys import Poly
-from .sympgroup import SuBlocks, SuLie, _memo, su_inv, su_mul
-from .weylsymbols import GaussianSymbol
+from .sympgroup import SuBlocks, SuLie, _memo, _owned, su_inv, su_mul
 
 __all__ = [
     "sigma_kernel",
@@ -142,6 +141,12 @@ class DsigmaKernel:
     lam: float
     A: np.ndarray
     B: np.ndarray
+
+    def __post_init__(self):
+        if not 0 < self.lam < np.inf:
+            raise ShapeError("lambda must be positive and finite")
+        object.__setattr__(self, "A", _owned(as_matrix(self.A, self.n, self.n)))
+        object.__setattr__(self, "B", _owned(as_matrix(self.B, self.n, self.n)))
 
     def eval(self, z, w) -> complex:
         z, wb = as_vector(z, self.n), as_vector(w, self.n).conj()

@@ -5,6 +5,7 @@ derivation), with deterministic per-trial seeding."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -49,21 +50,7 @@ from .weylsymbols import (
     w1_sigma_closed,
 )
 
-__all__ = ["SuiteReport", "run_suite", "SUITE_NAMES", "random_su_negdet"]
-
-SUITE_NAMES = (
-    "gaussint",
-    "lemmatrices",
-    "jacobi-bk",
-    "intertwining",
-    "cocycle",
-    "w0-quadrature",
-    "w1-bridge",
-    "polar",
-    "star-exp",
-    "quantize-hom",
-    "bargmann",
-)
+__all__ = ["SuiteReport", "run_suite", "default_tol", "SUITE_NAMES", "random_su_negdet"]
 
 
 @dataclass(frozen=True)
@@ -212,8 +199,6 @@ def _suite_cocycle(n, lam, trials, seed, nodes):
 
 
 def _suite_w0_quadrature(n, lam, trials, seed, nodes):
-    if n not in (1, 2):
-        raise BadConfig("w0-quadrature needs n in {1, 2}")
     for trial in range(trials):
         ts = _tseed(seed, trial)
         if n == 1 and trial % 5 == 4:
@@ -307,39 +292,49 @@ def _suite_bargmann(n, lam, trials, seed, nodes):
         yield f"trial{trial}", abs(lhs - rhs) / (1 + abs(rhs))
 
 
+@dataclass(frozen=True)
+class _Suite:
+    """A registered suite: its generator of (case label, residual), its
+    default tolerance, and the n it admits."""
+
+    generate: Callable
+    tol: float
+    ns: tuple
+
+
+# past n = 2 a quadrature grid at the default 40 nodes (40^{2n} points)
+# exceeds quadrature.MAX_POINTS, and the star-exp series at order 40 the
+# monomial cap of moyal.star_exp_series
+_N_TO_2 = (1, 2)
+_N_TO_4 = (1, 2, 3, 4)
+
 _SUITES = {
-    "gaussint": _suite_gaussint,
-    "lemmatrices": _suite_lemmatrices,
-    "jacobi-bk": _suite_jacobi_bk,
-    "intertwining": _suite_intertwining,
-    "cocycle": _suite_cocycle,
-    "w0-quadrature": _suite_w0_quadrature,
-    "w1-bridge": _suite_w1_bridge,
-    "polar": _suite_polar,
-    "star-exp": _suite_star_exp,
-    "quantize-hom": _suite_quantize_hom,
-    "bargmann": _suite_bargmann,
+    "gaussint": _Suite(_suite_gaussint, 1e-8, _N_TO_2),
+    "lemmatrices": _Suite(_suite_lemmatrices, 1e-10, _N_TO_4),
+    "jacobi-bk": _Suite(_suite_jacobi_bk, 1e-9, _N_TO_4),
+    "intertwining": _Suite(_suite_intertwining, 1e-10, _N_TO_4),
+    "cocycle": _Suite(_suite_cocycle, 1e-9, _N_TO_4),
+    "w0-quadrature": _Suite(_suite_w0_quadrature, 1e-6, _N_TO_2),
+    "w1-bridge": _Suite(_suite_w1_bridge, 1e-8, _N_TO_4),
+    "polar": _Suite(_suite_polar, 1e-8, _N_TO_4),
+    "star-exp": _Suite(_suite_star_exp, 1e-6, _N_TO_2),
+    "quantize-hom": _Suite(_suite_quantize_hom, 1e-12, _N_TO_4),
+    "bargmann": _Suite(_suite_bargmann, 1e-6, _N_TO_2),
 }
 
-_QUADRATURE_SUITES = {"gaussint", "jacobi-bk", "w0-quadrature", "bargmann"}
+SUITE_NAMES = tuple(_SUITES)
 
-_DEFAULT_TOL = {
-    "gaussint": 1e-8,
-    "lemmatrices": 1e-10,
-    "jacobi-bk": 1e-9,
-    "intertwining": 1e-10,
-    "cocycle": 1e-9,
-    "w0-quadrature": 1e-6,
-    "w1-bridge": 1e-8,
-    "polar": 1e-8,
-    "star-exp": 1e-6,
-    "quantize-hom": 1e-12,
-    "bargmann": 1e-6,
-}
+
+def _suite(name: str) -> _Suite:
+    if name not in _SUITES:
+        raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    return _SUITES[name]
 
 
 def default_tol(name: str) -> float:
-    return _DEFAULT_TOL.get(name, 1e-8)
+    """The tolerance suite `name` runs at unless given one; UnknownSuite for
+    a name not registered."""
+    return _suite(name).tol
 
 
 def run_suite(
@@ -351,23 +346,19 @@ def run_suite(
     tol: float | None = None,
     nodes: int | None = None,
 ) -> SuiteReport:
-    if name not in _SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    suite = _suite(name)
     if trials < 1:
         raise BadConfig("trials must be positive")
     if lam <= 0:
         raise BadConfig("lambda must be positive")
-    if name in _QUADRATURE_SUITES:
-        if n not in (1, 2):
-            raise BadConfig(f"suite {name!r} needs n in {{1, 2}}")
-    elif not 1 <= n <= 4:
-        raise BadConfig("n must be between 1 and 4")
+    if n not in suite.ns:
+        raise BadConfig(f"suite {name!r} needs n in {{{', '.join(map(str, suite.ns))}}}, got {n}")
     if nodes is None:
         nodes = 80 if n == 1 else 40
     if tol is None:
-        tol = default_tol(name)
+        tol = suite.tol
     records = [
         {"case": case, "residual": float(res)}
-        for case, res in _SUITES[name](n, lam, trials, seed, nodes)
+        for case, res in suite.generate(n, lam, trials, seed, nodes)
     ]
     return SuiteReport(name, n, lam, trials, seed, tol, records)

@@ -24,9 +24,10 @@ import numpy as np
 
 from . import matcore
 from .errors import AmbiguousPhase, HeatFlowSingular, NonConvergent, ShapeError
-from .gaussint import GaussianKernel, _Gaussian
-from .matcore import as_batch, as_matrix, as_vector, matrix_J, matrix_U, norm, principal_sqrt
-from .quadrature import GaussianExponent, gh_nodes, lebesgue_rn, quadrature_cn
+from .gaussint import GaussianKernel, GaussianSymbol
+from .matcore import as_matrix, as_vector, matrix_J, norm, principal_sqrt
+from .metaplectic import berezin_sigma_symbol, sigma_kernel
+from .quadrature import GaussianExponent, _checked_plan, lebesgue_rn, quadrature_cn
 from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, _memo, _owned, su_from_sp
 
 __all__ = [
@@ -52,53 +53,6 @@ __all__ = [
     "classical_weyl_kernel",
     "w1_of_classical_weyl",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianSymbol(_Gaussian):
-    """v ↦ γ exp(v^t S v) on R^{2n}, S complex symmetric: every closed-form
-    symbol, built by the ``*_symbol`` constructors in the (x, y) frame; Q = S, symmetrised."""
-
-    n: int
-    gamma: complex
-    S: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", as_matrix(self.S, 2 * self.n, 2 * self.n, symmetric=1e-10))
-        object.__setattr__(self, "gamma", complex(self.gamma))
-        self._init()
-
-    def _init(self):
-        self._seal(self.gamma, (self.S + self.S.T) / 2)
-        object.__setattr__(self, "S", self.Q)
-
-    @staticmethod
-    def from_zz(n: int, gamma: complex, C: np.ndarray) -> "GaussianSymbol":
-        """From the (z, zbar)-frame exponent (z zbar) C (z zbar)^t via
-        (z zbar)^t = U (x y)^t, so S = sym(U^t C U)."""
-        u = matrix_U(n)
-        return GaussianSymbol._trusted(n, gamma, u.T @ C @ u)
-
-    def eval(self, v):
-        """γ exp(v^t S v) at one point v of shape (2n,), as a complex, or at
-        a batch of shape (..., 2n), as an array of shape (...)."""
-        return self._at(as_batch(v, 2 * self.n))
-
-    def _at(self, v):
-        """`eval` at points v already checked."""
-        val = self.gamma * np.exp(self._form(v.T).T)
-        return complex(val) if v.ndim == 1 else val
-
-    def _at_z(self, z) -> complex:
-        """The value at one point z of C^n, checked here."""
-        z = as_vector(z, self.n)
-        return self._at(np.concatenate([z.real, z.imag]))
-
-    def eval_z(self, z):
-        """Evaluate at z ∈ C^n, or at a batch of shape (..., n), via
-        v = (Re z, Im z)."""
-        z = as_batch(z, self.n)
-        return self._at(np.concatenate([z.real, z.imag], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -186,9 +140,6 @@ def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
     ambiguous.  The quadrature value q is snapped to the nearest allowed
     value, ±|c| when Det(I+k) > 0 and ±i|c| when Det(I+k) < 0;
     NonConvergent when q is PHASE_SNAP or more from it."""
-    # metaplectic imports this module, so its import waits for the call
-    from .metaplectic import sigma_kernel
-
     _, d = matcore.cayley(k.full)
     mag = 2**k.n / np.sqrt(abs(d.real))
     q = w0_integral(sigma_kernel(k, lam), np.zeros(k.n), lam, nodes=nodes)
@@ -331,9 +282,6 @@ def berezin_transform_quadrature(f, z, lam: float, nodes: int = 80) -> complex:
 def polar_relation_residual(k: SuBlocks, lam: float, npoints: int = 10, seed: int = 0) -> float:
     """sup_z |B_λ^{1/2}(W0(σ(k)))(z) - S_λ(σ(k))(z)| over sample points;
     B_λ^{1/2} = heat flow at t = 1/(4λ)."""
-    # metaplectic imports this module, so its import waits for the call
-    from .metaplectic import berezin_sigma_symbol
-
     half = heat_flow_gaussian(w0_sigma_symbol(k, lam), 1.0 / (4 * lam))
     # point j takes draws 2j (real parts) and 2j + 1 (imaginary parts)
     draws = np.random.default_rng(seed).standard_normal((npoints, 2, k.n))
@@ -349,11 +297,13 @@ def polar_relation_residual(k: SuBlocks, lam: float, npoints: int = 10, seed: in
 def classical_weyl_kernel(f, x, y, nodes: int = 96) -> np.ndarray:
     """Kernel of W(f) at paired points: k(x, y) = (2π)^{-1/2}
     (F2 f)((x+y)/2, x-y) with F2 the unitary Fourier transform in the second
-    variable (n = 1); x, y may be arrays of equal shape."""
+    variable (n = 1); x, y may be arrays of equal shape.  The nodes and the
+    weights with e^{s^2} folded in come from the quadratures' one-axis plan,
+    so a node count they refuse raises the same BadConfig."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    s, w = gh_nodes(nodes)
-    wt = w * np.exp(s**2)
+    plan = _checked_plan(1, nodes)
+    s, wt = plan.s, plan.axis_w[1]
     mid = (x + y) / 2
     diff = x - y
     vals = f(mid[:, None], s[None, :])

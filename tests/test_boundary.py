@@ -20,6 +20,7 @@ from weylsym.heisenberg import (
 )
 from weylsym.jacobi import CharParams, JacobiGroupElt, JacobiGroupEltC, JacobiPoint, bk_via_jacobi
 from weylsym.metaplectic import (
+    DsigmaKernel,
     berezin_sigma_symbol,
     berezin_symbol_dsigma,
     berezin_symbol_sigma,
@@ -107,6 +108,7 @@ CONSTRUCTORS = [
     (SuBlocks, (1, _I, _Z), 1),
     (SpLieReal, (1, _Z, _Z, _Z), 1),
     (SuLie, (1, _Z, _Z), 1),
+    (DsigmaKernel, (1, 1.0, _Z, _Z), 2),
 ]
 
 
@@ -120,6 +122,16 @@ def test_constructors_refuse_nan_and_wrong_shape(cls, args, pos):
     for bad in (nan, wide):
         with pytest.raises(ShapeError):
             cls(*args[:pos], bad, *args[pos + 1 :])
+
+
+def test_dsigma_kernel_takes_lists_and_refuses_a_bad_lambda():
+    # a NaN or wrongly shaped A is refused in test_constructors_refuse_nan_and_wrong_shape
+    a, b = np.array([[0.1j]]), np.array([[0.2 + 0.1j]])
+    kernel = DsigmaKernel(1, 1.0, a, b)
+    assert DsigmaKernel(1, 1.0, a.tolist(), b.tolist()).eval([0.1], [0.2]) == kernel.eval([0.1], [0.2])
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ShapeError):
+            DsigmaKernel(1, lam, a, b)
 
 
 def test_real_matrices_refuse_an_imaginary_part():

@@ -4,12 +4,31 @@ import math
 import numpy as np
 import pytest
 
-from weylsym.cli import main
+from weylsym import suites
+from weylsym.cli import EVAL_KINDS, main
+from weylsym.errors import UnknownSuite
+from weylsym.metaplectic import berezin_symbol_dsigma, berezin_symbol_sigma, sigma_kernel
 from weylsym.mjson import dump_matrix
-from weylsym.moyal import star_exp_quadratic_closed
-from weylsym.suites import SuiteReport
-from weylsym.sympgroup import SpReal, random_sp, sp_mul, su_from_sp
-from weylsym.weylsymbols import QuadForm2n
+from weylsym.moyal import star_exp_quadratic_closed, star_exp_series
+from weylsym.suites import SuiteReport, default_tol
+from weylsym.sympgroup import (
+    SpReal,
+    random_sp,
+    random_sp_lie,
+    random_su,
+    sp_mul,
+    su_from_sp,
+    su_lie_from_sp_lie,
+)
+from weylsym.weylsymbols import (
+    QuadForm2n,
+    hormander_exp_symbol,
+    w0_dsigma_closed,
+    w0_sigma_closed,
+    w1_dsigma_closed,
+    w1_exp_closed,
+    w1_sigma_closed,
+)
 
 
 def _run(capsys, argv):
@@ -183,8 +202,10 @@ def _matrix_file(tmp_path, name, m):
         ("w0-dsigma", "--X", [[0.1j, 0.2], [0.2, -0.1j]], [[0.1j, 0.2], [0.7, -0.1j]]),
         # M must be real
         ("star-exp", "--M", 0.1 * np.eye(2), [[0.1, 0.05j], [0.05j, 0.1]]),
+        # and symmetric, as given: it is not symmetrised
+        ("hormander", "--M", [[0.1, 0.05], [0.05, 0.1]], [[0.1, 0.05], [0.0, 0.1]]),
     ],
-    ids=["SuBlocks", "SpReal", "SpLieReal", "SuLie", "QuadForm2n"],
+    ids=["SuBlocks", "SpReal", "SpLieReal", "SuLie", "QuadForm2n", "QuadForm2n-symmetric"],
 )
 def test_eval_refuses_a_matrix_its_element_does_not_reproduce(tmp_path, capsys, kind, flag, good, bad):
     args = ["eval", kind, "--at", "0.1", "0.2"]
@@ -224,3 +245,87 @@ def test_eval_takes_negative_coordinates_with_an_exponent(capsys, flag, at):
     assert code == 0
     expect = star_exp_quadratic_closed(QuadForm2n(1, 0.1 * np.eye(2)), [float(a) for a in at])
     assert json.loads(out)["value"] == [expect.real, expect.imag]
+
+
+# n = 2 at λ = 1.3; the reals after --at, read as x then y for R^{2n} and as
+# re/im pairs for C^n
+_N, _LAM = 2, 1.3
+_AT = [0.3, -0.2, 0.1, 0.25]
+_X, _Y = np.array(_AT[:2]), np.array(_AT[2:])
+_Z = np.array([0.3 - 0.2j, 0.1 + 0.25j])
+_W = np.array([-0.15 + 0.05j, 0.2 + 0.1j])
+_K, _G = random_su(_N, 3), random_sp(_N, 4)
+_XR = random_sp_lie(_N, 5, scale=0.4)
+_XC = su_lie_from_sp_lie(_XR)
+_R = np.random.default_rng(6).uniform(-1, 1, (2 * _N, 2 * _N))
+_Q = QuadForm2n(_N, 0.03 * (_R + _R.T))
+
+# kind: (matrix flag, its matrix, extra arguments, the library call)
+_KINDS = {
+    "w0-sigma": ("--k", _K.full, [], lambda: w0_sigma_closed(_K, _Z, _LAM)),
+    "w0-dsigma": ("--X", _XC.full, [], lambda: w0_dsigma_closed(_XC, _Z, _LAM)),
+    "w1-sigma": ("--g", _G.g, [], lambda: w1_sigma_closed(_G, _X, _Y, _LAM)),
+    "w1-exp": ("--X", _XR.full, [], lambda: w1_exp_closed(_XR, _X, _Y, _LAM)),
+    "w1-dsigma": ("--X", _XR.full, [], lambda: w1_dsigma_closed(_XR, _X, _Y, _LAM)),
+    "berezin-sigma": ("--k", _K.full, [], lambda: berezin_symbol_sigma(_K, _Z, _LAM)),
+    "berezin-dsigma": ("--X", _XC.full, [], lambda: berezin_symbol_dsigma(_XC, _Z, _LAM)),
+    "star-exp": ("--M", _Q.M, ["--order", "12"], lambda: star_exp_series(_Q, -1j, 12, _AT)),
+    "hormander": ("--M", _Q.M, [], lambda: hormander_exp_symbol(_Q, _X, _Y)),
+    "kernel": ("--k", _K.full, [], lambda: complex(sigma_kernel(_K, _LAM).eval(_Z, _W))),
+}
+
+
+def test_every_eval_kind_is_tested():
+    assert sorted(_KINDS) == sorted(EVAL_KINDS)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_eval_prints_its_library_call_bit_for_bit(tmp_path, capsys, kind, fmt):
+    flag, m, extra, call = _KINDS[kind]
+    at = _AT + [-0.15, 0.05, 0.2, 0.1] if kind == "kernel" else _AT
+    argv = ["eval", kind, flag, _matrix_file(tmp_path, "m.json", m), "--n", str(_N), "--lambda", str(_LAM)]
+    code, out = _run(capsys, argv + ["--at", *map(repr, at), *extra, "--format", fmt])
+    assert code == 0
+    expect = call()
+    fields = {}
+    if isinstance(expect, tuple):
+        expect, last = expect
+        fields = {"last_term": last}
+    if fmt == "csv":
+        assert out == f"{expect.real:.15g},{expect.imag:.15g}\n"
+    else:
+        assert json.loads(out) == {"value": [expect.real, expect.imag], **fields}
+
+
+def test_point_is_the_same_option_as_at(tmp_path, capsys):
+    path = _matrix_file(tmp_path, "g.json", _G.g)
+    argv = ["eval", "w1-sigma", "--n", "2", "--g", path]
+    at = _run(capsys, argv + ["--at", *map(repr, _AT)])
+    point = _run(capsys, argv + ["--point", *map(repr, _AT)])
+    # the later of the two gives the point
+    both = _run(capsys, argv + ["--at", "0", "0", "0", "0", "--point", *map(repr, _AT)])
+    expect = w1_sigma_closed(_G, _X, _Y)
+    assert at == point == both == (0, json.dumps({"value": [expect.real, expect.imag]}) + "\n")
+
+
+def test_jacobi_bk_runs_past_n_2(capsys):
+    # the suite runs no quadrature, so it admits the n of the other closed-form suites
+    for n in ("3", "4"):
+        code, out = _run(capsys, ["suite", "jacobi-bk", "--n", n, "--trials", "5"])
+        assert code == 0
+        assert json.loads(out)["failures"] == 0
+
+
+def test_star_exp_suite_refuses_n_3_before_the_series(monkeypatch, capsys):
+    called = []
+    monkeypatch.setattr(suites, "star_exp_series", lambda *a: called.append(a))
+    assert main(["suite", "star-exp", "--n", "3", "--trials", "1"]) == 2
+    assert "needs n in {1, 2}" in capsys.readouterr().err
+    assert called == []
+
+
+def test_default_tol_refuses_an_unknown_suite():
+    assert default_tol("lemmatrices") == 1e-10
+    with pytest.raises(UnknownSuite):
+        default_tol("no-such-suite")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weylsym.errors import DomainViolation, NoDecomposition, SingularMatrix
+from weylsym.errors import NoDecomposition, SingularMatrix
 from weylsym.jacobi import (
     CharParams,
     JacobiGroupElt,

@@ -16,7 +16,7 @@ from weylsym.errors import AmbiguousPhase, CayleySingular
 from weylsym.gaussint import GaussianIntegrand, GaussianKernel
 from weylsym.heisenberg import HeisElt
 from weylsym.jacobi import JacobiGroupElt, JacobiGroupEltC, JacobiPoint
-from weylsym.metaplectic import berezin_sigma_symbol, sigma_kernel
+from weylsym.metaplectic import DsigmaKernel, berezin_sigma_symbol, sigma_kernel
 from weylsym.moyal import star_exp_quadratic_symbol
 from weylsym.sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, random_sp, random_sp_lie, random_su, su_from_sp
 from weylsym.weylsymbols import (
@@ -166,6 +166,7 @@ CALLER_ARRAYS = [
     (HeisElt, lambda dt: (1, np.array([0.1], dtype=dt), 0.0)),
     (JacobiPoint, lambda dt: (1, np.array([0.1], dtype=dt), np.array([[0.2]], dtype=dt))),
     (JacobiGroupElt, lambda dt: (1, np.array([0.1], dtype=dt), 0.0, SuBlocks.identity(1))),
+    (DsigmaKernel, lambda dt: (1, 1.0, np.array([[0.1]], dtype=dt), np.array([[0.2]], dtype=dt))),
     (
         JacobiGroupEltC,
         lambda dt: (1, np.ones(1, dt), np.ones(1, dt), 0.0, *(np.array([[a]], dtype=dt) for a in (1.0, 0.0, 0.0, 1.0))),

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -24,3 +25,18 @@ def test_import_loads_no_scipy_special_or_integrate():
     env = {**os.environ, "PYTHONPATH": str(Path(weylsym.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_inside_a_function():
+    """The package has no import cycle to break by a deferred import: every
+    `from .` import sits at the top of its module."""
+    found = []
+    for path in sorted(Path(weylsym.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0
+                ]
+    assert not found, found

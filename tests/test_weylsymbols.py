@@ -4,6 +4,7 @@ import pytest
 from weylsym import matcore
 from weylsym.errors import (
     AmbiguousPhase,
+    BadConfig,
     CayleySingular,
     HeatFlowSingular,
     NonConvergent,
@@ -529,6 +530,15 @@ def test_classical_weyl_kernel_gaussian():
     mid, diff = (x + y) / 2, x - y
     expect = (2 * np.pi) ** (-1.0) * np.exp(-(mid**2)) * np.sqrt(np.pi) * np.exp(-(diff**2) / 4)
     assert np.allclose(vals, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("nodes", [0, 2.5])
+def test_classical_weyl_kernel_refuses_a_bad_node_count(nodes):
+    # the quadratures' own refusals, made before the symbol is sampled
+    sampled = []
+    with pytest.raises(BadConfig):
+        classical_weyl_kernel(lambda u, t: sampled.append(1), 0.1, 0.2, nodes=nodes)
+    assert sampled == []
 
 
 def test_w1_of_classical_weyl_recovers_symbol():
