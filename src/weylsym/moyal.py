@@ -121,10 +121,13 @@ def moyal_mul(u: Poly, v: Poly) -> Poly:
     return out
 
 
-# Largest monomial count star_exp_series allocates, C(2·order + 2n, 2n): the
-# power (s q_M)^{∗order} has total degree 2·order.  n = 2 at order 40 (the
-# star-exp suite) needs 1.93M; n = 3 at order 40 would need 4.7·10^8.
-_MAX_MONOMIALS = 2**21
+# Largest monomial count star_exp_series allocates, C(2⌊order/2⌋ + 2n, 2n):
+# each power is kept only through the degrees that can still reach the point
+# (see `star_exp_series`).  n = 2 at order 40 (the star-exp suite) needs
+# 135,751; the cap admits n = 2 to order 57 and n = 3 to order 23 (376,740
+# monomials, about 0.3 GB peak, as a step holds 2(4n + 1) + 2n work arrays
+# of that length), and refuses n = 3 at order 40 (9.4M).
+_MAX_MONOMIALS = 2**19
 
 
 @dataclass
@@ -184,42 +187,61 @@ def _graded_table(k: int, degree: int) -> _GradedTable:
     return tab
 
 
-def _star_step(tab: _GradedTable, c: np.ndarray, deg: int, s_mat: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Packed coefficients of u ∗ f for f = vᵗ S v, u of degree ≤ deg packed
-    as c over the first _prefix(tab, deg) monomials of tab.
+def _star_mix(c0: complex, ell: np.ndarray, s_mat: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The matrix that `_centred_step` applies for f(w) = c0 + ℓ·w + wᵗSw.
 
-    Only P^0, P^1 and P^2 survive against a quadratic, so
+    Only P^0, P^1 and P^2 survive against a quadratic.  With Λ the Poisson
+    pairing (J in (p, q) order), Λ∇f(w) = Λℓ + G w for G = 2ΛS, and
+    H = 2ΛSΛᵗ, so that, collecting the terms linear in w,
 
-        u ∗ f = f·u + t Σ_i g_i ∂_i u + (t²/2) Σ_ab H_ab ∂_a ∂_b u,
+        u ∗ f = c0 u + t Λℓ·∇u + (t²/2) Σ_a ∂_a (H ∇u)_a + Σ_a w_a z_a,
+        z_a   = ℓ_a u + Σ_b S_ab w_b u + t Σ_i G_ia ∂_i u.
 
-    g = 2ΛS v, H = 2ΛSΛᵗ, with lam the Poisson pairing Λ (J in (p, q) order).
-    Multiplying by v_a scatters through up[a]; ∂_a gathers through up[a]
-    with weight e_a + 1.  The f·u and g terms are collected as Σ_a v_a z_a;
-    they run one after the other so that at most k full-length work arrays
-    are alive at once.
+    The matrix maps the rows (u, w_1 u … w_k u, ∂_1 u … ∂_k u) to the rows
+    (z_1 … z_k, c0 u + t Λℓ·∇u, (t²/2)(H ∇u)_1 … (t²/2)(H ∇u)_k).
     """
     k = s_mat.shape[0]
     grad = 2.0 * lam @ s_mat
-    hess = grad @ lam.T
-    n0, n1, n2 = _prefix(tab, deg), _prefix(tab, deg + 1), _prefix(tab, deg + 2)
+    mix = np.zeros((2 * k + 1, 2 * k + 1), complex)
+    mix[:k, 0] = ell
+    mix[:k, 1 : k + 1] = s_mat
+    mix[:k, k + 1 :] = _T * grad.T
+    mix[k, 0] = c0
+    mix[k, k + 1 :] = _T * (lam @ ell)
+    mix[k + 1 :, k + 1 :] = (_T**2 / 2) * (grad @ lam.T)
+    return mix
+
+
+def _centred_step(
+    tab: _GradedTable, weights: np.ndarray, mix: np.ndarray, c: np.ndarray, deg: int, keep: int
+) -> np.ndarray:
+    """Packed coefficients through degree `keep`, |keep - deg| ≤ 2, of u ∗ f,
+    for u of degree ≤ deg packed as c over the first _prefix(tab, deg)
+    monomials of tab, f given by `mix` (see `_star_mix`), and
+    weights[a, i] = exps[a, i] + 1 over the monomials of degree < deg.
+
+    Multiplying by w_a scatters through up[a]; ∂_a gathers through up[a]
+    with weight e_a + 1; the rows u, w_b u and ∂_i u go through `mix` in
+    one product.  Degree d of u ∗ f reads only degrees d - 2 … d + 2 of u,
+    so u is needed only through degree keep + 2.
+    """
+    k = weights.shape[0]
+    axes = np.arange(k)[:, None]  # pairs row a with up[a]
+    up = tab.up
+    n_in, n_out = _prefix(tab, deg), _prefix(tab, keep)
+    m0, mz = _prefix(tab, keep - 2), _prefix(tab, keep - 1)
     m1, m2 = _prefix(tab, deg - 1), _prefix(tab, deg - 2)
-    up, exps = tab.up, tab.exps
-    out = np.zeros(n2, complex)
-    # f·u = Σ_a v_a Σ_b S_ab v_b u
-    vu = np.zeros((k, n1), complex)
-    for b in range(k):
-        vu[b, up[b, :n0]] = c
+    rows = np.zeros((2 * k + 1, max(n_out, m1)), complex)
+    lo = min(n_in, rows.shape[1])
+    rows[0, :lo] = c[:lo]
+    rows[1 : k + 1][axes, up[:, :m0]] = c[:m0]
+    np.multiply(weights[:, :m1], c[up[:, :m1]], out=rows[k + 1 :, :m1])
+    mixed = mix @ rows
+    del rows
+    out = mixed[k, :n_out].copy()
+    out[:m2] += (weights[:, :m2] * mixed[k + 1 :][axes, up[:, :m2]]).sum(axis=0)
     for a in range(k):
-        out[up[a, :n1]] += s_mat[a] @ vu
-    del vu
-    # t Σ_a v_a Σ_i (2ΛS)_ia ∂_i u  and  (t²/2) Σ_a ∂_a Σ_b H_ab ∂_b u
-    du = np.empty((k, m1), complex)
-    for i in range(k):
-        du[i] = (exps[i, :m1] + 1) * c[up[i, :m1]]
-    for a in range(k):
-        out[up[a, :m1]] += _T * (grad[:, a] @ du)
-        h = hess[a] @ du
-        out[:m2] += (_T**2 / 2) * (exps[a, :m2] + 1) * h[up[a, :m2]]
+        out[up[a, :mz]] += mixed[a, :mz]
     return out
 
 
@@ -230,12 +252,15 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
     Refuses outside the convergence envelope ‖sM‖ ≤ 0.25, |point| ≤ 1.5,
     L ≤ 60, and raises NonConvergent if the certificate fails.  Raises
     ShapeError for a non-finite s, and BadConfig for L < 0 and when the
-    packed powers would need more than 2^21 monomials (n = 3 or more at
-    order 40).
+    kept powers would need more than 2^19 monomials (n = 2 above order 57,
+    n = 3 above 23, n = 4 above 15).
 
-    Each power is a dense coefficient array over the monomials of degree
-    ≤ 2l in graded order (see `_star_step`), evaluated by one dot product
-    with the monomial values at the point.
+    The powers u_l = (s q_M)^{∗l} are taken in the coordinates w = v - p
+    centred at the point p, where s q_M(p + w) = pᵗSp + 2(Sp)·w + wᵗSw and
+    term l is the constant coefficient u_l(0)/l!.  Degree d of u ∗ f reads
+    only degrees d - 2 … d + 2 of u, so u_L(0) needs u_l only through
+    degree min(2l, 2(L - l)); each u_l is one dense array over those
+    monomials in graded order (see `_centred_step`).
     """
     if order < 0:
         raise BadConfig(f"series order must be nonnegative, got {order}")
@@ -249,28 +274,27 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
     if order > 60:
         raise NonConvergent("truncation order exceeds 60")
     k = 2 * q.n
-    top = 2 * order
+    top = 2 * (order // 2)
     if math.comb(top + k, k) > _MAX_MONOMIALS:
         raise BadConfig(
             f"order {order} at n = {q.n} needs {math.comb(top + k, k)} monomials "
             f"(limit {_MAX_MONOMIALS})"
         )
     tab = _graded_table(k, top)
+    weights = tab.exps[:, : _prefix(tab, top - 1)] + 1.0
     s_mat = s * (q.M + q.M.T) / 2
-    lam = matcore.matrix_J(q.n).real
-    powers = point[:, None] ** np.arange(top + 1)
-    values = np.ones(_prefix(tab, top))
-    for a in range(k):
-        values *= powers[a, tab.exps[a, : values.size]]
+    sp = s_mat @ point
+    mix = _star_mix(point @ sp, 2.0 * sp, s_mat, matcore.matrix_J(q.n).real)
+    kept = [min(2 * l, 2 * (order - l)) for l in range(order + 1)]
     coeffs = np.ones(1, complex)
     total = 0.0 + 0.0j
     last = 0.0
     for l in range(order + 1):
-        term = (coeffs @ values[: coeffs.size]) / math.factorial(l)
+        term = coeffs[0] / math.factorial(l)
         last = abs(term)
         total += term
         if l < order:
-            coeffs = _star_step(tab, coeffs, 2 * l, s_mat, lam)
+            coeffs = _centred_step(tab, weights, mix, coeffs, kept[l], kept[l + 1])
     if not last <= 1e-10 * max(abs(total), 1e-30):
         raise NonConvergent(f"last term {last:.3g} is not negligible")
     return complex(total), last

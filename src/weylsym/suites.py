@@ -4,6 +4,7 @@ derivation), with deterministic per-trial seeding."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -303,8 +304,9 @@ class _Suite:
 
 
 # past n = 2 a quadrature grid at the default 40 nodes (40^{2n} points)
-# exceeds quadrature.MAX_POINTS, and the star-exp series at order 40 the
-# monomial cap of moyal.star_exp_series
+# exceeds quadrature.MAX_POINTS, and the star-exp series at order 40 (kept
+# through degree 40, C(40 + 2n, 2n) monomials) the monomial cap of
+# moyal.star_exp_series
 _N_TO_2 = (1, 2)
 _N_TO_4 = (1, 2, 3, 4)
 
@@ -349,8 +351,8 @@ def run_suite(
     suite = _suite(name)
     if trials < 1:
         raise BadConfig("trials must be positive")
-    if lam <= 0:
-        raise BadConfig("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise BadConfig(f"lambda must be positive and finite, got {lam}")
     if n not in suite.ns:
         raise BadConfig(f"suite {name!r} needs n in {{{', '.join(map(str, suite.ns))}}}, got {n}")
     if nodes is None:

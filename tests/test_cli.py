@@ -142,6 +142,15 @@ def test_suite_quadrature_nodes_out_of_range_is_bad_config(capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_suite_non_finite_lambda_is_bad_config(capsys, lam):
+    # a NaN or infinite λ would print as bare NaN / Infinity, not JSON
+    assert main(["suite", "lemmatrices", "--lambda", lam, "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lambda" in captured.err
+
+
 def test_unknown_suite(capsys):
     assert main(["suite", "no-such-suite"]) == 2
     capsys.readouterr()

@@ -22,6 +22,7 @@ from weylsym.moyal import (
     weyl_quantize_poly,
 )
 from weylsym.polys import Poly
+from weylsym.suites import run_suite
 from weylsym.sympgroup import SpLieReal, random_sp_lie, rng_for
 from weylsym.weylsymbols import QuadForm2n
 
@@ -227,37 +228,64 @@ def _random_quadratic(rng, n):
 
 
 def test_packed_step_matches_moyal_mul():
+    # the centred step against moyal_mul over the degrees it keeps, for
+    # f = c0 + ℓ·w + wᵗSw and outputs two degrees up, level and two down
     rng = rng_for(9, "moyal-packed")
     for n in (1, 2):
-        tab = moyal._graded_table(2 * n, 8)
+        k = 2 * n
+        tab = moyal._graded_table(k, 8)
         index = {tuple(int(e) for e in col): i for i, col in enumerate(tab.exps.T)}
+        weights = tab.exps[:, : moyal._prefix(tab, 7)] + 1.0
         for _ in range(5):
-            u = _random_poly(rng, 2 * n, 6, nterms=10)
+            u = _random_poly(rng, k, 6, nterms=10)
             s, f = _random_quadratic(rng, n)
+            c0 = complex(rng.standard_normal(), rng.standard_normal())
+            ell = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            f = f + Poly.const(k, c0) + sum((ell[a] * Poly.var(k, a) for a in range(k)), Poly.zero(k))
             c = np.zeros(moyal._prefix(tab, u.degree), complex)
             for e, coeff in u.terms.items():
                 c[index[e]] = coeff
-            packed = moyal._star_step(tab, c, u.degree, s, matrix_J(n).real)
-            got = Poly(2 * n, {tuple(int(x) for x in tab.exps[:, i]): packed[i] for i in range(packed.size)})
+            mix = moyal._star_mix(c0, ell, s, matrix_J(n).real)
             ref = moyal_mul(u, f)
             scale = max(abs(x) for x in ref.terms.values())
-            assert got.max_coeff_diff(ref) <= 1e-13 * scale
+            for keep in (u.degree + 2, u.degree, max(u.degree - 2, 0)):
+                packed = moyal._centred_step(tab, weights, mix, c, u.degree, keep)
+                assert packed.size == moyal._prefix(tab, keep)
+                got = Poly(k, {tuple(int(x) for x in tab.exps[:, i]): packed[i] for i in range(packed.size)})
+                kept = Poly(k, {e: x for e, x in ref.terms.items() if sum(e) <= keep})
+                assert got.max_coeff_diff(kept) <= 1e-13 * scale
 
 
 def test_star_exp_series_matches_reference_loop():
+    # moyal_mul powers of s q_M evaluated at off-origin points
     rng = rng_for(10, "moyal-series-ref")
-    for _ in range(3):
-        m = rng.standard_normal((2, 2))
-        m = 0.15 * (m + m.T) / np.linalg.norm(m + m.T, 2)
-        q = QuadForm2n(1, m)
-        point = rng.uniform(-0.8, 0.8, 2)
+    for n, order, m_norm, radius in [(1, 12, 0.15, 0.8)] * 3 + [(2, 6, 0.04, 0.4)] * 2:
+        m = rng.standard_normal((2 * n, 2 * n))
+        m = m_norm * (m + m.T) / np.linalg.norm(m + m.T, 2)
+        q = QuadForm2n(n, m)
+        point = rng.uniform(-radius, radius, 2 * n)
         f = -1j * phase_poly_from_quadform(q)
-        power, ref = Poly.const(2, 1.0), 0.0
-        for l in range(13):
+        power, ref = Poly.const(2 * n, 1.0), 0.0
+        for l in range(order + 1):
             ref += power.eval(point) / math.factorial(l)
             power = moyal_mul(power, f)
-        value, _ = star_exp_series(q, -1j, 12, point)
+        value, _ = star_exp_series(q, -1j, order, point)
         assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+def test_star_exp_series_keeps_only_reachable_degrees():
+    # u_l is kept through degree min(2l, 2(L - l)) ≤ L, not 2L: at n = 2,
+    # order 40 the table holds C(44, 4) monomials, not C(84, 4) = 1.9M
+    q = QuadForm2n(2, 0.05 * np.eye(4))
+    star_exp_series(q, -1j, 40, [0.3, -0.2, 0.1, 0.4])
+    assert moyal._TABLES[4].exps.shape[1] <= math.comb(41 + 4, 4)
+
+
+def test_star_exp_suite_n2():
+    # the star-exp suite at n = 2 (order 40) at its own tolerance
+    report = run_suite("star-exp", n=2, trials=2)
+    assert report.failures == 0 and report.tol == 1e-6
+    assert report.max_residual <= 1e-12
 
 
 def test_star_exp_series_size_guard():
