@@ -178,8 +178,7 @@ class GaussianKernel(_Gaussian):
         self._init()
 
     def _init(self):
-        if not 0 < self.lam < np.inf:
-            raise ShapeError("lambda must be positive and finite")
+        matcore.require_lambda(self.lam)
         self._seal(self.c, self.lam / 4 * np.block([[self.alpha, self.beta], [self.beta.T, self.gamma]]))
 
     @staticmethod
@@ -284,7 +283,7 @@ def _inverse_blocks(a: np.ndarray, d: np.ndarray, p: np.ndarray):
     n = a.shape[0]
     eye = np.eye(n)
     big = np.block([[-a, eye + p.T], [eye + p, d]])
-    inv = matcore.inv(big)
+    inv = matcore.require_invertible(big)[0]
     return inv[:n, :n], inv[:n, n:], inv[n:, :n], inv[n:, n:]
 
 
@@ -308,7 +307,7 @@ def block_inverse_identity_residual(a, d, p) -> float:
 
 def _kernel_blocks(k: SuBlocks):
     """The (a, d, p) triple for k in S: a = Qbar P^{-1}, d = P^{-1}Q, p = P^{-1}."""
-    pinv = matcore.inv(k.P)
+    pinv = matcore.require_invertible(k.P)[0]
     return k.Q.conj() @ pinv, pinv @ k.Q, pinv
 
 
@@ -330,6 +329,7 @@ def det_identity_residual(k: SuBlocks) -> float:
     eye = np.eye(n)
     a, d, p = _kernel_blocks(k)
     big = np.block([[-a, eye + p.T], [eye + p, d]])
-    lhs = matcore.det(big)
-    rhs = (-1) ** n / matcore.det(k.P) * matcore.det(k.full + np.eye(2 * n))
+    # numpy's determinant is the independent side: a residual, never a refusal
+    lhs = np.linalg.det(big)
+    rhs = (-1) ** n / np.linalg.det(k.P) * np.linalg.det(k.full + np.eye(2 * n))
     return abs(lhs - rhs)

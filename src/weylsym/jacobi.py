@@ -28,7 +28,7 @@ import numpy as np
 from . import matcore
 from .errors import NoDecomposition, NotInS, ShapeError
 from .heisenberg import symplectic_form
-from .matcore import as_matrix, as_vector, inv, lu_solve, matrix_J, norm, principal_power, require_invertible
+from .matcore import as_matrix, as_vector, matrix_J, norm, principal_power, require_invertible
 from .sympgroup import SuBlocks, _owned, _trusted, su_inv, su_mul
 
 __all__ = [
@@ -146,8 +146,8 @@ class CharParams:
     m: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ShapeError("lambda must be positive")
+        matcore.require_lambda(self.lam)
+        matcore.require_finite(self.m)
         if abs(2 * self.m - round(2 * self.m)) > 1e-12:
             raise ShapeError("m must be a half-integer")
 
@@ -195,7 +195,7 @@ def pkp_decompose(g: JacobiGroupEltC):
     P = (D^t)^{-1}, c = c0 - (i/4) (z0 - B D^{-1} w0) w0.
     Requires det(D) != 0.
     """
-    dinv = inv(g.D, NoDecomposition)
+    dinv = require_invertible(g.D, NoDecomposition)[0]
     bd = g.B @ dinv
     y = g.z0 - bd @ g.w0
     v = dinv @ g.w0
@@ -211,7 +211,7 @@ def pkp_recompose(y, Y, c, P, v, V) -> JacobiGroupEltC:
     zero = np.zeros(n)
     P = as_matrix(P, n, n)
     p_plus = JacobiGroupEltC.from_mat(y, zero, 0.0, np.block([[eye, as_matrix(Y, n, n)], [0 * eye, eye]]))
-    kc = JacobiGroupEltC.from_mat(zero, zero, c, np.block([[P, 0 * eye], [0 * eye, inv(P).T]]))
+    kc = JacobiGroupEltC.from_mat(zero, zero, c, np.block([[P, 0 * eye], [0 * eye, require_invertible(P)[0].T]]))
     p_minus = JacobiGroupEltC.from_mat(zero, v, 0.0, np.block([[eye, 0 * eye], [as_matrix(V, n, n), eye]]))
     return jc_mul(jc_mul(p_plus, kc), p_minus)
 
@@ -220,7 +220,7 @@ def jacobi_action(g: JacobiGroupEltC, z_pt: JacobiPoint) -> JacobiPoint:
     """g · a(y, Y) = a(y', Y') with Y' = (AY+B)(CY+D)^{-1} and
     y' = z0 + Ay - (AY+B)(CY+D)^{-1}(w0 + Cy)."""
     y, Y = z_pt.y, z_pt.Y
-    cyd_inv = inv(g.C @ Y + g.D, scale=norm(g.C) * norm(Y) + norm(g.D))
+    cyd_inv = require_invertible(g.C @ Y + g.D, scale=norm(g.C) * norm(Y) + norm(g.D))[0]
     big_y = (g.A @ Y + g.B) @ cyd_inv
     y_new = g.z0 + g.A @ y - big_y @ (g.w0 + g.C @ y)
     return _trusted(JacobiPoint, z_pt.n, y_new, (big_y + big_y.T) / 2)
@@ -238,8 +238,7 @@ def k_chi(z_pt: JacobiPoint, w_pt: JacobiPoint, chi: CharParams) -> complex:
     vb = w_pt.y.conj()
     big_vb = w_pt.Y.conj()
     eye = np.eye(n)
-    factors, d = require_invertible(eye - big_vb @ Y, scale=1 + norm(big_vb) * norm(Y))
-    cinv = lu_solve(factors, eye)
+    cinv, d = require_invertible(eye - big_vb @ Y, scale=1 + norm(big_vb) * norm(Y))
     expo = (
         2 * _pairing(y, cinv, vb)
         + _pairing(y, cinv @ big_vb, y)
@@ -257,14 +256,14 @@ def j_chi(g: JacobiGroupElt, z_pt: JacobiPoint, chi: CharParams) -> complex:
     p, q = g.k.P, g.k.Q
     z0 = g.z0
     y, Y = z_pt.y, z_pt.Y
-    factors, d = require_invertible(q.conj() @ Y + p.conj(), scale=norm(q) * norm(Y) + norm(p))
+    inverse, d = require_invertible(q.conj() @ Y + p.conj(), scale=norm(q) * norm(Y) + norm(p))
     upper = p @ Y + q
     t = z0.conj() + q.conj() @ y
     expo = (
         z0 @ z0.conj()
         + 2 * (z0.conj() @ (p @ y))
         + _pairing(y, p.T @ q.conj(), y)
-        - _pairing(t, upper @ lu_solve(factors, np.eye(g.n)), t)
+        - _pairing(t, upper @ inverse, t)
     )
     det_factor = principal_power(d, -chi.m)
     return np.exp(1j * chi.lam * g.c) * det_factor * np.exp(chi.lam / 4 * expo)

@@ -2,9 +2,11 @@
 
 Matrices are plain ``numpy`` arrays of ``complex128``, row-major.  Everything
 here is pure: inputs are never mutated and results are freshly allocated.
-`as_matrix`, `as_vector` and `as_batch` check arrays arriving from outside the library;
-the other functions take the square arrays their callers built and do not
-check them.
+`as_matrix`, `as_vector` and `as_batch` check arrays arriving from outside the library,
+and `require_lambda` the scale λ; the other functions take the square arrays
+their callers built and do not check them.  `require_invertible` is the one
+way to invert a matrix or take a guarded determinant, and the one rule that
+refuses a matrix as singular.
 
 The branch convention used throughout the library is the principal
 determination: ``Arg`` in (-pi, pi], so the square root of a negative real
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgecon, zgetrf, zgetrs, zlange
+from scipy.linalg.lapack import zgetrf, zgetrs, zlange
 
 from .errors import AmbiguousPhase, NotPositiveReal, ShapeError, SingularMatrix, CayleySingular
 
@@ -28,6 +30,7 @@ __all__ = [
     "as_vector",
     "as_batch",
     "require_finite",
+    "require_lambda",
     "matrix_J",
     "matrix_U",
     "mat_exp",
@@ -35,11 +38,8 @@ __all__ = [
     "cayley",
     "principal_sqrt",
     "principal_power",
-    "det",
     "require_invertible",
-    "lu_solve",
     "solve",
-    "inv",
     "det_powhalf_posreal",
     "hamiltonian_cosh_det",
     "hermitian_lam_min",
@@ -115,6 +115,12 @@ def require_finite(*values) -> None:
             raise ShapeError("NaN/Inf entries")
 
 
+def require_lambda(lam: float) -> None:
+    """ShapeError unless the scale λ is positive and finite."""
+    if not 0 < lam < math.inf:
+        raise ShapeError("lambda must be positive and finite")
+
+
 @functools.cache
 def matrix_J(n: int) -> np.ndarray:
     """The standard symplectic form [[0, I], [-I, 0]] of size 2n; read-only."""
@@ -165,12 +171,12 @@ def mat_cosh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cayley(g: np.ndarray) -> tuple[np.ndarray, complex]:
-    """((g - I)(g + I)^{-1}, Det(g + I)) from one LU factorisation of g + I;
-    CayleySingular when `require_invertible` refuses it."""
+    """((g - I)(g + I)^{-1}, Det(g + I)) from `require_invertible` on g + I;
+    CayleySingular when it refuses it."""
     eye = np.eye(g.shape[0])
-    factors, d = require_invertible(g + eye, CayleySingular, 1 + norm(g))
+    inverse, d = require_invertible(g + eye, CayleySingular, 1 + norm(g))
     # g - I and g + I commute, so the right quotient is the left one
-    return lu_solve(factors, g - eye), d
+    return inverse @ (g - eye), d
 
 
 def principal_sqrt(c: complex) -> complex:
@@ -191,37 +197,27 @@ def principal_power(c: complex, expo: float) -> complex:
     return cmath.exp(expo * cmath.log(c))
 
 
-def det(m: np.ndarray) -> complex:
-    return complex(np.linalg.det(m))
-
-
-def require_invertible(m: np.ndarray, error=SingularMatrix, scale: float = 0.0):
-    """The library's one singularity test: ((lu, piv), Det m) from one LU
-    factorisation, or `error` when ‖m^{-1}‖·max(‖m‖, scale) > 1e14 (1-norms,
-    ‖m^{-1}‖ estimated by LAPACK).  A sum passes the size of its operands as
-    `scale`, so that roundoff left by cancellation (I + k ≈ 1e-16·diag(i, -i))
-    is refused however well conditioned it is."""
+def require_invertible(m: np.ndarray, error=SingularMatrix, scale: float = 0.0) -> tuple[np.ndarray, complex]:
+    """The library's one singularity test: (m^{-1}, Det m) from one LU
+    factorisation, the inverse solved against I, or `error` when
+    ‖m^{-1}‖·max(‖m‖, scale) > 1e14, with both 1-norms exact.  A sum passes
+    the size of its operands as `scale`, so that roundoff left by
+    cancellation (I + k ≈ 1e-16·diag(i, -i)) is refused however well
+    conditioned it is."""
     lu, piv, info = zgetrf(m)
-    anorm = zlange("1", m)
-    rcond = zgecon(lu, anorm)[0] if info == 0 else 0.0
-    if not (info == 0 and rcond * anorm * 1e14 >= max(anorm, scale)):
-        raise error(f"numerically singular: rcond {rcond:.3g}, operand size {max(anorm, scale):.3g}")
+    inverse = zgetrs(lu, piv, np.eye(m.shape[0]))[0]
+    inorm = zlange("1", inverse) if info == 0 else math.inf
+    size = max(zlange("1", m), scale)
+    # a NaN norm, from an inverse that overflowed, is refused too
+    if not inorm * size <= 1e14:
+        raise error(f"numerically singular: ‖m^-1‖ {inorm:.3g}, operand size {size:.3g}")
     swaps = sum(p != i for i, p in enumerate(piv.tolist()))
-    return (lu, piv), (-1) ** swaps * complex(lu.diagonal().prod())
-
-
-def lu_solve(factors, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b from the factors `require_invertible` returned for m."""
-    return zgetrs(*factors, b)[0]
+    return inverse, (-1) ** swaps * complex(lu.diagonal().prod())
 
 
 def solve(m: np.ndarray, b: np.ndarray, error=SingularMatrix, scale: float = 0.0) -> np.ndarray:
     """Solve m x = b; raises `error` when `require_invertible` refuses m."""
-    return lu_solve(require_invertible(m, error, scale)[0], b)
-
-
-def inv(m: np.ndarray, error=SingularMatrix, scale: float = 0.0) -> np.ndarray:
-    return solve(m, np.eye(m.shape[0]), error, scale)
+    return require_invertible(m, error, scale)[0] @ b
 
 
 def hermitian_lam_min(m: np.ndarray) -> float:

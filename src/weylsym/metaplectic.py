@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import NotInLie, NotUnimodular, ShapeError
+from .errors import NotInLie, NotUnimodular
 from .gaussint import GaussianKernel, GaussianSymbol, compose_kernels
 from .matcore import as_matrix, as_vector, norm, principal_power, principal_sqrt
 from .polys import Poly
@@ -45,8 +45,7 @@ def sigma_kernel(k: SuBlocks, lam: float) -> GaussianKernel:
     once per k and λ."""
 
     def build():
-        factors, det_p = matcore.require_invertible(k.P)
-        pinv = matcore.lu_solve(factors, np.eye(k.n))
+        pinv, det_p = matcore.require_invertible(k.P)
         alpha = k.Q.conj() @ pinv
         gamma = -pinv @ k.Q
         c = 1.0 / principal_sqrt(det_p)
@@ -112,8 +111,10 @@ def alpha_from_dets(k1: SuBlocks, k2: SuBlocks) -> complex:
     """
     m = -0.5
     p12 = su_mul(k1, k2).P
-    dp1, dp2, dp12 = (matcore.det(x) for x in (k1.P, k2.P, p12))
-    mid = matcore.det(matcore.inv(k1.P) @ p12 @ matcore.inv(k2.P))
+    p1inv, dp1 = matcore.require_invertible(k1.P)
+    p2inv, dp2 = matcore.require_invertible(k2.P)
+    dp12 = matcore.require_invertible(p12)[1]
+    mid = matcore.require_invertible(p1inv @ p12 @ p2inv)[1]
     return principal_power(dp12, m) / (
         principal_power(dp1, m) * principal_power(dp2, m) / principal_sqrt(mid)
     )
@@ -143,8 +144,7 @@ class DsigmaKernel:
     B: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.lam < np.inf:
-            raise ShapeError("lambda must be positive and finite")
+        matcore.require_lambda(self.lam)
         object.__setattr__(self, "A", _owned(as_matrix(self.A, self.n, self.n)))
         object.__setattr__(self, "B", _owned(as_matrix(self.B, self.n, self.n)))
 

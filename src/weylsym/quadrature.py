@@ -38,6 +38,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import BadConfig, NonConvergent
+from .matcore import require_lambda
 
 __all__ = [
     "GaussianExponent",
@@ -264,6 +265,7 @@ def quadrature_cn(f, lam: float, n: int, nodes_per_axis: int = 80) -> complex:
     Substituting x_j = sqrt(2/λ) s_j on each of the 2n real axes absorbs the
     weight and the measure normalisation: the prefactor collapses to π^{-n}.
     """
+    require_lambda(lam)
     plan = _checked_plan(2 * n, nodes_per_axis)
     to_x = functools.partial(_to_cn, scale=math.sqrt(2.0 / lam))
     return complex(np.pi ** (-n) * _stream(f, plan, to_x, to_x, False))

@@ -123,7 +123,7 @@ def _phase_c(n: int, d: complex, p: np.ndarray) -> complex:
     dr = d.real
     if dr > 0:
         return 2**n / principal_sqrt(dr)
-    dp = matcore.det(p)
+    dp = matcore.require_invertible(p)[1]
     if abs(dp.imag) <= 1e-10 * (1 + abs(dp)):
         raise AmbiguousPhase("Det(I+k) < 0 with Det P real: phase not determined")
     mag = 2**n / np.sqrt(abs(dr))
@@ -215,8 +215,8 @@ def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
     def build():
         half = x_lie.full / 2
         ch, sh = matcore.mat_cosh(half)
-        factors, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
-        th = matcore.lu_solve(factors, sh)
+        chinv, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
+        th = chinv @ sh
         gamma = 1 / matcore.hamiltonian_cosh_det(half, d)
         return GaussianSymbol._trusted(x_lie.n, gamma, -1j * lam * (matrix_J(x_lie.n) @ th))
 
@@ -251,8 +251,8 @@ def _cosh_law_symbol(n: int, jm: np.ndarray) -> GaussianSymbol:
     """(Det cosh(jm))^{-1/2} exp(i (x y) J tanh(jm) (x y)^t), the root by
     `matcore.hamiltonian_cosh_det`: exp_*(-i q_M) at jm = JM, Hörmander's at iJM."""
     ch, sh = matcore.mat_cosh(jm)
-    factors, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
-    th = sh @ matcore.lu_solve(factors, np.eye(2 * n))
+    chinv, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
+    th = sh @ chinv
     return GaussianSymbol._trusted(n, 1 / matcore.hamiltonian_cosh_det(jm, d), 1j * (matrix_J(n) @ th))
 
 
@@ -262,12 +262,13 @@ def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:
     past that blow-up, HeatFlowSingular."""
     a = np.eye(2 * f.n) - 4 * t * f.S
     d = matcore.det_powhalf_posreal(a, HeatFlowSingular)
-    s_new = f.S @ matcore.inv(a, HeatFlowSingular, 1 + norm(4 * t * f.S))
+    s_new = f.S @ matcore.require_invertible(a, HeatFlowSingular, 1 + norm(4 * t * f.S))[0]
     return GaussianSymbol._trusted(f.n, f.gamma / d, s_new)
 
 
 def berezin_transform_gaussian(f: GaussianSymbol, lam: float) -> GaussianSymbol:
     """B_λ = exp(Δ/2λ) on Gaussian symbols, in closed form."""
+    matcore.require_lambda(lam)
     return heat_flow_gaussian(f, 1.0 / (2 * lam))
 
 
@@ -282,6 +283,7 @@ def berezin_transform_quadrature(f, z, lam: float, nodes: int = 80) -> complex:
 def polar_relation_residual(k: SuBlocks, lam: float, npoints: int = 10, seed: int = 0) -> float:
     """sup_z |B_λ^{1/2}(W0(σ(k)))(z) - S_λ(σ(k))(z)| over sample points;
     B_λ^{1/2} = heat flow at t = 1/(4λ)."""
+    matcore.require_lambda(lam)
     half = heat_flow_gaussian(w0_sigma_symbol(k, lam), 1.0 / (4 * lam))
     # point j takes draws 2j (real parts) and 2j + 1 (imaginary parts)
     draws = np.random.default_rng(seed).standard_normal((npoints, 2, k.n))

@@ -100,7 +100,7 @@ def test_criterion_02_block_identities():
     for trial in range(100):
         n = 1 + trial % 3
         k = random_su(n, 2000 + trial)
-        pinv = matcore.inv(k.P)
+        pinv = np.linalg.inv(k.P)
         a, d, p = k.Q.conj() @ pinv, pinv @ k.Q, pinv
         worst = max(
             worst,
@@ -171,7 +171,7 @@ def test_criterion_06_w0_closed_vs_quadrature():
             k = random_su(1, 8000 + trial)
         else:
             k = random_su_negdet(trial - 92)
-        if matcore.det(k.full + np.eye(2)).real < 0:
+        if np.linalg.det(k.full + np.eye(2)).real < 0:
             negdet += 1
             # the quadrature adjudicates the +-i phase choice
             c_quad = adjudicate_phase(k, 1.0)

@@ -31,6 +31,7 @@ from weylsym.metaplectic import (
     verify_intertwining,
 )
 from weylsym.moyal import star_exp_bridge_residual, star_exp_quadratic_closed, star_exp_series
+from weylsym.quadrature import quadrature_cn
 from weylsym.sympgroup import (
     SpLieReal,
     SpReal,
@@ -45,8 +46,10 @@ from weylsym.sympgroup import (
 from weylsym.weylsymbols import (
     GaussianSymbol,
     QuadForm2n,
+    berezin_transform_gaussian,
     berezin_transform_quadrature,
     hormander_exp_symbol,
+    polar_relation_residual,
     w0_dsigma_closed,
     w0_integral,
     w0_sigma_closed,
@@ -124,14 +127,29 @@ def test_constructors_refuse_nan_and_wrong_shape(cls, args, pos):
             cls(*args[:pos], bad, *args[pos + 1 :])
 
 
+# every entry that refuses λ outside (0, ∞) with `matcore.require_lambda`, at
+# otherwise valid arguments
+LAMBDA_ENTRIES = [
+    lambda lam: DsigmaKernel(1, lam, _Z, _Z),
+    lambda lam: GaussianKernel(1, lam, 1.0, _Z, _I, _Z),
+    lambda lam: CharParams(lam, -0.5),
+    lambda lam: quadrature_cn(lambda w: np.ones(w.shape[0]), lam, 1, nodes_per_axis=4),
+    lambda lam: w0_integral(sigma_kernel(random_su(1, 1), 1.0), [0.1], lam, nodes=4),
+    lambda lam: berezin_transform_gaussian(GaussianSymbol(1, 1.0, -np.eye(2)), lam),
+    lambda lam: polar_relation_residual(random_su(1, 1), lam),
+]
+
+
 def test_dsigma_kernel_takes_lists_and_refuses_a_bad_lambda():
     # a NaN or wrongly shaped A is refused in test_constructors_refuse_nan_and_wrong_shape
     a, b = np.array([[0.1j]]), np.array([[0.2 + 0.1j]])
     kernel = DsigmaKernel(1, 1.0, a, b)
     assert DsigmaKernel(1, 1.0, a.tolist(), b.tolist()).eval([0.1], [0.2]) == kernel.eval([0.1], [0.2])
-    for lam in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ShapeError):
-            DsigmaKernel(1, lam, a, b)
+    for call in LAMBDA_ENTRIES:
+        call(1.0)
+        for lam in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ShapeError):
+                call(lam)
 
 
 def test_real_matrices_refuse_an_imaginary_part():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weylsym.errors import NoDecomposition, SingularMatrix
+from weylsym.errors import NoDecomposition, ShapeError, SingularMatrix
 from weylsym.jacobi import (
     CharParams,
     JacobiGroupElt,
@@ -114,3 +114,7 @@ def test_char_params_validation():
         CharParams(-1.0, -0.5)
     with pytest.raises(Exception):
         CharParams(1.0, -0.3)  # m must be a half-integer
+    # λ in (0, ∞) and a finite m, where NaN gave a nan kernel or an untyped error
+    for lam, m in ((0.0, -0.5), (np.nan, -0.5), (np.inf, -0.5), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ShapeError):
+            CharParams(lam, m)

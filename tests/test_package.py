@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import weylsym
+from weylsym import matcore
 
 
 def test_every_exported_name_resolves():
@@ -39,4 +40,24 @@ def test_no_module_imports_inside_a_function():
                     for node in ast.walk(fn)
                     if isinstance(node, ast.ImportFrom) and node.level > 0
                 ]
+    assert not found, found
+
+
+def test_one_guard_and_scipy_only_in_matcore():
+    """`matcore.require_invertible` is the one way to invert a matrix, with
+    no `det`, `inv` or `lu_solve` beside it, and no module but `matcore`
+    imports scipy: taking scipy off the import path changes `matcore` alone."""
+    assert [name for name in ("det", "inv", "lu_solve") if hasattr(matcore, name)] == []
+    found = []
+    for path in sorted(Path(weylsym.__file__).parent.glob("*.py")):
+        if path.name == "matcore.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "scipy"]
     assert not found, found
