@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussint import GaussianKernel
-from .matcore import as_batch, as_vector, require_finite
+from .matcore import as_batch, as_vector, require_finite, require_lambda
 from .quadrature import lebesgue_rn
 from .sympgroup import _owned
 
@@ -66,6 +66,7 @@ def heis_inv(h: HeisElt) -> HeisElt:
 
 def rho_fock_apply(h: HeisElt, f, z: np.ndarray, lam: float) -> complex:
     """(ρ_λ(h) f)(z) = exp(iλc0 + (λ/2) z0bar z - (λ/4)|z0|^2) f(z - z0)."""
+    require_lambda(lam)
     z = as_vector(z, h.n)
     z0 = h.z0
     pref = np.exp(1j * lam * h.c + lam / 2 * (z0.conj() @ z) - lam / 4 * np.sum(np.abs(z0) ** 2))
@@ -73,15 +74,18 @@ def rho_fock_apply(h: HeisElt, f, z: np.ndarray, lam: float) -> complex:
 
 
 def rho_schrod_apply(h: HeisElt, phi, x: np.ndarray, lam: float) -> complex:
-    """(ρ'_λ(h) φ)(x) = exp(iλ(c - bx + ab/2)) φ(x - a) with z0 = a + ib."""
-    x = as_vector(x, h.n, float)
+    """(ρ'_λ(h) φ)(x) = exp(iλ(c - bx + ab/2)) φ(x - a) with z0 = a + ib; x may
+    be batched with shape (..., n), and φ then takes the batch x - a."""
+    require_lambda(lam)
+    x = as_batch(x, h.n, float)
     a, b = h.z0.real, h.z0.imag
-    pref = np.exp(1j * lam * (h.c - b @ x + 0.5 * (a @ b)))
+    pref = np.exp(1j * lam * (h.c - x @ b + 0.5 * (a @ b)))
     return pref * phi(x - a)
 
 
 def coherent_eval(z: np.ndarray, w: np.ndarray, lam: float) -> complex:
     """e_z(w) = <e_z, e_w> = exp(λ zbar w / 2); w may be batched with shape (..., n)."""
+    require_lambda(lam)
     z = as_vector(z, None)
     w = as_batch(w, z.shape[0])
     return np.exp(lam / 2 * (w @ z.conj()))

@@ -91,11 +91,12 @@ def as_vector(data, size: int | None, dtype=complex) -> np.ndarray:
     return v
 
 
-def as_batch(data, size: int) -> np.ndarray:
+def as_batch(data, size: int, dtype=None) -> np.ndarray:
     """The batch twin of `as_vector`: coerce to a finite numeric array of
     points along the last axis, of shape (..., size), keeping a numeric
-    dtype; a scalar counts as one entry.  ShapeError otherwise: on
-    non-numeric or ragged entries, or a last axis of another length."""
+    dtype, or of `dtype` float; a scalar counts as one entry.  ShapeError
+    otherwise: on non-numeric or ragged entries, a last axis of another
+    length, or a nonzero imaginary part when dtype is float."""
     try:
         b = np.atleast_1d(data)
     except (TypeError, ValueError) as err:
@@ -104,6 +105,10 @@ def as_batch(data, size: int) -> np.ndarray:
         raise ShapeError(f"expected a numeric batch, got {b.dtype} entries")
     if b.shape[-1:] != (size,):
         raise ShapeError(f"expected points of length {size}, got shape {b.shape}")
+    if dtype is float:
+        if b.dtype.kind == "c" and b.imag.any():
+            raise ShapeError("expected real points, got a nonzero imaginary part")
+        b = b.real.astype(float, copy=False)
     require_finite(b)
     return b
 
@@ -119,6 +124,14 @@ def require_lambda(lam: float) -> None:
     """ShapeError unless the scale λ is positive and finite."""
     if not 0 < lam < math.inf:
         raise ShapeError("lambda must be positive and finite")
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The complex identity of size n; read-only."""
+    eye = np.eye(n, dtype=complex)
+    eye.setflags(write=False)
+    return eye
 
 
 @functools.cache
@@ -173,7 +186,7 @@ def mat_cosh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def cayley(g: np.ndarray) -> tuple[np.ndarray, complex]:
     """((g - I)(g + I)^{-1}, Det(g + I)) from `require_invertible` on g + I;
     CayleySingular when it refuses it."""
-    eye = np.eye(g.shape[0])
+    eye = _identity(g.shape[0])
     inverse, d = require_invertible(g + eye, CayleySingular, 1 + norm(g))
     # g - I and g + I commute, so the right quotient is the left one
     return inverse @ (g - eye), d
@@ -205,7 +218,7 @@ def require_invertible(m: np.ndarray, error=SingularMatrix, scale: float = 0.0) 
     cancellation (I + k ≈ 1e-16·diag(i, -i)) is refused however well
     conditioned it is."""
     lu, piv, info = zgetrf(m)
-    inverse = zgetrs(lu, piv, np.eye(m.shape[0]))[0]
+    inverse = zgetrs(lu, piv, _identity(m.shape[0]))[0]
     inorm = zlange("1", inverse) if info == 0 else math.inf
     size = max(zlange("1", m), scale)
     # a NaN norm, from an inverse that overflowed, is refused too

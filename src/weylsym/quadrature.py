@@ -22,9 +22,9 @@ it.
 
 An integrand wrapped as ``GaussianExponent(fn)`` is exp(fn(x)), where fn
 returns the exponent and is a quadratic polynomial in the real coordinates
-of x.  Its sum is taken in factorised form: fn is evaluated on the block
-and on the leading grid once each, and the cross term between the two
-splits into one factor per trailing axis (see `_stream_exponent`).
+of x.  fn never runs on the grid itself: it is evaluated along each axis
+and at unit points, which fixes the quadratic, and the sum contracts one
+factor per axis with one matrix per pair of axes (see `_stream_exponent`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import BadConfig, NonConvergent
-from .matcore import require_lambda
+from .matcore import quad_form, require_lambda
 
 __all__ = [
     "GaussianExponent",
@@ -67,7 +67,7 @@ class GaussianExponent:
     """The integrand exp(fn(x)), for a vectorised fn that returns the
     exponent and is a quadratic polynomial in the real coordinates of x.
     The quadratures sum it in factorised form, and raise NonConvergent when
-    fn does not fit a quadratic at the corners of the grid."""
+    fn does not fit a quadratic at the grid's corners or the sum underflows."""
 
     fn: Callable
 
@@ -154,8 +154,8 @@ def _stream(f, plan: _Plan, to_x, lin, lebesgue: bool) -> complex:
     summed in factorised form, any other callable chunk by chunk.
     """
     if isinstance(f, GaussianExponent):
-        # an overflow shows as a sum that is not finite
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow shows as a sum that is not finite; a zero weight has log -inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             total = _stream_exponent(f.fn, plan, to_x, lebesgue)
     else:
         bw, lw = plan.block_w[lebesgue], plan.lead_w[lebesgue]
@@ -181,75 +181,74 @@ def _stream_chunks(f, base: np.ndarray, offsets: np.ndarray, bw, lw):
 
 
 def _stream_exponent(fn, plan: _Plan, to_x, lebesgue: bool):
-    """Σ w exp(E) for a quadratic exponent E = fn(to_x(s)) of the grid point s.
+    """Σ w exp(E(s)) over the grid for a quadratic exponent E(s) = fn(to_x(s)).
 
-    Write s = b + o, b on the t trailing axes (a block point) and o on the
-    leading ones.  Then E(b + o) = E(o) + E(b) - E(0) + Σ_j b_j c_j(o) with
-    c = C o, where C = E(e_j + e_l) - E(e_j) - E(e_l) + E(0) is the
-    trailing-by-leading block of the Hessian, read off by polarisation.
-    Each lead point's block sum is then one table over the block, of
-    exp(E(b) - E(0)), contracted with t factor vectors w(s_i) exp(s_i c_j(o)),
-    one per trailing axis: a matmul and t - 1 reductions.  The exponents of
-    the table and of each factor vector are shifted by their largest real
-    part, and the shifts go into the lead point's factor.
+    E = e0 + Σ_j d_j(s_j) + Σ_{j<l} h_jl s_j s_l exactly: d_j is fn along axis
+    j at the nodes, and h comes by polarisation at unit points.  The sum is
+    exp(e0) Σ Π_j v_j Π_{j<l} M_jl (`_contract`), with v_j = w exp(d_j + ρ_j s²),
+    ρ_j = Σ_l |Re h_jl|/2, and M_jl = exp(h_jl s s' - |Re h_jl|(s² + s'²)/2) at
+    most 1 in modulus (AM–GM).  Dividing each v_j by its largest modulus bounds
+    every term by 1: tightly where the decay of E dominates its coupling between
+    axes, and loosely, by up to the ρ_j s², where the coupling dominates.
+    NonConvergent when fn misses the split at one of the 2^dim corners of the
+    grid by more than 1e-8·(1 + |fn|), or the contraction is 0 or not finite.
     """
-    lw = plan.lead_w[lebesgue]
-    e_block = fn(to_x(plan.block).T)
-    lead = plan.lead
-    if lead.shape[1] == 1:
-        # one chunk: E was evaluated at every grid point
-        return np.dot(np.exp(e_block), plan.block_w[lebesgue]) * lw[0]
-    t, s = plan.trailing, plan.s
-    dim, nodes = lead.shape[0], len(s)
-    k = dim - t
+    s, w = plan.s, plan.axis_w[lebesgue]
+    dim, nodes = plan.block.shape[0], len(s)
     eye = np.eye(dim)
-    pairs = (eye[:, k:, None] + eye[:, None, :k]).reshape(dim, t * k)
-    ends = [0, 0, -1, -1], [0, -1, 0, -1]
-    corners = plan.block[:, ends[0]] + lead[:, ends[1]]
-    e = fn(to_x(np.hstack([np.zeros((dim, 1)), eye, pairs, lead[:, [0, -1]], corners])).T)
-    e0, e_unit = e[0], e[1 : dim + 1]
-    cross = e[dim + 1 : dim + 1 + t * k].reshape(t, k) - e_unit[k:, None] - e_unit[None, :k] + e0
-    # certificate: the factorised exponent against fn at the four corners of the grid
-    fit = e_block[ends[0]] + e[-6:-4][[0, 1, 0, 1]] - e0
-    fit = fit + np.sum(plan.block[k:, ends[0]] * (cross @ lead[:k, ends[1]]), axis=0)
-    if not np.all(np.abs(e[-4:] - fit) <= 1e-8 * (1 + np.abs(e[-4:]))):
-        raise NonConvergent("integrand exponent is not a finite quadratic polynomial of the grid coordinates")
-    aw = plan.axis_w[lebesgue][:, None]
-    # lead points per batch, so that no temporary exceeds about CHUNK entries
-    step = max(1, CHUNK // max(1, nodes**t // nodes, t * nodes))
+    j, l = np.triu_indices(dim, 1)
+    along = (eye[:, :, None] * s).reshape(dim, dim * nodes)
+    e = fn(to_x(np.hstack([np.zeros((dim, 1)), eye, eye[:, j] + eye[:, l], along])).T)
+    e0, unit = e[0], e[1 : dim + 1]
+    h = np.zeros((dim, dim), dtype=complex)
+    h[j, l] = h[l, j] = e[dim + 1 : dim + 1 + len(j)] - unit[j] - unit[l] + e0
+    d = e[dim + 1 + len(j) :].reshape(dim, nodes) - e0
+    ends, axes = s[[0, -1]], np.arange(dim)[:, None]
+    for lo in range(0, 2**dim, CHUNK):
+        bits = (np.arange(lo, min(2**dim, lo + CHUNK)) >> axes) & 1
+        got = fn(to_x(ends[bits]).T)
+        fit = e0 + d[:, [0, -1]][axes, bits].sum(axis=0) + quad_form(h, ends[bits]) / 2
+        if not np.all(np.abs(got - fit) <= 1e-8 * (1 + np.abs(got))):
+            raise NonConvergent("integrand exponent is not a finite quadratic polynomial of the grid coordinates")
+    hr = np.abs(h.real)
+    a = d + (hr.sum(axis=1) / 2)[:, None] * s**2 + np.log(w)
+    shift = np.max(a.real, axis=1)
+    v = np.exp(a - shift[:, None])
+    ss, sq = np.outer(s, s), (s[:, None] ** 2 + s**2) / 2
+    total = _contract(v, {(p, q): np.exp(h[p, q] * ss - hr[p, q] * sq) for p, q in zip(j, l)})
+    if not (total != 0 and np.isfinite(total)):
+        raise NonConvergent(f"the factorised quadrature sum underflows or is not finite ({total})")
+    return np.exp(e0 + shift.sum()) * total
 
-    def block_sums(d):
-        """The sum with d_j(s_i) moved from the table into factor j."""
-        rest = e_block.reshape((nodes,) * t) - e0
-        for j in range(t):
-            rest = rest - d[j].reshape([-1 if a == j else 1 for a in range(t)])
-        f0 = np.max(rest.real)
-        table = np.exp(rest - f0).reshape(-1, nodes if t else 1)
-        total = 0j
-        for lo in range(0, lead.shape[1], CHUNK):
-            o = lead[:, lo : lo + CHUNK]
-            h = fn(to_x(o).T) + f0
-            ow = lw[lo : lo + CHUNK]
-            c = cross @ o[:k]
-            for a in range(0, o.shape[1], step):
-                r = s[:, None] * c[:, None, a : a + step] + d[:, :, None]
-                shift = np.max(r.real, axis=1)
-                g = np.exp(r - shift[:, None]) * aw
-                x = table @ g[-1] if t else table
-                for gj in g[-2::-1]:
-                    x = (x.reshape(-1, nodes, x.shape[1]) * gj).sum(axis=1)
-                total += np.sum(ow[a : a + step] * np.exp(h[a : a + step] + shift.sum(axis=0)) * x[0])
-        return total
 
-    total = block_sums(np.zeros((t, nodes)))
-    if not np.isfinite(total):
-        # The shifts bound the largest term loosely when the table's and the
-        # factors' maxima lie apart: E(b) may peak where b_j c_j(o) does not.
-        # Moving each axis' own part d_j(s) = E(s e_j) - E(0) into its factor
-        # makes the bound tight when the block has no cross terms between
-        # trailing axes, at the price of roundoff from the subtraction.
-        along = (eye[:, k:, None] * s).reshape(dim, t * nodes)
-        total = block_sums(fn(to_x(along).T).reshape(t, nodes) - e0)
+def _contract(v: np.ndarray, m: dict):
+    """Σ over the grid of Π_j v[j, i_j] Π_{j<l} m[j, l][i_j, i_l], dim = len(v).
+
+    With F the grid of all axes but the last two (a, b), r its rows,
+    A[r] = Π_{j∈F} v_j Π_{j<l∈F} m_jl, P_c[r, i] = Π_{j∈F} m_jc[r_j, i] and
+    K = v_a m_ab v_b, the sum is Σ_r A[r] rowsum((P_a @ K) ⊙ P_b): one matmul
+    per chunk of rows.  A chunk spans F's last axis whole, so that no
+    temporary exceeds about CHUNK/2 entries or one nodes x nodes matrix.
+    """
+    dim, nodes = v.shape
+    if dim == 1:
+        return v[0].sum()
+    a, b, f = dim - 2, dim - 1, dim - 3
+    kern = v[a][:, None] * m[a, b] * v[b]
+    if dim == 2:
+        return kern.sum()
+    # F's last axis f is broadcast; its leading axes take `step` points a chunk
+    heads, step = nodes**f, max(1, CHUNK // (2 * nodes * nodes))
+    total = 0j
+    for lo in range(0, heads, step):
+        r = np.arange(lo, min(heads, lo + step))
+        idx = [r // nodes ** (f - 1 - p) % nodes for p in range(f)]
+        head = math.prod((v[p][idx[p]] for p in range(f)), start=np.ones(len(r)))
+        head = math.prod((m[p, q][idx[p], idx[q]] for p in range(f) for q in range(p + 1, f)), start=head)
+        lead = math.prod((m[p, f][idx[p]] for p in range(f)), start=v[f])
+        pa, pb = (math.prod((m[p, c][idx[p]][:, None] for p in range(f)), start=m[f, c]).reshape(-1, nodes)
+                  for c in (a, b))
+        total += ((pa @ kern) * pb).sum(axis=1) @ (head[:, None] * lead).ravel()
     return total
 
 

@@ -284,11 +284,7 @@ def _suite_bargmann(n, lam, trials, seed, nodes):
         h = HeisElt(n, _cpx(rng, n, 0.4), rng.uniform(-1, 1))
         z = _cpx(rng, n, 0.5)
 
-        def phi_moved(x):
-            x = np.atleast_2d(x)
-            return np.array([rho_schrod_apply(h, lambda t: phi(t[None, :])[0], xi, lam) for xi in x])
-
-        lhs = bargmann_apply(phi_moved, z, lam, nodes=nodes)
+        lhs = bargmann_apply(lambda x: rho_schrod_apply(h, phi, x, lam), z, lam, nodes=nodes)
         rhs = rho_fock_apply(h, lambda w: bargmann_apply(phi, w, lam, nodes=nodes), z, lam)
         yield f"trial{trial}", abs(lhs - rhs) / (1 + abs(rhs))
 

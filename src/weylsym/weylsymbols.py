@@ -163,6 +163,7 @@ def w0_sigma_symbol(k: SuBlocks, lam: float, c: complex | None = None) -> Gaussi
     built once per k and λ when c is not given, and afresh when it is."""
 
     def build():
+        matcore.require_lambda(lam)
         cay, d = matcore.cayley(k.full)
         jc = matrix_J(k.n) @ cay
         return GaussianSymbol.from_zz(k.n, _phase_c(k.n, d, k.P) if c is None else c, lam / 2 * jc)
@@ -177,6 +178,7 @@ def _xy(n: int, x, y) -> np.ndarray:
 
 def w0_dsigma_closed(x: SuLie, z, lam: float) -> complex:
     """W0(dσ(X))(z) = (λ/4)(z(Bbar z) - zbar(B zbar) - 2(Az) zbar)."""
+    matcore.require_lambda(lam)
     z = as_vector(z, x.n)
     zb = z.conj()
     return complex(
@@ -195,6 +197,7 @@ def w1_sigma_symbol(g: SpReal, lam: float = 1.0) -> GaussianSymbol:
     is cayley(g) itself, not that of `w0_sigma_symbol`; built once per g and λ."""
 
     def build():
+        matcore.require_lambda(lam)
         cay, d = matcore.cayley(g.g)
         c = _phase_c(g.n, d, su_from_sp(g).P)
         return GaussianSymbol._trusted(g.n, c, -1j * lam * (matrix_J(g.n) @ cay))
@@ -213,6 +216,7 @@ def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
     built once per X and λ."""
 
     def build():
+        matcore.require_lambda(lam)
         half = x_lie.full / 2
         ch, sh = matcore.mat_cosh(half)
         chinv, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))

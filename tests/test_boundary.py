@@ -58,6 +58,7 @@ from weylsym.weylsymbols import (
     w1_exp_closed,
     w1_exp_symbol,
     w1_sigma_closed,
+    w1_sigma_symbol,
 )
 
 
@@ -128,7 +129,8 @@ def test_constructors_refuse_nan_and_wrong_shape(cls, args, pos):
 
 
 # every entry that refuses λ outside (0, ∞) with `matcore.require_lambda`, at
-# otherwise valid arguments
+# otherwise valid arguments; the symbol constructors check it inside their
+# memoised build
 LAMBDA_ENTRIES = [
     lambda lam: DsigmaKernel(1, lam, _Z, _Z),
     lambda lam: GaussianKernel(1, lam, 1.0, _Z, _I, _Z),
@@ -137,6 +139,13 @@ LAMBDA_ENTRIES = [
     lambda lam: w0_integral(sigma_kernel(random_su(1, 1), 1.0), [0.1], lam, nodes=4),
     lambda lam: berezin_transform_gaussian(GaussianSymbol(1, 1.0, -np.eye(2)), lam),
     lambda lam: polar_relation_residual(random_su(1, 1), lam),
+    lambda lam: rho_fock_apply(HeisElt(1, [0.1], 0.2), np.exp, [0.3], lam),
+    lambda lam: rho_schrod_apply(HeisElt(1, [0.1], 0.2), np.exp, [0.3], lam),
+    lambda lam: coherent_eval([0.1], [0.2], lam),
+    lambda lam: w0_dsigma_closed(su_lie_from_sp_lie(random_sp_lie(1, 2)), [0.1], lam),
+    lambda lam: w0_sigma_symbol(random_su(1, 1), lam),
+    lambda lam: w1_sigma_symbol(random_sp(1, 1), lam),
+    lambda lam: w1_exp_symbol(random_sp_lie(1, 2), lam),
 ]
 
 
@@ -147,7 +156,7 @@ def test_dsigma_kernel_takes_lists_and_refuses_a_bad_lambda():
     assert DsigmaKernel(1, 1.0, a.tolist(), b.tolist()).eval([0.1], [0.2]) == kernel.eval([0.1], [0.2])
     for call in LAMBDA_ENTRIES:
         call(1.0)
-        for lam in (0.0, -1.0, np.nan, np.inf):
+        for lam in (0.0, -1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ShapeError):
                 call(lam)
 

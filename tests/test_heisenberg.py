@@ -128,13 +128,7 @@ def test_bargmann_intertwines_heisenberg():
             x = np.atleast_2d(x)
             return x[:, 0] ** seed * np.exp(-0.5 * np.sum(x**2, axis=-1))
 
-        def phi_moved(x):
-            x = np.atleast_2d(x)
-            return np.array(
-                [rho_schrod_apply(h, lambda t: phi(t[None, :])[0], xi, lam) for xi in x]
-            )
-
-        lhs = bargmann_apply(phi_moved, z, lam)
+        lhs = bargmann_apply(lambda x: rho_schrod_apply(h, phi, x, lam), z, lam)
         rhs = rho_fock_apply(h, lambda w: bargmann_apply(phi, w, lam), z, lam)
         assert abs(lhs - rhs) / (1 + abs(rhs)) < 1e-6
 

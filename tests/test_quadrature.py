@@ -118,6 +118,30 @@ def test_factorised_real_sum_matches_materialised_grid():
     assert got == pytest.approx(ref, rel=1e-13, abs=0)
 
 
+def _real_exponent(n):
+    """A quadratic exponent on R^n with every pair of axes coupled."""
+    rng = np.random.default_rng(n)
+    a = np.eye(n) + 0.2 * rng.standard_normal((n, n))
+    b = 0.3 * rng.standard_normal(n) + 0.4j * rng.standard_normal(n)
+    q = (a + a.T) / 2 + 0.3j * np.ones((n, n))
+    return lambda x: -np.sum((x @ q) * x, axis=1) + x @ b
+
+
+# dim 1 sums one factor, dim 3 contracts in one chunk, and dim 6 (C^3 at 6
+# nodes) in two, of 113 and 103 points of the grid of its first three axes
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_factorised_sum_matches_materialised_grid_in_more_dims(dim):
+    if dim == 6:
+        gi = random_gaussian_integrand(rng_for(6, "factorised-dim6"), 3)
+        got = quadrature_cn(GaussianExponent(gi.exponent), 0.9, 3, 6)
+        ref = _ref_quadrature_cn(gi.eval, 0.9, 3, 6)
+    else:
+        expo, center = _real_exponent(dim), np.linspace(0.2, -0.1, dim)
+        got = lebesgue_rn(GaussianExponent(expo), dim, 30, scale=0.8, center=center)
+        ref = _ref_lebesgue_rn(lambda x: np.exp(expo(x)), dim, 30, 0.8, center)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+
 def test_exponent_that_is_not_quadratic_is_refused():
     def cubic(w):
         return -np.sum(np.abs(w) ** 2, axis=1) + 0.05 * w[:, 0] ** 2 * w[:, 1].conj()
@@ -126,6 +150,9 @@ def test_exponent_that_is_not_quadratic_is_refused():
         quadrature_cn(GaussianExponent(cubic), 1.0, 2, nodes_per_axis=12)
     with pytest.raises(NonConvergent):
         lebesgue_rn(GaussianExponent(lambda x: -np.sum(x**2, axis=1) + 0.1 * x[:, 0] ** 2 * x[:, 1]), 2, 120)
+    # dim 6: a term of three axes of C^3, zero at every probe point off the corners
+    with pytest.raises(NonConvergent, match="not a finite quadratic"):
+        quadrature_cn(GaussianExponent(lambda w: -np.sum(np.abs(w) ** 2, axis=1) + 0.05 * w.prod(axis=1)), 1.0, 3, 6)
 
 
 @pytest.mark.parametrize("n, nodes", [(1, 80), (2, 12)])
@@ -142,14 +169,29 @@ def test_overflowing_exponent_is_non_convergent(n, nodes):
 
 
 def test_factorised_sum_is_stable_where_the_integrand_is():
-    # the integrand stays below e^600, but the plain shifts bound a lead
-    # point's terms by up to e^(600+420) (Re w0 on a leading axis, Im w0 on a
-    # trailing one), which overflows; the tight split must take over
+    # the integrand stays below e^600, with Re w0 and Im w0 coupled; a split
+    # that bounds each axis' factor apart from the coupling bounds the terms
+    # by up to e^(600+420), which overflows, where the shifted pair factors
+    # bound them by the integrand's own maximum
     def expo(w):
         return 600 - np.sum(np.abs(w) ** 2, axis=1) + 1.6 * w[:, 0].real * w[:, 0].imag
 
     got = lebesgue_cn(GaussianExponent(expo), 2, 40, scale=2.0)
     assert got == pytest.approx(lebesgue_cn(lambda w: np.exp(expo(w)), 2, 40, scale=2.0), rel=1e-12)
+
+
+def test_underflowing_contraction_is_non_convergent():
+    # E = -|x|^2 - 50 u^2 + 100 u with u = x0 - x1: its factor on x0 peaks at
+    # the last node and on x1 at the first, so the shifts bound the terms by
+    # about e^1080 while E stays below e^50, and every term underflows
+    def expo(x):
+        u = x[:, 0] - x[:, 1]
+        return -np.sum(x**2, axis=1) - 50 * u**2 + 100 * u
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent):
+            lebesgue_rn(GaussianExponent(expo), 2, 20)
 
 
 def _shifted_gaussian(center):
@@ -190,12 +232,18 @@ def test_streaming_memory_is_bounded():
         tracemalloc.reset_peak()
         factorised = lebesgue_cn(GaussianExponent(gi.exponent), 2, nodes_per_axis=40, scale=quadrature_scale(gi))
         _, factorised_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fine = lebesgue_cn(GaussianExponent(gi.exponent), 2, nodes_per_axis=80, scale=quadrature_scale(gi))
+        _, fine_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert val == pytest.approx(1.0, rel=1e-12)
-    assert np.isfinite(factorised)
+    assert np.isfinite(factorised) and np.isfinite(fine)
     # the materialised 40^4 grid took 353 MB
     assert max(peak, factorised_peak) < 16 * 2**20
+    # the 80^4-point sum holds six 80 x 80 pair matrices and a few
+    # temporaries of one chunk, about 2 MB
+    assert fine_peak < 4 * 2**20
 
 
 def test_cached_arrays_are_read_only():
