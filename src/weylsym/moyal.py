@@ -10,26 +10,27 @@ is u ∗ v = Σ_l t^l P^l(u, v)/l! specialised at t = -i/2, which makes Weyl
 quantization a homomorphism: W(f1 ∗ f2) = W(f1) W(f2).
 
 Phase-space polynomials are `Poly` instances in 2n variables ordered
-(p_1..p_n, q_1..q_n); quantized operators are differential operators
-Σ_β c_β(p) ∂_p^β with polynomial coefficients.
+(p_1..p_n, q_1..q_n).  A quantized operator Σ c p^m ∂_p^b, its coefficients
+on the left of its derivatives, is a `Poly` in the same 2n variables with
+exponent (m, b): the layout of the symbol it quantizes, ∂_k in the slot of
+q_k.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
 from .errors import BadConfig, NonConvergent, ShapeError
-from .polys import Poly
+from .polys import Poly, _is_int
 from .sympgroup import _memo
 from .weylsymbols import GaussianSymbol, QuadForm2n, _cosh_law_symbol, w1_exp_symbol
 
 __all__ = [
-    "DiffOp",
     "phase_poly_from_quadform",
     "poisson_power",
     "moyal_mul",
@@ -61,9 +62,15 @@ def phase_poly_from_quadform(q: QuadForm2n) -> Poly:
     return Poly(dim, out)
 
 
-def _check_phase(u: Poly) -> int:
+def _check_phase(u: Poly, *others: Poly) -> int:
+    """n for `Poly` operands on one phase space of 2n variables; ShapeError
+    otherwise."""
+    if not all(isinstance(w, Poly) for w in (u, *others)):
+        raise ShapeError("operands must be Poly instances")
     if u.nvars % 2 != 0:
         raise ShapeError("phase-space polynomials need an even variable count")
+    if any(w.nvars != u.nvars for w in others):
+        raise ShapeError("operands live on different phase spaces")
     return u.nvars // 2
 
 
@@ -92,11 +99,9 @@ def poisson_power(u: Poly, v: Poly, l: int) -> Poly:
         P^l(u, v) = Σ_{|α|+|β|=l} (-1)^{|β|} l!/(α! β!)
                     (∂_p^α ∂_q^β u)(∂_q^α ∂_p^β v).
     """
-    n = _check_phase(u)
-    if v.nvars != u.nvars:
-        raise ShapeError("operands live on different phase spaces")
-    if l < 0:
-        raise ShapeError("order must be nonnegative")
+    n = _check_phase(u, v)
+    if not (_is_int(l) and l >= 0):
+        raise ShapeError(f"order must be a nonnegative integer, got {l!r}")
     if l == 0:
         return u * v
     du = _partials(u, l)
@@ -114,6 +119,7 @@ def poisson_power(u: Poly, v: Poly, l: int) -> Poly:
 
 def moyal_mul(u: Poly, v: Poly) -> Poly:
     """u ∗ v = Σ_l t^l P^l(u, v)/l! at t = -i/2 (finite sum for polynomials)."""
+    _check_phase(u, v)
     lmax = min(u.degree, v.degree)
     out = Poly.zero(u.nvars)
     for l in range(lmax + 1):
@@ -251,9 +257,9 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
 
     Refuses outside the convergence envelope ‖sM‖ ≤ 0.25, |point| ≤ 1.5,
     L ≤ 60, and raises NonConvergent if the certificate fails.  Raises
-    ShapeError for a non-finite s, and BadConfig for L < 0 and when the
-    kept powers would need more than 2^19 monomials (n = 2 above order 57,
-    n = 3 above 23, n = 4 above 15).
+    ShapeError for a non-finite s, and BadConfig for an L that is not a
+    nonnegative integer and when the kept powers would need more than 2^19
+    monomials (n = 2 above order 57, n = 3 above 23, n = 4 above 15).
 
     The powers u_l = (s q_M)^{∗l} are taken in the coordinates w = v - p
     centred at the point p, where s q_M(p + w) = pᵗSp + 2(Sp)·w + wᵗSw and
@@ -262,8 +268,8 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
     degree min(2l, 2(L - l)); each u_l is one dense array over those
     monomials in graded order (see `_centred_step`).
     """
-    if order < 0:
-        raise BadConfig(f"series order must be nonnegative, got {order}")
+    if not (_is_int(order) and order >= 0):
+        raise BadConfig(f"series order must be a nonnegative integer, got {order!r}")
     point = matcore.as_vector(point, 2 * q.n, float)
     s = complex(s)
     matcore.require_finite(s)
@@ -312,110 +318,71 @@ def star_exp_quadratic_symbol(q: QuadForm2n) -> GaussianSymbol:
     return _memo(q, "_star_exp_quadratic_symbol", None, lambda: _cosh_law_symbol(q.n, matcore.matrix_J(q.n) @ q.M))
 
 
-@dataclass(frozen=True)
-class DiffOp:
-    """Σ_β c_β(p) ∂_p^β with polynomial coefficients c_β ∈ C[p_1..p_n]."""
-
-    n: int
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for beta, coeff in self.terms.items():
-            beta = tuple(int(e) for e in beta)
-            if len(beta) != self.n or any(e < 0 for e in beta):
-                raise ShapeError(f"bad derivative index {beta}")
-            if coeff.terms:
-                clean[beta] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    @staticmethod
-    def identity(n: int) -> "DiffOp":
-        return DiffOp(n, {(0,) * n: Poly.const(n, 1.0)})
-
-    def max_diff(self, other: "DiffOp") -> float:
-        keys = set(self.terms) | set(other.terms)
-        zero = Poly.zero(self.n)
-        return max(
-            (self.terms.get(k, zero).max_coeff_diff(other.terms.get(k, zero)) for k in keys),
-            default=0.0,
-        )
+def _leibniz(a: tuple, b: tuple, step: float) -> list:
+    """∂^a p^b = Σ_{κ≤a, κ≤b} C(a,κ) b!/(b-κ)! p^{b-κ} ∂^{a-κ}, as triples
+    (C(a,κ) b!/(b-κ)! step^{|κ|}, b - κ, a - κ)."""
+    axes = [
+        [(math.comb(ai, k) * math.perm(bi, k) * step**k, bi - k, ai - k) for k in range(min(ai, bi) + 1)]
+        for ai, bi in zip(a, b)
+    ]
+    return [
+        (math.prod(t[0] for t in picks), tuple(t[1] for t in picks), tuple(t[2] for t in picks))
+        for picks in itertools.product(*axes)
+    ]
 
 
-def _binom_multi(alpha, kappa) -> int:
-    return math.prod(math.comb(a, k) for a, k in zip(alpha, kappa))
-
-
-def _sub_indices(alpha):
-    return itertools.product(*(range(a + 1) for a in alpha))
-
-
-def weyl_quantize_poly(f: Poly) -> DiffOp:
+def weyl_quantize_poly(f: Poly) -> Poly:
     """W(f) for f(p, q) = Σ c p^β q^α, from the defining evaluation
 
     (W(u(p) q^α) φ)(p) = (i ∂/∂s)^α ( u(p + s/2) φ(p + s) )|_{s=0}
-                       = i^{|α|} Σ_{κ≤α} C(α,κ) 2^{-|κ|} (∂^κ u)(p) ∂^{α-κ}φ.
+                       = i^{|α|} Σ_{κ≤α} C(α,κ) 2^{-|κ|} (∂^κ u)(p) ∂^{α-κ}φ,
+
+    that is i^{|α|} ∂^α p^β by the Leibniz rule with each κ weighted 2^{-|κ|}.
+    The operator Σ c' p^m ∂^b is returned as a `Poly` in the 2n variables of
+    f with exponent (m, b) (see the module docstring).
     """
     n = _check_phase(f)
     out: dict = {}
     for exps, coeff in f.terms.items():
-        beta, alpha = exps[:n], exps[n:]
-        for kappa in _sub_indices(alpha):
-            if any(k > b for k, b in zip(kappa, beta)):
-                continue
-            fall = math.prod(
-                math.factorial(b) // math.factorial(b - k) for b, k in zip(beta, kappa)
-            )
-            c = (
-                coeff
-                * 1j ** sum(alpha)
-                * _binom_multi(alpha, kappa)
-                * 2.0 ** (-sum(kappa))
-                * fall
-            )
-            mono = tuple(b - k for b, k in zip(beta, kappa))
-            key = tuple(a - k for a, k in zip(alpha, kappa))
-            poly = Poly(n, {mono: c})
-            out[key] = out.get(key, Poly.zero(n)) + poly
-    return DiffOp(n, out)
+        c = coeff * 1j ** sum(exps[n:])
+        for w, m, b in _leibniz(exps[n:], exps[:n], 0.5):
+            out[m + b] = out.get(m + b, 0.0) + c * w
+    return Poly._trusted(f.nvars, out)
 
 
-def diffop_apply(d: DiffOp, phi: Poly) -> Poly:
-    """Apply Σ c_β(p) ∂^β to a polynomial φ(p)."""
-    out = Poly.zero(d.n)
-    for beta, coeff in d.terms.items():
-        g = phi
-        for i, e in enumerate(beta):
-            for _ in range(e):
-                g = g.diff(i)
-        out = out + coeff * g
-    return out
-
-
-def diffop_compose(d1: DiffOp, d2: DiffOp) -> DiffOp:
-    """Symbolic composition: ∂^β (c(p) ·) = Σ_{κ≤β} C(β,κ) (∂^κ c) ∂^{β-κ}."""
-    if d1.n != d2.n:
-        raise ShapeError("operators act on different spaces")
-    n = d1.n
+def diffop_apply(d: Poly, phi: Poly) -> Poly:
+    """Apply the operator Σ c p^m ∂^b, laid out as in `weyl_quantize_poly`,
+    to a polynomial φ(p) in n = d.nvars / 2 variables."""
+    n = _check_phase(d)
+    if not isinstance(phi, Poly) or phi.nvars != n:
+        raise ShapeError(f"φ must be a Poly in {n} variables")
     out: dict = {}
-    for b1, c1 in d1.terms.items():
-        for b2, c2 in d2.terms.items():
-            for kappa in _sub_indices(b1):
-                dc = c2
-                for i, e in enumerate(kappa):
-                    for _ in range(e):
-                        dc = dc.diff(i)
-                if not dc.terms:
-                    continue
-                key = tuple(a - k + b for a, k, b in zip(b1, kappa, b2))
-                poly = _binom_multi(b1, kappa) * (c1 * dc)
-                out[key] = out.get(key, Poly.zero(n)) + poly
-    return DiffOp(n, out)
+    for e, c in d.terms.items():
+        for k, v in phi.terms.items():
+            w = math.prod(map(math.perm, k, e[n:]))
+            if w:
+                key = tuple(m + ki - b for m, ki, b in zip(e[:n], k, e[n:]))
+                out[key] = out.get(key, 0.0) + c * v * w
+    return Poly._trusted(n, out)
+
+
+def diffop_compose(d1: Poly, d2: Poly) -> Poly:
+    """d1 ∘ d2 for operators laid out as in `weyl_quantize_poly`: each pair of
+    terms c1 p^{m1} ∂^{b1} ∘ c2 p^{m2} ∂^{b2} puts ∂^{b1} p^{m2} in order by the
+    Leibniz rule."""
+    n = _check_phase(d1, d2)
+    out: dict = {}
+    for e1, c1 in d1.terms.items():
+        for e2, c2 in d2.terms.items():
+            for w, m, b in _leibniz(e1[n:], e2[:n], 1):
+                key = tuple(x + y for x, y in zip(e1[:n] + b, m + e2[n:]))
+                out[key] = out.get(key, 0.0) + c1 * c2 * w
+    return Poly._trusted(d1.nvars, out)
 
 
 def homomorphism_residual(f1: Poly, f2: Poly) -> float:
     """Max coefficient deviation of W(f1 ∗ f2) from W(f1) ∘ W(f2)."""
-    return weyl_quantize_poly(moyal_mul(f1, f2)).max_diff(
+    return weyl_quantize_poly(moyal_mul(f1, f2)).max_coeff_diff(
         diffop_compose(weyl_quantize_poly(f1), weyl_quantize_poly(f2))
     )
 

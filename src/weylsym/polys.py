@@ -1,19 +1,40 @@
 """Sparse multivariate polynomials with complex coefficients.
 
 Terms are stored as a map from exponent multi-indices (tuples of ints) to
-coefficients; zero coefficients are dropped.  Used both for the phase-space
-Moyal algebra and for exact differentiation on Fock space.
+coefficients; zero coefficients are dropped.  Used for the phase-space
+Moyal algebra, for the Weyl-quantized operators on it (see `moyal`) and for
+exact differentiation on Fock space.  Every entry refuses bad input with
+ShapeError: an exponent that is not a tuple of `nvars` nonnegative
+integers, a non-finite or non-numeric coefficient, an operand on another
+number of variables, a non-finite scalar, a bad point or variable index.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ShapeError
+from .matcore import as_vector
+
 __all__ = ["Poly"]
 
 _DROP = 1e-300
+_SCALARS = (int, float, complex, np.number)
+
+
+def _is_int(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _index(i, nvars: int) -> int:
+    """i as a variable index in [0, nvars); ShapeError otherwise."""
+    if not (_is_int(i) and 0 <= i < nvars):
+        raise ShapeError(f"variable index {i!r} is not in [0, {nvars})")
+    return i
 
 
 @dataclass(frozen=True)
@@ -24,14 +45,16 @@ class Poly:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {
-            tuple(int(e) for e in k): complex(v)
-            for k, v in self.terms.items()
-            if abs(v) > _DROP
-        }
-        for k in clean:
-            if len(k) != self.nvars or any(e < 0 for e in k):
-                raise ValueError(f"bad exponent {k} for {self.nvars} variables")
+        if not (_is_int(self.nvars) and self.nvars >= 0):
+            raise ShapeError(f"nvars must be a nonnegative integer, got {self.nvars!r}")
+        clean = {}
+        for k, v in self.terms.items():
+            if not (isinstance(k, tuple) and len(k) == self.nvars and all(_is_int(e) and e >= 0 for e in k)):
+                raise ShapeError(f"bad exponent {k!r} for {self.nvars} variables")
+            if not isinstance(v, _SCALARS) or not cmath.isfinite(v):
+                raise ShapeError(f"coefficient {v!r} of {k} is not a finite number")
+            if abs(v) > _DROP:
+                clean[tuple(map(int, k))] = complex(v)
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -44,9 +67,14 @@ class Poly:
         object.__setattr__(out, "terms", {k: v for k, v in terms.items() if abs(v) > _DROP})
         return out
 
-    def _check_same(self, other: "Poly") -> None:
-        if other.nvars != self.nvars:
-            raise ValueError(f"operands have {self.nvars} and {other.nvars} variables")
+    def _check_same(self, other) -> "Poly":
+        """`other` as a Poly on the same variables: a finite scalar becomes a
+        constant; anything else is refused."""
+        if isinstance(other, _SCALARS):
+            return Poly.const(self.nvars, other)
+        if not isinstance(other, Poly) or other.nvars != self.nvars:
+            raise ShapeError(f"operand {other!r} is not a polynomial in {self.nvars} variables")
+        return other
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -60,14 +88,12 @@ class Poly:
     @staticmethod
     def var(nvars: int, i: int) -> "Poly":
         e = [0] * nvars
-        e[i] = 1
+        e[_index(i, nvars)] = 1
         return Poly(nvars, {tuple(e): 1.0})
 
     # -- ring operations --------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Poly.const(self.nvars, other)
-        self._check_same(other)
+        other = self._check_same(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0.0) + v
@@ -79,17 +105,17 @@ class Poly:
         return Poly._trusted(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Poly.const(self.nvars, other)
-        return self + (-other)
+        return self + (-self._check_same(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, _SCALARS):
+            if not cmath.isfinite(other):
+                raise ShapeError(f"scalar operand {other!r} is not finite")
             return Poly._trusted(self.nvars, {k: v * other for k, v in self.terms.items()})
-        self._check_same(other)
+        other = self._check_same(other)
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
@@ -107,6 +133,7 @@ class Poly:
 
     # -- calculus ---------------------------------------------------------
     def diff(self, i: int) -> "Poly":
+        i = _index(i, self.nvars)
         out = {}
         for k, v in self.terms.items():
             if k[i] > 0:
@@ -116,7 +143,7 @@ class Poly:
         return Poly._trusted(self.nvars, out)
 
     def eval(self, point) -> complex:
-        point = np.asarray(point, dtype=complex)
+        point = as_vector(point, self.nvars)
         total = 0.0 + 0.0j
         for k, v in self.terms.items():
             total += v * np.prod([point[i] ** e for i, e in enumerate(k) if e], initial=1.0)
@@ -127,6 +154,7 @@ class Poly:
         return max((sum(k) for k in self.terms), default=0)
 
     def max_coeff_diff(self, other: "Poly") -> float:
+        other = self._check_same(other)
         keys = set(self.terms) | set(other.terms)
         return max(
             (abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys),

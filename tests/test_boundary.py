@@ -31,6 +31,7 @@ from weylsym.metaplectic import (
     verify_intertwining,
 )
 from weylsym.moyal import star_exp_bridge_residual, star_exp_quadratic_closed, star_exp_series
+from weylsym.polys import Poly
 from weylsym.quadrature import quadrature_cn
 from weylsym.sympgroup import (
     SpLieReal,
@@ -379,3 +380,40 @@ def test_batches_of_the_wrong_length_or_type_are_refused():
     # a scalar is one entry, as for as_vector
     assert kernel.eval(0.1, 0.2) == kernel.eval([0.1], [0.2])
     assert symbol.eval_z(0.1 + 0.2j) == symbol.eval_z([0.1 + 0.2j])
+
+
+_p1, _p2 = Poly.var(1, 0), Poly(2, {(1, 0): 1.0})
+# every way into a Poly, with what it did before it was checked
+POLY_BAD = [
+    ("exponent-too-short", lambda: Poly(2, {(1,): 1.0})),  # ValueError
+    ("exponent-negative", lambda: Poly(1, {(-1,): 1.0})),  # ValueError
+    ("exponent-float", lambda: Poly(1, {(1.5,): 1.0})),  # truncated to (1,)
+    ("exponent-str", lambda: Poly(1, {("1",): 1.0})),  # read as (1,)
+    ("exponent-bool", lambda: Poly(1, {(True,): 1.0})),  # read as (1,)
+    ("coefficient-nan", lambda: Poly(1, {(1,): np.nan})),  # dropped
+    ("coefficient-inf", lambda: Poly(1, {(1,): np.inf})),  # kept
+    ("operands-nvars", lambda: _p1 + _p2),  # ValueError
+    ("product-nvars", lambda: _p1 * _p2),  # ValueError
+    ("compare-nvars", lambda: _p1.max_coeff_diff(_p2)),  # 1.0, over keys of both lengths
+    ("scalar-times-nan", lambda: _p1 * np.nan),  # the zero polynomial
+    ("scalar-plus-nan", lambda: _p1 + np.nan),  # the NaN constant dropped
+    ("eval-short-point", lambda: _p2.eval([2.0])),  # 2
+    ("eval-long-point", lambda: _p1.eval([2.0, 5.0])),  # 2
+    ("eval-nan-point", lambda: _p1.eval([np.nan])),  # NaN
+    ("diff-negative", lambda: _p2.diff(-2)),  # differentiated variable 0
+    ("diff-past-end", lambda: _p2.diff(3)),  # IndexError
+    ("var-negative", lambda: Poly.var(2, -1)),  # the variable 1
+    ("var-past-end", lambda: Poly.var(2, 2)),  # IndexError
+]
+
+
+@pytest.mark.parametrize("name, call", POLY_BAD, ids=[b[0] for b in POLY_BAD])
+def test_poly_refuses_bad_input(name, call):
+    with pytest.raises(ShapeError):
+        call()
+
+
+def test_poly_takes_numpy_integers_and_scalars():
+    p = Poly(2, {(np.int64(1), 0): np.float64(2.0)})
+    assert p == Poly(2, {(1, 0): 2.0}) and p.diff(np.int64(0)) == Poly.const(2, 2.0)
+    assert p.eval([np.float32(0.5), 1]) == 1.0

@@ -9,7 +9,6 @@ from weylsym import moyal
 from weylsym.errors import BadConfig, NonConvergent, ShapeError
 from weylsym.matcore import matrix_J
 from weylsym.moyal import (
-    DiffOp,
     diffop_apply,
     diffop_compose,
     homomorphism_residual,
@@ -146,20 +145,22 @@ def test_shape_validation():
 
 
 def test_quantize_generators():
+    # an operator Σ c p^m ∂^b is the Poly in (p, q) with exponent (m, b):
+    # W(p) = p and W(q) = i∂
     n = 1
     wp = weyl_quantize_poly(_p(n, 0))
-    assert set(wp.terms) == {(0,)}
-    assert wp.terms[(0,)].max_coeff_diff(Poly.var(1, 0)) < 1e-15
+    assert set(wp.terms) == {(1, 0)}
+    assert wp.max_coeff_diff(Poly.var(2, 0)) < 1e-15
     wq = weyl_quantize_poly(_q(n, 0))
-    assert set(wq.terms) == {(1,)}
-    assert wq.terms[(1,)].max_coeff_diff(Poly.const(1, 1j)) < 1e-15
+    assert set(wq.terms) == {(0, 1)}
+    assert wq.max_coeff_diff(1j * Poly.var(2, 1)) < 1e-15
 
 
 def test_quantize_pq_is_symmetrized():
     # W(pq) = i(p d/dp + 1/2)
     d = weyl_quantize_poly(_p(1, 0) * _q(1, 0))
-    assert d.terms[(1,)].max_coeff_diff(1j * Poly.var(1, 0)) < 1e-15
-    assert d.terms[(0,)].max_coeff_diff(Poly.const(1, 0.5j)) < 1e-15
+    assert set(d.terms) == {(1, 1), (0, 0)}
+    assert d.max_coeff_diff(Poly(2, {(1, 1): 1j, (0, 0): 0.5j})) < 1e-15
 
 
 def test_diffop_apply_and_commutator():
@@ -186,6 +187,19 @@ def test_homomorphism():
         f1 = _random_poly(rng, 2, 3)
         f2 = _random_poly(rng, 2, 3)
         assert homomorphism_residual(f1, f2) < 1e-12
+
+
+def test_diffop_compose_is_associative_with_identity():
+    rng = rng_for(11, "moyal-compose-assoc")
+    for n in (1, 2):
+        one = Poly.const(2 * n, 1.0)
+        for _ in range(4):
+            a, b, c = (weyl_quantize_poly(_random_poly(rng, 2 * n, 3, nterms=4)) for _ in range(3))
+            left = diffop_compose(diffop_compose(a, b), c)
+            right = diffop_compose(a, diffop_compose(b, c))
+            scale = max(abs(x) for x in left.terms.values())
+            assert left.max_coeff_diff(right) <= 1e-13 * scale
+            assert diffop_compose(one, a) == a == diffop_compose(a, one)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +348,40 @@ def test_phase_poly_from_quadform():
 
 
 def test_diffop_validation():
+    # a derivative index of the wrong length, operators on different spaces,
+    # an odd variable count, and a φ whose variable count is not half the
+    # operator's
     with pytest.raises(ShapeError):
-        DiffOp(1, {(0, 1): Poly.const(1, 1.0)})
+        Poly(2, {(0, 1, 0): 1.0})
     with pytest.raises(ShapeError):
-        diffop_compose(DiffOp.identity(1), DiffOp.identity(2))
+        diffop_compose(Poly.const(2, 1.0), Poly.const(4, 1.0))
+    with pytest.raises(ShapeError):
+        diffop_compose(Poly.var(3, 0), Poly.var(3, 1))
+    for phi in (Poly.var(1, 0), Poly.var(4, 0), Poly.const(3, 1.0), 2.0):
+        with pytest.raises(ShapeError):
+            diffop_apply(weyl_quantize_poly(_q(2, 0)), phi)
+    assert diffop_apply(weyl_quantize_poly(_q(2, 0)), Poly.var(2, 0)) == Poly.const(2, 1j)
+
+
+@pytest.mark.parametrize("order", [2.5, 12.0, "12", True, -1, None])
+def test_star_exp_series_refuses_a_non_integral_order(order):
+    with pytest.raises(BadConfig):
+        star_exp_series(QuadForm2n(1, 0.1 * np.eye(2)), -1j, order, [0.1, 0.1])
+
+
+def test_moyal_operands_are_refused_with_shape_error():
+    u = _p(1, 0) * _q(1, 0)
+    for l in (1.5, 2.0, True, -1, "2"):
+        with pytest.raises(ShapeError):
+            poisson_power(u, u, l)
+    assert poisson_power(u, u, np.int64(2)) == poisson_power(u, u, 2)
+    for bad in (2.0, None, [1.0]):
+        for call in (
+            lambda: moyal_mul(u, bad),
+            lambda: moyal_mul(bad, u),
+            lambda: poisson_power(u, bad, 1),
+            lambda: poisson_power(bad, u, 1),
+            lambda: weyl_quantize_poly(bad),
+        ):
+            with pytest.raises(ShapeError):
+                call()

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import weylsym
-from weylsym import matcore
+from weylsym import errors, matcore
 
 
 def test_every_exported_name_resolves():
@@ -60,4 +60,29 @@ def test_one_guard_and_scipy_only_in_matcore():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert not found, found
+
+
+def test_every_raise_is_typed():
+    """Every `raise` in the package names a `weylsym.errors` class, or the
+    `error` parameter of a guard that raises the class its caller chose, or
+    re-raises what it caught."""
+    typed = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, Exception)}
+    guards = {"require_invertible", "require_posreal", "_require"}
+    found = []
+    for path in sorted(Path(weylsym.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_guard = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in guards
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else None
+            if name not in typed and not (name == "error" and id(node) in in_guard):
+                found.append(f"{path.name}:{node.lineno}")
     assert not found, found
