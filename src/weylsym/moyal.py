@@ -143,13 +143,17 @@ class _GradedTable:
 
     exps[a, i] is the exponent of variable a in monomial i; up[a, i] is the
     index of v_a times monomial i, for the monomials of degree < `degree`;
-    ends[d] is the number of monomials of degree ≤ d.
+    ends[d] is the number of monomials of degree ≤ d.  On a phase space,
+    k = 2n, swap[i] is the index of monomial i with its p and q halves
+    exchanged, and g[i] is the weight of monomial i in `_star_at_origin`.
     """
 
     degree: int
     exps: np.ndarray
     up: np.ndarray
     ends: list
+    swap: np.ndarray
+    g: np.ndarray
 
 
 def _prefix(tab: _GradedTable, d: int) -> int:
@@ -162,35 +166,68 @@ def _prefix(tab: _GradedTable, d: int) -> int:
 _TABLES: dict = {}
 
 
+def _rank(e: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """The stars-and-bars rank of each exponent e[..., :] of k variables
+    within its degree-d shell: Σ_{j=1}^{k-1} C(s_j + k-1-j, k-j),
+    s_j = e_j + ... + e_{k-1}, a bijection onto [0, C(d+k-1, k-1)).
+    binom[p, r] = C(p, r)."""
+    k = e.shape[-1]
+    suffix = np.cumsum(e[..., ::-1], axis=-1)[..., ::-1]
+    return sum(binom[suffix[..., j] + k - 1 - j, k - j] for j in range(1, k))
+
+
 def _graded_table(k: int, degree: int) -> _GradedTable:
     """The cached table for k variables, grown to at least `degree`.
 
-    Within a degree-d shell, monomial e has the stars-and-bars rank
-    Σ_{j=1}^{k-1} C(s_j + k-1-j, k-j), s_j = e_j + ... + e_{k-1}, a bijection
-    onto [0, C(d+k-1, k-1)).  Each new shell is the set of shell-(d-1)
-    monomials raised in one slot, which also gives those monomials' up rows.
+    Each new shell is the set of shell-(d-1) monomials raised in one slot,
+    placed by `_rank`, which also gives those monomials' up rows and, with
+    the halves exchanged, the swap of every new monomial.
     """
     tab = _TABLES.get(k)
     if tab is None:
-        tab = _TABLES[k] = _GradedTable(0, np.zeros((k, 1), np.int16), np.zeros((k, 0), np.intp), [1])
+        tab = _TABLES[k] = _GradedTable(
+            0, np.zeros((k, 1), np.int16), np.zeros((k, 0), np.intp), [1], np.zeros(1, np.intp), np.ones(1, complex)
+        )
     if degree <= tab.degree:
         return tab
     binom = np.array([[math.comb(p, r) for r in range(k + 1)] for p in range(degree + k)], np.int64)
     eye = np.eye(k, dtype=np.int64)
     ends = list(tab.ends)
+    old = ends[-1]
     exps = np.empty((k, math.comb(degree + k, k)), np.int16)
     up = np.empty((k, math.comb(degree - 1 + k, k)), np.intp)
-    exps[:, : ends[-1]] = tab.exps
+    exps[:, :old] = tab.exps
     up[:, : tab.up.shape[1]] = tab.up
     for d in range(tab.degree + 1, degree + 1):
         lo, hi = ends[d - 2] if d >= 2 else 0, ends[d - 1]
         cand = exps[:, lo:hi].T.astype(np.int64)[None] + eye[:, None, :]  # (raised slot, monomial, variable)
-        suffix = np.cumsum(cand[..., ::-1], axis=-1)[..., ::-1]
-        up[:, lo:hi] = hi + sum(binom[suffix[..., j] + k - 1 - j, k - j] for j in range(1, k))
+        up[:, lo:hi] = hi + _rank(cand, binom)
         exps[:, up[:, lo:hi].ravel()] = cand.reshape(-1, k).T
         ends.append(hi + math.comb(d + k - 1, k - 1))
+    new = exps[:, old:].T.astype(np.int64)
+    deg, q_deg = new.sum(axis=1), new[:, k // 2 :].sum(axis=1)
+    swap = np.asarray(ends)[deg - 1] + _rank(np.roll(new, k // 2, axis=1), binom)
+    fact = np.array([float(math.factorial(i)) for i in range(degree + 1)])
+    # t^d (-1)^{|β|} = (-i)^{d + 2|β|} 2^{-d}
+    g = np.array([1, -1j, -1, 1j])[(deg + 2 * q_deg) % 4] * np.ldexp(fact[new].prod(axis=1), -deg)
+    tab.swap, tab.g = np.concatenate([tab.swap, swap]), np.concatenate([tab.g, g])
     tab.exps, tab.up, tab.ends, tab.degree = exps, up, ends, degree
     return tab
+
+
+def _star_at_origin(tab: _GradedTable, u: np.ndarray, v: np.ndarray) -> complex:
+    """(u ∗ v)(0) for u, v packed over degree prefixes of tab, k = 2n.
+
+    At w = 0 only the terms of P^l with every derivative spent survive, and
+    (∂^γ u)(0) = γ! u[γ], so `poisson_power`'s multinomial form gives, over
+    γ = (α, β) with σγ = (β, α),
+
+        (u ∗ v)(0) = Σ_γ g_γ u[γ] v[σγ],   g_γ = t^{|γ|} (-1)^{|β|} γ!.
+
+    σ keeps the degree, so the sum runs over the shorter prefix.
+    """
+    m = min(u.size, v.size)
+    return (tab.g[:m] * u[:m]) @ v[tab.swap[:m]]
 
 
 def _star_mix(c0: complex, ell: np.ndarray, s_mat: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -263,10 +300,13 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
 
     The powers u_l = (s q_M)^{∗l} are taken in the coordinates w = v - p
     centred at the point p, where s q_M(p + w) = pᵗSp + 2(Sp)·w + wᵗSw and
-    term l is the constant coefficient u_l(0)/l!.  Degree d of u ∗ f reads
-    only degrees d - 2 … d + 2 of u, so u_L(0) needs u_l only through
-    degree min(2l, 2(L - l)); each u_l is one dense array over those
-    monomials in graded order (see `_centred_step`).
+    term l is the constant coefficient u_l(0)/l!.  Only u_0 … u_h,
+    h = ⌈L/2⌉, are built by `_centred_step`; by associativity each later
+    term is u_{h+b}(0) = (u_h ∗ u_b)(0) for 1 ≤ b ≤ L - h, one pairing of
+    packed coefficients (`_star_at_origin`) that reads u_h only through
+    degree 2b.  Degree d of u ∗ f reads only degrees d - 2 … d + 2 of u, so
+    u_l is needed only through degree min(2l, 2(L - h)); each u_l is one
+    dense array over those monomials in graded order (see `_centred_step`).
     """
     if not (_is_int(order) and order >= 0):
         raise BadConfig(f"series order must be a nonnegative integer, got {order!r}")
@@ -288,19 +328,21 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
         )
     tab = _graded_table(k, top)
     weights = tab.exps[:, : _prefix(tab, top - 1)] + 1.0
-    s_mat = s * (q.M + q.M.T) / 2
+    s_mat = s * q.M
     sp = s_mat @ point
     mix = _star_mix(point @ sp, 2.0 * sp, s_mat, matcore.matrix_J(q.n).real)
-    kept = [min(2 * l, 2 * (order - l)) for l in range(order + 1)]
-    coeffs = np.ones(1, complex)
+    half = order - order // 2
+    powers = [np.ones(1, complex)]
+    for l in range(half):
+        powers.append(_centred_step(tab, weights, mix, powers[l], min(2 * l, top), min(2 * l + 2, top)))
+    values = [u[0] for u in powers]
+    values += [_star_at_origin(tab, powers[half], powers[b]) for b in range(1, order - half + 1)]
     total = 0.0 + 0.0j
     last = 0.0
-    for l in range(order + 1):
-        term = coeffs[0] / math.factorial(l)
+    for l, value in enumerate(values):
+        term = value / math.factorial(l)
         last = abs(term)
         total += term
-        if l < order:
-            coeffs = _centred_step(tab, weights, mix, coeffs, kept[l], kept[l + 1])
     if not last <= 1e-10 * max(abs(total), 1e-30):
         raise NonConvergent(f"last term {last:.3g} is not negligible")
     return complex(total), last

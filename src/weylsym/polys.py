@@ -47,14 +47,18 @@ class Poly:
     def __post_init__(self):
         if not (_is_int(self.nvars) and self.nvars >= 0):
             raise ShapeError(f"nvars must be a nonnegative integer, got {self.nvars!r}")
+        object.__setattr__(self, "nvars", int(self.nvars))
         clean = {}
-        for k, v in self.terms.items():
-            if not (isinstance(k, tuple) and len(k) == self.nvars and all(_is_int(e) and e >= 0 for e in k)):
-                raise ShapeError(f"bad exponent {k!r} for {self.nvars} variables")
-            if not isinstance(v, _SCALARS) or not cmath.isfinite(v):
-                raise ShapeError(f"coefficient {v!r} of {k} is not a finite number")
-            if abs(v) > _DROP:
-                clean[tuple(map(int, k))] = complex(v)
+        try:
+            for k, v in self.terms.items():
+                if not (isinstance(k, tuple) and len(k) == self.nvars and all(_is_int(e) and e >= 0 for e in k)):
+                    raise ShapeError(f"bad exponent {k!r} for {self.nvars} variables")
+                if not isinstance(v, _SCALARS) or not cmath.isfinite(v):
+                    raise ShapeError(f"coefficient {v!r} of {k} is not a finite number")
+                if abs(v) > _DROP:
+                    clean[tuple(map(int, k))] = complex(v)
+        except OverflowError:  # a Python int coefficient past the float range
+            raise ShapeError(f"coefficient of {k} is not a finite number") from None
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -112,7 +116,11 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            if not cmath.isfinite(other):
+            try:
+                finite = cmath.isfinite(other)
+            except OverflowError:  # a Python int past the float range
+                finite = False
+            if not finite:
                 raise ShapeError(f"scalar operand {other!r} is not finite")
             return Poly._trusted(self.nvars, {k: v * other for k, v in self.terms.items()})
         other = self._check_same(other)

@@ -39,6 +39,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .errors import BadConfig, NonConvergent
 from .matcore import quad_form, require_lambda
+from .polys import _is_int
 
 __all__ = [
     "GaussianExponent",
@@ -135,7 +136,7 @@ def _plan(dim: int, nodes: int) -> _Plan:
 
 def _checked_plan(dim: int, nodes: int) -> _Plan:
     """The refusals shared by every entry point, made before any evaluation."""
-    if not isinstance(nodes, (int, np.integer)):
+    if not _is_int(nodes):
         raise BadConfig(f"nodes_per_axis must be an integer, got {nodes!r}")
     nodes = int(nodes)
     if not 1 <= nodes <= MAX_NODES:
@@ -214,11 +215,28 @@ def _stream_exponent(fn, plan: _Plan, to_x, lebesgue: bool):
     a = d + (hr.sum(axis=1) / 2)[:, None] * s**2 + np.log(w)
     shift = np.max(a.real, axis=1)
     v = np.exp(a - shift[:, None])
-    ss, sq = np.outer(s, s), (s[:, None] ** 2 + s**2) / 2
-    total = _contract(v, {(p, q): np.exp(h[p, q] * ss - hr[p, q] * sq) for p, q in zip(j, l)})
+    total = _contract(v, _pair_matrices(h, s))
     if not (total != 0 and np.isfinite(total)):
         raise NonConvergent(f"the factorised quadrature sum underflows or is not finite ({total})")
     return np.exp(e0 + shift.sum()) * total
+
+
+def _pair_matrices(h: np.ndarray, s: np.ndarray) -> dict:
+    """{(p, q): exp(h_pq s_i s_j - |Re h_pq| (s_i² + s_j²)/2)} over the nodes
+    s, for the pairs p < q.
+
+    hermgauss returns exactly antisymmetric nodes (s[::-1] == -s), so each
+    matrix is centrosymmetric: only its first ⌈N/2⌉ rows are exponentiated,
+    and the others are those rows reversed in both axes.
+    """
+    nodes, half = len(s), (len(s) + 1) // 2
+    ss, sq = np.outer(s[:half], s), (s[:half, None] ** 2 + s**2) / 2
+    out = {}
+    for p, q in zip(*np.triu_indices(len(h), 1)):
+        m = out[p, q] = np.empty((nodes, nodes), complex)
+        np.exp(h[p, q] * ss - abs(h[p, q].real) * sq, out=m[:half])
+        m[half:] = m[: nodes // 2][::-1, ::-1]
+    return out
 
 
 def _contract(v: np.ndarray, m: dict):

@@ -392,10 +392,12 @@ POLY_BAD = [
     ("exponent-bool", lambda: Poly(1, {(True,): 1.0})),  # read as (1,)
     ("coefficient-nan", lambda: Poly(1, {(1,): np.nan})),  # dropped
     ("coefficient-inf", lambda: Poly(1, {(1,): np.inf})),  # kept
+    ("coefficient-huge-int", lambda: Poly(1, {(1,): 10**400})),  # OverflowError
     ("operands-nvars", lambda: _p1 + _p2),  # ValueError
     ("product-nvars", lambda: _p1 * _p2),  # ValueError
     ("compare-nvars", lambda: _p1.max_coeff_diff(_p2)),  # 1.0, over keys of both lengths
     ("scalar-times-nan", lambda: _p1 * np.nan),  # the zero polynomial
+    ("scalar-times-huge-int", lambda: _p1 * 10**400),  # OverflowError
     ("scalar-plus-nan", lambda: _p1 + np.nan),  # the NaN constant dropped
     ("eval-short-point", lambda: _p2.eval([2.0])),  # 2
     ("eval-long-point", lambda: _p1.eval([2.0, 5.0])),  # 2
@@ -417,3 +419,4 @@ def test_poly_takes_numpy_integers_and_scalars():
     p = Poly(2, {(np.int64(1), 0): np.float64(2.0)})
     assert p == Poly(2, {(1, 0): 2.0}) and p.diff(np.int64(0)) == Poly.const(2, 2.0)
     assert p.eval([np.float32(0.5), 1]) == 1.0
+    assert type(Poly(np.int64(2), {}).nvars) is int

@@ -270,10 +270,29 @@ def test_packed_step_matches_moyal_mul():
                 assert got.max_coeff_diff(kept) <= 1e-13 * scale
 
 
+def test_star_at_origin_matches_moyal_mul():
+    # the pairing Σ g_γ u[γ] v[σγ] against moyal_mul evaluated at the
+    # origin, with either operand the shorter
+    rng = rng_for(11, "moyal-pairing")
+    for n, degrees in ((1, (6, 5)), (1, (3, 7)), (2, (4, 3)), (2, (2, 4))):
+        k = 2 * n
+        tab = moyal._graded_table(k, 8)
+        packed = [
+            rng.standard_normal(moyal._prefix(tab, d)) + 1j * rng.standard_normal(moyal._prefix(tab, d))
+            for d in degrees
+        ]
+        u, v = (Poly(k, {tuple(int(e) for e in tab.exps[:, i]): c[i] for i in range(c.size)}) for c in packed)
+        ref = moyal_mul(u, v).eval(np.zeros(k))
+        assert abs(moyal._star_at_origin(tab, *packed) - ref) <= 1e-13 * abs(ref)
+
+
 def test_star_exp_series_matches_reference_loop():
-    # moyal_mul powers of s q_M evaluated at off-origin points
+    # moyal_mul powers of s q_M evaluated at off-origin points, at even and
+    # odd orders (an odd order builds one power past half the order)
     rng = rng_for(10, "moyal-series-ref")
-    for n, order, m_norm, radius in [(1, 12, 0.15, 0.8)] * 3 + [(2, 6, 0.04, 0.4)] * 2:
+    cases = [(1, 12, 0.15, 0.8)] * 3 + [(2, 6, 0.04, 0.4)] * 2
+    cases += [(1, 7, 0.05, 0.5), (1, 13, 0.15, 0.8), (2, 5, 0.02, 0.3)]
+    for n, order, m_norm, radius in cases:
         m = rng.standard_normal((2 * n, 2 * n))
         m = m_norm * (m + m.T) / np.linalg.norm(m + m.T, 2)
         q = QuadForm2n(n, m)
@@ -285,6 +304,17 @@ def test_star_exp_series_matches_reference_loop():
             power = moyal_mul(power, f)
         value, _ = star_exp_series(q, -1j, order, point)
         assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("order", [12, 13, 40])
+def test_star_exp_series_steps_only_to_half_the_order(monkeypatch, n, order):
+    # u_0 … u_h, h = ⌈L/2⌉, are stepped; every later term is a pairing
+    calls = []
+    step = moyal._centred_step
+    monkeypatch.setattr(moyal, "_centred_step", lambda *args: calls.append(args) or step(*args))
+    star_exp_series(QuadForm2n(n, 0.02 * np.eye(2 * n)), -1j, order, [0.1] * (2 * n))
+    assert len(calls) == (order + 1) // 2
 
 
 def test_star_exp_series_keeps_only_reachable_degrees():

@@ -107,15 +107,32 @@ def test_factorised_sum_matches_per_chunk_sum(set_chunk, n, nodes, chunk, t, lea
 
 
 def test_factorised_real_sum_matches_materialised_grid():
-    # 120 nodes on 2 axes: t = 1 and 120 lead points
+    # odd node counts have a middle row that is its own mirror in the
+    # centrosymmetric pair matrices; 120 nodes on 2 axes: t = 1, 120 lead points
     center = np.array([0.3, -0.2])
 
     def expo(x):
         return -np.sum((x - 0.1) ** 2, axis=1) + 0.4j * x[:, 0] * x[:, 1] - 0.3 * x[:, 0]
 
-    got = lebesgue_rn(GaussianExponent(expo), 2, 120, scale=0.9, center=center)
-    ref = _ref_lebesgue_rn(lambda x: np.exp(expo(x)), 2, 120, 0.9, center)
-    assert got == pytest.approx(ref, rel=1e-13, abs=0)
+    for nodes in (7, 8, 80, 81, 120):
+        got = lebesgue_rn(GaussianExponent(expo), 2, nodes, scale=0.9, center=center)
+        ref = _ref_lebesgue_rn(lambda x: np.exp(expo(x)), 2, nodes, 0.9, center)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("nodes", [1, 7, 8, 80, 81])
+def test_pair_matrices_are_the_full_exponentials(nodes):
+    # bit for bit, as the nodes are exactly antisymmetric
+    s, _ = gh_nodes(nodes)
+    assert np.array_equal(s[::-1], -s)
+    rng = np.random.default_rng(nodes)
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    h = h + h.T
+    got = quadrature._pair_matrices(h, s)
+    assert sorted(got) == [(0, 1), (0, 2), (1, 2)]
+    for (p, q), m in got.items():
+        ref = np.exp(h[p, q] * np.outer(s, s) - abs(h[p, q].real) * ((s[:, None] ** 2 + s**2) / 2))
+        assert np.array_equal(m.view(float), ref.view(float))
 
 
 def _real_exponent(n):
@@ -257,7 +274,7 @@ def test_cached_arrays_are_read_only():
 
 def test_refusals_come_before_evaluation():
     rec = _Recorder(_one)
-    for nodes in (0, -3, 400, 2.5):
+    for nodes in (0, -3, 400, 2.5, True):
         with pytest.raises(BadConfig):
             quadrature_cn(rec, 1.0, 1, nodes_per_axis=nodes)
     with pytest.raises(BadConfig):
