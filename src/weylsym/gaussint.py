@@ -29,7 +29,17 @@ import numpy as np
 
 from . import matcore, sympgroup
 from .errors import DivergentIntegral, ShapeError
-from .matcore import as_batch, as_matrix, as_vector, det_powhalf_posreal, matrix_U, norm, quad_form, require_finite
+from .matcore import (
+    as_batch,
+    as_matrix,
+    as_vector,
+    block2x2,
+    det_powhalf_posreal,
+    matrix_U,
+    norm,
+    quad_form,
+    require_finite,
+)
 from .sympgroup import SuBlocks, _owned
 
 __all__ = [
@@ -91,7 +101,7 @@ class GaussianIntegrand(_Gaussian):
         self._init()
 
     def _init(self):
-        self._seal(1, -np.block([[self.A, self.B.T], [self.B, self.D]]), np.concatenate([self.u, self.v]))
+        self._seal(1, -block2x2(self.A, self.B.T, self.B, self.D), np.concatenate([self.u, self.v]))
 
     @property
     def M(self) -> np.ndarray:
@@ -179,7 +189,7 @@ class GaussianKernel(_Gaussian):
 
     def _init(self):
         matcore.require_lambda(self.lam)
-        self._seal(self.c, self.lam / 4 * np.block([[self.alpha, self.beta], [self.beta.T, self.gamma]]))
+        self._seal(self.c, self.lam / 4 * block2x2(self.alpha, self.beta, self.beta.T, self.gamma))
 
     @staticmethod
     def identity(n: int, lam: float) -> "GaussianKernel":
@@ -264,9 +274,9 @@ def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
         raise ShapeError("kernels must share n and lambda")
     n, lam = k1.n, k1.lam
     zero, eye = np.zeros((n, n)), np.eye(n)
-    m = -(lam / 4) * np.block([[k2.alpha, -eye], [-eye, k1.gamma]])
+    m = -(lam / 4) * block2x2(k2.alpha, -eye, -eye, k1.gamma)
     # r leaves out the linear terms' factor λ/2, so the form is (4/λ)(λ/2)^2 q = λq
-    root, q = gaussian_law(m, np.block([[zero, k2.beta], [k1.beta.T, zero]]))
+    root, q = gaussian_law(m, block2x2(zero, k2.beta, k1.beta.T, zero))
     alpha = k1.alpha + lam * q[:n, :n]
     gamma = k2.gamma + lam * q[n:, n:]
     c = k1.c * k2.c * (lam / 2) ** n / root
@@ -282,7 +292,7 @@ def _inverse_blocks(a: np.ndarray, d: np.ndarray, p: np.ndarray):
     """Inverse of [[-a, I+p^t], [I+p, d]], returned as blocks (α, β, γ, δ)."""
     n = a.shape[0]
     eye = np.eye(n)
-    big = np.block([[-a, eye + p.T], [eye + p, d]])
+    big = block2x2(-a, eye + p.T, eye + p, d)
     inv = matcore.require_invertible(big)[0]
     return inv[:n, :n], inv[:n, n:], inv[n:, :n], inv[n:, n:]
 
@@ -298,10 +308,10 @@ def block_inverse_identity_residual(a, d, p) -> float:
     d, p = as_matrix(d, n, n), as_matrix(p, n, n)
     eye = np.eye(n)
     al, be, ga, de = _inverse_blocks(a, d, p)
-    left = np.block([[a, eye - p.T], [p - eye, d]])
-    mid = np.block([[al, be], [ga, de]])
-    right = np.block([[a, p.T - eye], [eye - p, d]])
-    rhs = np.block([[4 * de - a, 3 * eye - 4 * ga - p.T], [3 * eye - 4 * be - p, 4 * al + d]])
+    left = block2x2(a, eye - p.T, p - eye, d)
+    mid = block2x2(al, be, ga, de)
+    right = block2x2(a, p.T - eye, eye - p, d)
+    rhs = block2x2(4 * de - a, 3 * eye - 4 * ga - p.T, 3 * eye - 4 * be - p, 4 * al + d)
     return norm(left @ mid @ right - rhs)
 
 
@@ -318,7 +328,7 @@ def cayley_block_identity_residual(k: SuBlocks) -> float:
     a, d, p = _kernel_blocks(k)
     al, be, ga, de = _inverse_blocks(a, d, p)
     lhs = matcore.matrix_J(n) @ matcore.cayley(k.full)[0] / 2
-    rhs = np.block([[de, eye / 2 - ga], [eye / 2 - be, al]])
+    rhs = block2x2(de, eye / 2 - ga, eye / 2 - be, al)
     return norm(lhs - rhs)
 
 
@@ -328,7 +338,7 @@ def det_identity_residual(k: SuBlocks) -> float:
     n = k.n
     eye = np.eye(n)
     a, d, p = _kernel_blocks(k)
-    big = np.block([[-a, eye + p.T], [eye + p, d]])
+    big = block2x2(-a, eye + p.T, eye + p, d)
     # numpy's determinant is the independent side: a residual, never a refusal
     lhs = np.linalg.det(big)
     rhs = (-1) ** n / np.linalg.det(k.P) * np.linalg.det(k.full + np.eye(2 * n))

@@ -28,7 +28,7 @@ import numpy as np
 from . import matcore
 from .errors import NoDecomposition, NotInS, ShapeError
 from .heisenberg import symplectic_form
-from .matcore import as_matrix, as_vector, matrix_J, norm, principal_power, require_invertible
+from .matcore import as_matrix, as_vector, block2x2, matrix_J, norm, principal_power, require_invertible
 from .sympgroup import SuBlocks, _owned, _trusted, su_inv, su_mul
 
 __all__ = [
@@ -121,7 +121,7 @@ class JacobiGroupEltC:
 
     @property
     def mat(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.C, self.D]])
+        return block2x2(self.A, self.B, self.C, self.D)
 
     @staticmethod
     def from_mat(z0, w0, c, m: np.ndarray) -> "JacobiGroupEltC":
@@ -210,9 +210,9 @@ def pkp_recompose(y, Y, c, P, v, V) -> JacobiGroupEltC:
     eye = np.eye(n)
     zero = np.zeros(n)
     P = as_matrix(P, n, n)
-    p_plus = JacobiGroupEltC.from_mat(y, zero, 0.0, np.block([[eye, as_matrix(Y, n, n)], [0 * eye, eye]]))
-    kc = JacobiGroupEltC.from_mat(zero, zero, c, np.block([[P, 0 * eye], [0 * eye, require_invertible(P)[0].T]]))
-    p_minus = JacobiGroupEltC.from_mat(zero, v, 0.0, np.block([[eye, 0 * eye], [as_matrix(V, n, n), eye]]))
+    p_plus = JacobiGroupEltC.from_mat(y, zero, 0.0, block2x2(eye, as_matrix(Y, n, n), 0 * eye, eye))
+    kc = JacobiGroupEltC.from_mat(zero, zero, c, block2x2(P, 0 * eye, 0 * eye, require_invertible(P)[0].T))
+    p_minus = JacobiGroupEltC.from_mat(zero, v, 0.0, block2x2(eye, 0 * eye, as_matrix(V, n, n), eye))
     return jc_mul(jc_mul(p_plus, kc), p_minus)
 
 

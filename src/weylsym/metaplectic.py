@@ -20,7 +20,7 @@ import numpy as np
 from . import matcore
 from .errors import NotInLie, NotUnimodular
 from .gaussint import GaussianKernel, GaussianSymbol, compose_kernels
-from .matcore import as_matrix, as_vector, norm, principal_power, principal_sqrt
+from .matcore import as_matrix, as_vector, block2x2, norm, principal_power, principal_sqrt
 from .polys import Poly
 from .sympgroup import SuBlocks, SuLie, _memo, _owned, su_inv, su_mul
 
@@ -209,7 +209,7 @@ def berezin_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
     def build():
         bk = sigma_kernel(k, lam)
         off = bk.beta - np.eye(k.n)
-        return GaussianSymbol.from_zz(k.n, bk.c, lam / 4 * np.block([[bk.alpha, off], [off.T, bk.gamma]]))
+        return GaussianSymbol.from_zz(k.n, bk.c, lam / 4 * block2x2(bk.alpha, off, off.T, bk.gamma))
 
     return _memo(k, "_berezin_sigma_symbol", lam, build)
 

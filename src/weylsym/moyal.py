@@ -313,7 +313,8 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
     point = matcore.as_vector(point, 2 * q.n, float)
     s = complex(s)
     matcore.require_finite(s)
-    if not np.linalg.norm(s * q.M, 2) <= 0.25 + 1e-12:
+    # ‖sM‖₂ = |s|·‖M‖₂, the norm of the symmetric M taken once per q
+    if not abs(s) * _memo(q, "_norm2", None, lambda: matcore.hermitian_norm2(q.M)) <= 0.25 + 1e-12:
         raise NonConvergent("‖s M‖ exceeds the convergence envelope (0.25)")
     if not np.linalg.norm(point) <= 1.5 + 1e-12:
         raise NonConvergent("|point| exceeds the convergence envelope (1.5)")

@@ -22,9 +22,13 @@ it.
 
 An integrand wrapped as ``GaussianExponent(fn)`` is exp(fn(x)), where fn
 returns the exponent and is a quadratic polynomial in the real coordinates
-of x.  fn never runs on the grid itself: it is evaluated along each axis
-and at unit points, which fixes the quadratic, and the sum contracts one
-factor per axis with one matrix per pair of axes (see `_stream_exponent`).
+of x.  fn never runs on the grid itself: it runs once on probe points,
+along each axis and at unit points, which fix the quadratic, and at the
+grid's corners, which certify it (a further call per `CHUNK` corners past
+the first `CHUNK`).  The sum contracts one factor per axis with one matrix
+per pair of axes (see `_stream_exponent`).  Every array that depends only
+on the grid, the probe points and corners included, is built once on the
+cached plan of the grid.
 """
 
 from __future__ import annotations
@@ -98,6 +102,15 @@ class _Plan(NamedTuple):
     are indexed by ``lebesgue``: plain Gauss–Hermite, or with the e^{s^2}
     correction folded in.  The block spans the last ``trailing`` axes;
     ``s`` and ``axis_w`` hold the nodes and weights of one axis.
+
+    The rest serves `_stream_exponent`.  ``probe`` holds, as columns, the
+    origin, the unit points, the sums of two unit points for the axis pairs
+    ``pairs`` (j < l), the nodes along each axis, and last the first
+    ``corners`` of the grid, whose end nodes ``bits`` picks (0 the first,
+    1 the last).  ``log_w`` holds the logs of ``axis_w``, ``s2`` the
+    squared nodes, ``ss`` and ``sq`` the node products s_i s_j and
+    (s_i² + s_j²)/2 at the node pairs that `_pair_entries` keeps, and
+    ``orbit`` (nodes, nodes) the index among them of each node pair.
     """
 
     block: np.ndarray
@@ -107,6 +120,15 @@ class _Plan(NamedTuple):
     trailing: int
     s: np.ndarray
     axis_w: tuple
+    pairs: tuple
+    probe: np.ndarray
+    corners: np.ndarray
+    bits: np.ndarray
+    log_w: tuple
+    s2: np.ndarray
+    ss: np.ndarray
+    sq: np.ndarray
+    orbit: np.ndarray
 
 
 def _tensor(s, weights, dim: int, lo: int, hi: int):
@@ -117,6 +139,12 @@ def _tensor(s, weights, dim: int, lo: int, hi: int):
     pts = np.zeros((dim, idx.shape[1]))
     pts[lo:hi] = s[idx]
     return pts, tuple(_frozen(np.prod(w[idx], axis=0)) for w in weights)
+
+
+def _corner_bits(dim: int, lo: int, hi: int) -> np.ndarray:
+    """(dim, hi - lo): bit j of each corner index lo..hi-1, the end node of
+    axis j at that corner."""
+    return (np.arange(lo, hi) >> np.arange(dim)[:, None]) & 1
 
 
 @functools.lru_cache(maxsize=16)
@@ -131,7 +159,40 @@ def _plan(dim: int, nodes: int) -> _Plan:
         trailing += 1
     block, block_w = _tensor(s, (w, wl), dim, dim - trailing, dim)
     lead, lead_w = _tensor(s, (w, wl), dim, 0, dim - trailing)
-    return _Plan(_frozen(block), _frozen(lead), block_w, lead_w, trailing, s, (w, _frozen(wl)))
+    eye = np.eye(dim)
+    j, l = np.triu_indices(dim, 1)
+    bits = _corner_bits(dim, 0, min(2**dim, CHUNK))
+    along = (eye[:, :, None] * s).reshape(dim, dim * nodes)
+    probe = _frozen(np.hstack([np.zeros((dim, 1)), eye, eye[:, j] + eye[:, l], along, s[[0, -1]][bits]]))
+    # a zero weight has log -inf
+    with np.errstate(divide="ignore"):
+        log_w = (_frozen(np.log(w)), _frozen(np.log(wl)))
+    return _Plan(_frozen(block), _frozen(lead), block_w, lead_w, trailing, s, (w, _frozen(wl)),
+                 (_frozen(j), _frozen(l)), probe, probe[:, -bits.shape[1] :], _frozen(bits), log_w,
+                 _frozen(s**2), *map(_frozen, _pair_entries(s)))
+
+
+def _pair_entries(s: np.ndarray) -> tuple:
+    """s_i s_j and (s_i² + s_j²)/2 at the node pairs i ≤ j, i + j < N, and
+    the (N, N) array of the pair whose values each (i, j) takes.
+
+    Both are symmetric in (i, j), and unchanged by (i, j) ↦ (N-1-i, N-1-j)
+    as hermgauss returns exactly antisymmetric nodes (s[::-1] == -s), so
+    the pair matrices of `_pair_matrices` are exact copies of their entries
+    at these about N²/4 pairs.
+    """
+    nodes = len(s)
+    i, j = np.triu_indices(nodes)
+    keep = i + j < nodes
+    i, j = i[keep], j[keep]
+    rank = np.zeros((nodes, nodes), dtype=np.intp)
+    rank[i, j] = np.arange(len(i))
+    # fold each (i, j) onto i <= j, then onto i + j < nodes
+    k = np.arange(nodes)
+    lo, hi = np.minimum.outer(k, k), np.maximum.outer(k, k)
+    far = lo + hi >= nodes
+    lo[far], hi[far] = nodes - 1 - hi[far], nodes - 1 - lo[far]
+    return s[i] * s[j], (s[i] ** 2 + s[j] ** 2) / 2, rank[lo, hi]
 
 
 def _checked_plan(dim: int, nodes: int) -> _Plan:
@@ -191,51 +252,66 @@ def _stream_exponent(fn, plan: _Plan, to_x, lebesgue: bool):
     most 1 in modulus (AM–GM).  Dividing each v_j by its largest modulus bounds
     every term by 1: tightly where the decay of E dominates its coupling between
     axes, and loosely, by up to the ρ_j s², where the coupling dominates.
+    fn runs once on the plan's probe points, which end with the first CHUNK
+    corners, and once more per CHUNK later corners.
     NonConvergent when fn misses the split at one of the 2^dim corners of the
     grid by more than 1e-8·(1 + |fn|), or the contraction is 0 or not finite.
     """
-    s, w = plan.s, plan.axis_w[lebesgue]
+    s = plan.s
     dim, nodes = plan.block.shape[0], len(s)
-    eye = np.eye(dim)
-    j, l = np.triu_indices(dim, 1)
-    along = (eye[:, :, None] * s).reshape(dim, dim * nodes)
-    e = fn(to_x(np.hstack([np.zeros((dim, 1)), eye, eye[:, j] + eye[:, l], along])).T)
+    j, l = plan.pairs
+    e = fn(to_x(plan.probe).T)
     e0, unit = e[0], e[1 : dim + 1]
     h = np.zeros((dim, dim), dtype=complex)
     h[j, l] = h[l, j] = e[dim + 1 : dim + 1 + len(j)] - unit[j] - unit[l] + e0
-    d = e[dim + 1 + len(j) :].reshape(dim, nodes) - e0
-    ends, axes = s[[0, -1]], np.arange(dim)[:, None]
-    for lo in range(0, 2**dim, CHUNK):
-        bits = (np.arange(lo, min(2**dim, lo + CHUNK)) >> axes) & 1
-        got = fn(to_x(ends[bits]).T)
-        fit = e0 + d[:, [0, -1]][axes, bits].sum(axis=0) + quad_form(h, ends[bits]) / 2
-        if not np.all(np.abs(got - fit) <= 1e-8 * (1 + np.abs(got))):
-            raise NonConvergent("integrand exponent is not a finite quadratic polynomial of the grid coordinates")
+    split = dim + 1 + len(j) + dim * nodes
+    d = e[dim + 1 + len(j) : split].reshape(dim, nodes) - e0
+    ends = d[:, [0, -1]]
+    _certify(e[split:], e0, ends, h, plan.bits, plan.corners)
+    for lo in range(CHUNK, 2**dim, CHUNK):
+        bits = _corner_bits(dim, lo, min(2**dim, lo + CHUNK))
+        corners = s[[0, -1]][bits]
+        _certify(fn(to_x(corners).T), e0, ends, h, bits, corners)
     hr = np.abs(h.real)
-    a = d + (hr.sum(axis=1) / 2)[:, None] * s**2 + np.log(w)
+    a = d + (hr.sum(axis=1) / 2)[:, None] * plan.s2 + plan.log_w[lebesgue]
     shift = np.max(a.real, axis=1)
     v = np.exp(a - shift[:, None])
-    total = _contract(v, _pair_matrices(h, s))
+    total = _contract(v, _pair_matrices(h, plan))
     if not (total != 0 and np.isfinite(total)):
         raise NonConvergent(f"the factorised quadrature sum underflows or is not finite ({total})")
     return np.exp(e0 + shift.sum()) * total
 
 
-def _pair_matrices(h: np.ndarray, s: np.ndarray) -> dict:
+def _certify(got, e0, ends, h, bits, corners) -> None:
+    """NonConvergent unless fn's values `got` at the grid corners `corners`
+    match the split e0 + Σ_j d_j + s h s/2 to 1e-8·(1 + |got|); `ends` holds
+    each d_j at the end nodes that `bits` picks."""
+    fit = e0 + ends[np.arange(len(ends))[:, None], bits].sum(axis=0) + quad_form(h, corners) / 2
+    if not np.all(np.abs(got - fit) <= 1e-8 * (1 + np.abs(got))):
+        raise NonConvergent("integrand exponent is not a finite quadratic polynomial of the grid coordinates")
+
+
+def _pair_matrices(h: np.ndarray, plan: _Plan) -> dict:
     """{(p, q): exp(h_pq s_i s_j - |Re h_pq| (s_i² + s_j²)/2)} over the nodes
     s, for the pairs p < q.
 
-    hermgauss returns exactly antisymmetric nodes (s[::-1] == -s), so each
-    matrix is centrosymmetric: only its first ⌈N/2⌉ rows are exponentiated,
-    and the others are those rows reversed in both axes.
+    Each matrix is symmetric and centrosymmetric (`_pair_entries`), so only
+    its entries at about N²/4 node pairs are exponentiated, and
+    ``plan.orbit`` gathers the matrix from them.  The entries of all pairs
+    are exponentiated in one call, or in batches of fewer than CHUNK
+    entries (128 KiB at the default, glibc's mmap threshold), so that no
+    temporary reaches that threshold unless one matrix does.
     """
-    nodes, half = len(s), (len(s) + 1) // 2
-    ss, sq = np.outer(s[:half], s), (s[:half, None] ** 2 + s**2) / 2
+    j, l = plan.pairs
+    group = max(1, (CHUNK - 1) // len(plan.ss))
     out = {}
-    for p, q in zip(*np.triu_indices(len(h), 1)):
-        m = out[p, q] = np.empty((nodes, nodes), complex)
-        np.exp(h[p, q] * ss - abs(h[p, q].real) * sq, out=m[:half])
-        m[half:] = m[: nodes // 2][::-1, ::-1]
+    for lo in range(0, len(j), group):
+        hp = h[j[lo : lo + group], l[lo : lo + group], None]
+        vals = hp * plan.ss
+        vals -= np.abs(hp.real) * plan.sq
+        np.exp(vals, out=vals)
+        for k, pq in enumerate(zip(j[lo : lo + group].tolist(), l[lo : lo + group].tolist())):
+            out[pq] = vals[k][plan.orbit]
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matcore
 from .errors import NotInLie, NotInS, NotSymplectic
-from .matcore import as_matrix, matrix_J, matrix_U, norm
+from .matcore import as_matrix, block2x2, matrix_J, matrix_U, norm
 
 __all__ = [
     "SpReal",
@@ -155,7 +155,7 @@ class SuBlocks:
     def full(self) -> np.ndarray:
         """The 2n×2n matrix k, built from P and Q on first access; read-only."""
         p, q = self.P, self.Q
-        return _memo(self, "_full", None, lambda: _owned(np.block([[p, q], [q.conj(), p.conj()]])))
+        return _memo(self, "_full", None, lambda: _owned(block2x2(p, q, q.conj(), p.conj())))
 
     @staticmethod
     def identity(n: int) -> "SuBlocks":
@@ -184,7 +184,7 @@ class SpLieReal:
 
     @property
     def full(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.C, -self.A.T]]).astype(float)
+        return block2x2(self.A, self.B, self.C, -self.A.T).astype(float)
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ class SuLie:
 
     @property
     def full(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.B.conj(), self.A.conj()]])
+        return block2x2(self.A, self.B, self.B.conj(), self.A.conj())
 
 
 # ---------------------------------------------------------------------------

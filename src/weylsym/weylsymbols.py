@@ -221,7 +221,7 @@ def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
         ch, sh = matcore.mat_cosh(half)
         chinv, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
         th = chinv @ sh
-        gamma = 1 / matcore.hamiltonian_cosh_det(half, d)
+        gamma = 1 / matcore.hamiltonian_cosh_det(half, d, np.linalg.norm(ch, 1) * np.linalg.norm(chinv, 1))
         return GaussianSymbol._trusted(x_lie.n, gamma, -1j * lam * (matrix_J(x_lie.n) @ th))
 
     return _memo(x_lie, "_w1_exp_symbol", lam, build)
@@ -257,7 +257,8 @@ def _cosh_law_symbol(n: int, jm: np.ndarray) -> GaussianSymbol:
     ch, sh = matcore.mat_cosh(jm)
     chinv, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
     th = sh @ chinv
-    return GaussianSymbol._trusted(n, 1 / matcore.hamiltonian_cosh_det(jm, d), 1j * (matrix_J(n) @ th))
+    root = matcore.hamiltonian_cosh_det(jm, d, np.linalg.norm(ch, 1) * np.linalg.norm(chinv, 1))
+    return GaussianSymbol._trusted(n, 1 / root, 1j * (matrix_J(n) @ th))
 
 
 def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:

@@ -23,6 +23,23 @@ def test_frame_matrices():
         assert np.allclose(zc[n:], v[:n] - 1j * v[n:])
 
 
+def test_block2x2_is_np_block():
+    # the same array as np.block, bit for bit and dtype for dtype, for
+    # square and rectangular blocks of mixed dtypes
+    rng = np.random.default_rng(4)
+
+    def draw(shape, dtype):
+        x = 3 * rng.standard_normal(shape)
+        return (x + 1j * rng.standard_normal(shape) if dtype is complex else x).astype(dtype)
+
+    for (r, k), dtypes in (((2, 2), (float,) * 4), ((1, 3), (float, complex, float, float)), ((3, 1), (int,) * 4),
+                           ((2, 1), (int, float, int, int))):
+        a, b, c, d = map(draw, ((r, r), (r, k), (k, r), (k, k)), dtypes)
+        got, want = matcore.block2x2(a, b, c, d), np.block([[a, b], [c, d]])
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
 def test_cayley_involution_and_rotation():
     theta = 0.8
     r = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
@@ -91,8 +108,8 @@ def test_det_powhalf_rejects_indefinite():
 def test_hamiltonian_cosh_det_pairs_the_spectrum():
     def paired(a):
         ch, sh = matcore.mat_cosh(a)
-        d = matcore.require_invertible(ch, scale=matcore.norm(ch) + matcore.norm(sh))[1]
-        return matcore.hamiltonian_cosh_det(a, d), d
+        inverse, d = matcore.require_invertible(ch, scale=matcore.norm(ch) + matcore.norm(sh))
+        return matcore.hamiltonian_cosh_det(a, d, np.linalg.norm(ch, 1) * np.linalg.norm(inverse, 1)), d
 
     # eigenvalues ±2i: Π cosh = cos 2 < 0, a sign no root of Det cosh = cos²2 picks
     rot = np.array([[0.0, 2.0], [-2.0, 0.0]])
@@ -108,7 +125,11 @@ def test_hamiltonian_cosh_det_pairs_the_spectrum():
     with pytest.raises(AmbiguousPhase):
         paired(np.diag([1.0, 2.0]))
     with pytest.raises(AmbiguousPhase):
-        matcore.hamiltonian_cosh_det(rot, 2 * d)
+        matcore.hamiltonian_cosh_det(rot, 2 * d, 1.0)
+    # an error bar of ε·cond₁ past 1e-3 admits more, but not a factor cosh²μ
+    assert matcore.hamiltonian_cosh_det(rot, 1.01 * d, 3e12) == root
+    with pytest.raises(AmbiguousPhase):
+        matcore.hamiltonian_cosh_det(rot, 1.01 * d, 2e12)
 
 
 def test_solve_and_inv_singular():

@@ -358,6 +358,23 @@ def test_star_exp_envelope_rejections():
             star_exp_series(q, s, 12, [0.1, 0.1])
 
 
+def test_star_exp_envelope_is_the_spectral_norm():
+    # |s|·max|eig M| decides as ‖sM‖₂ does, a hair inside and outside the envelope
+    rng = np.random.default_rng(12)
+    for n in (1, 2):
+        a = rng.standard_normal((2 * n, 2 * n))
+        q = QuadForm2n(n, a + a.T)
+        for s in (-1j, np.exp(0.7j), -2.0):
+            scale = 0.25 / np.linalg.norm(s * q.M, 2)
+            # inside, an order-2 series may still fail its certificate, but not the envelope
+            try:
+                star_exp_series(q, s * scale * (1 - 1e-10), 2, [0.0] * (2 * n))
+            except NonConvergent as err:
+                assert "envelope" not in str(err)
+            with pytest.raises(NonConvergent, match="envelope"):
+                star_exp_series(q, s * scale * (1 + 1e-10), 2, [0.0] * (2 * n))
+
+
 def test_star_exp_bridge_to_w1():
     rng = rng_for(7, "moyal-bridge")
     for seed in range(10):

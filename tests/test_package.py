@@ -63,6 +63,19 @@ def test_one_guard_and_scipy_only_in_matcore():
     assert not found, found
 
 
+def test_one_block_assembler_in_matcore():
+    """`matcore.block2x2` is the one way to assemble [[a, b], [c, d]]: no
+    module calls np.block, which costs five times as much on small blocks."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(weylsym.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "block"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert not found, found
+
+
 def test_every_raise_is_typed():
     """Every `raise` in the package names a `weylsym.errors` class, or the
     `error` parameter of a guard that raises the class its caller chose, or

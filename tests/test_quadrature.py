@@ -122,17 +122,19 @@ def test_factorised_real_sum_matches_materialised_grid():
 
 @pytest.mark.parametrize("nodes", [1, 7, 8, 80, 81])
 def test_pair_matrices_are_the_full_exponentials(nodes):
-    # bit for bit, as the nodes are exactly antisymmetric
+    # bit for bit, as the nodes are exactly antisymmetric; at 80 nodes the
+    # 10 pairs of dim 5 are exponentiated in three batches
     s, _ = gh_nodes(nodes)
     assert np.array_equal(s[::-1], -s)
     rng = np.random.default_rng(nodes)
-    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = h + h.T
-    got = quadrature._pair_matrices(h, s)
-    assert sorted(got) == [(0, 1), (0, 2), (1, 2)]
-    for (p, q), m in got.items():
-        ref = np.exp(h[p, q] * np.outer(s, s) - abs(h[p, q].real) * ((s[:, None] ** 2 + s**2) / 2))
-        assert np.array_equal(m.view(float), ref.view(float))
+    for dim in (3, 5):
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = h + h.T
+        got = quadrature._pair_matrices(h, quadrature._plan(dim, nodes))
+        assert sorted(got) == list(itertools.combinations(range(dim), 2))
+        for (p, q), m in got.items():
+            ref = np.exp(h[p, q] * np.outer(s, s) - abs(h[p, q].real) * ((s[:, None] ** 2 + s**2) / 2))
+            assert np.array_equal(m.view(float), ref.view(float))
 
 
 def _real_exponent(n):
@@ -168,6 +170,30 @@ def test_exponent_that_is_not_quadratic_is_refused():
     with pytest.raises(NonConvergent):
         lebesgue_rn(GaussianExponent(lambda x: -np.sum(x**2, axis=1) + 0.1 * x[:, 0] ** 2 * x[:, 1]), 2, 120)
     # dim 6: a term of three axes of C^3, zero at every probe point off the corners
+    with pytest.raises(NonConvergent, match="not a finite quadratic"):
+        quadrature_cn(GaussianExponent(lambda w: -np.sum(np.abs(w) ** 2, axis=1) + 0.05 * w.prod(axis=1)), 1.0, 3, 6)
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 80), (2, 40), (3, 6)])
+def test_exponent_runs_once_per_quadrature(n, nodes):
+    # the origin, 2n unit points, their pairwise sums, 2n axes of nodes and 2^(2n) corners
+    gi = random_gaussian_integrand(rng_for(8, f"probe-{n}"), n)
+    rec = _Recorder(gi.exponent)
+    got = quadrature_cn(GaussianExponent(rec), 1.1, n, nodes)
+    dim = 2 * n
+    assert rec.sizes == [1 + dim + dim * (dim - 1) // 2 + dim * nodes + 2**dim]
+    if n < 3:
+        assert got == pytest.approx(quadrature_cn(gi.eval, 1.1, n, nodes), rel=1e-13, abs=0)
+
+
+def test_corners_past_the_first_chunk_are_certified(set_chunk):
+    # at CHUNK = 8 the 64 corners of C^3 take the probe call and 7 more
+    gi = random_gaussian_integrand(rng_for(6, "factorised-dim6"), 3)
+    want = quadrature_cn(GaussianExponent(gi.exponent), 0.9, 3, 6)
+    set_chunk(8)
+    rec = _Recorder(gi.exponent)
+    assert quadrature_cn(GaussianExponent(rec), 0.9, 3, 6) == pytest.approx(want, rel=1e-13, abs=0)
+    assert rec.sizes == [1 + 6 + 15 + 36 + 8] + [8] * 7
     with pytest.raises(NonConvergent, match="not a finite quadratic"):
         quadrature_cn(GaussianExponent(lambda w: -np.sum(np.abs(w) ** 2, axis=1) + 0.05 * w.prod(axis=1)), 1.0, 3, 6)
 
@@ -266,7 +292,8 @@ def test_streaming_memory_is_bounded():
 def test_cached_arrays_are_read_only():
     s, w = gh_nodes(40)
     plan = quadrature._plan(4, 40)
-    for arr in (s, w, plan.s, plan.block, plan.lead, *plan.block_w, *plan.lead_w, *plan.axis_w):
+    for arr in (s, w, plan.s, plan.block, plan.lead, *plan.block_w, *plan.lead_w, *plan.axis_w, *plan.pairs,
+                plan.probe, plan.corners, plan.bits, *plan.log_w, plan.s2, plan.ss, plan.sq, plan.orbit):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         s[0] = 0.0

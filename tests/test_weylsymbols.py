@@ -310,9 +310,9 @@ def test_w1_exp_of_a_full_turn_is_minus_one():
     assert np.abs(sym.S).max() < 1e-12
 
 
-def _conjugated_lie(n, seed, a, b, c):
-    """S X S^{-1} for X = [[A, B], [C, -A^t]] and S = random_sp(n, seed)."""
-    s = random_sp(n, seed).g.real
+def _conjugated_lie(n, seed, a, b, c, scale=0.5):
+    """S X S^{-1} for X = [[A, B], [C, -A^t]] and S = random_sp(n, seed, scale)."""
+    s = random_sp(n, seed, scale).g.real
     x = s @ np.block([[a, b], [c, -a.T]]) @ np.linalg.inv(s)
     return SpLieReal(n, x[:n, :n], x[:n, n:], x[n:, :n])
 
@@ -334,6 +334,27 @@ def test_cosh_law_constants_past_the_pole(omegas):
         boost = _conjugated_lie(n, seed, w, zero, zero)
         m = QuadForm2n(n, np.real(matcore.matrix_J(n) @ boost.full) / 2)
         assert hormander_symbol(m).gamma == pytest.approx(want, rel=1e-9)
+
+
+def test_cosh_law_constant_within_its_error_bar_near_a_pole():
+    """X = S R S^{-1} with rotation angles π - δ, 1, 1, S = random_sp(3, 2, 1.0):
+    at δ = 1e-12, cosh(X/2) has cond₁ ≈ 8.5e12 and Π cosh(μ)² misses Det cosh
+    by 2%, which the certificate's max(1e-3, 16·ε·cond₁) admits; the constant
+    1/(sin(δ/2) cos²(1/2)) is then met within that bar.  At δ = 1e-13 the
+    guard refuses cosh(X/2) as singular."""
+    zero = np.zeros((3, 3))
+    for delta in (1e-12, 1e-13):
+        w = np.diag([np.pi - delta, 1.0, 1.0])
+        x = _conjugated_lie(3, 2, zero, w, -w, scale=1.0)
+        if delta == 1e-13:
+            with pytest.raises(SingularMatrix):
+                w1_exp_symbol(x)
+            continue
+        ch = matcore.mat_cosh(x.full / 2)[0]
+        bar = 16 * np.finfo(float).eps * np.linalg.cond(ch, 1)
+        assert 1e-3 < bar < 0.1
+        want = 1 / (np.sin(delta / 2) * np.cos(0.5) ** 2)
+        assert abs(w1_exp_symbol(x).gamma - want) <= bar * want
 
 
 def test_star_exp_constant_changes_sign_only_at_poles():
