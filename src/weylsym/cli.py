@@ -15,6 +15,7 @@ cosh-law constant that fails its certificate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -188,6 +189,8 @@ EVAL_KINDS = tuple(_EVAL)
 
 def _run_eval(args) -> int:
     kind = _EVAL[args.kind]
+    if args.n < 1:
+        raise WeylsymError(f"--n must be at least 1, got {args.n}")
     if not 0 < args.lam < np.inf:
         raise WeylsymError(f"--lambda must be positive and finite, got {args.lam}")
     point = _point(args.at, args.n, kind.layout)
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--g", help="element of Sp(n, R) (2n x 2n real matrix JSON)")
     pe.add_argument("--X", help="Lie algebra element (2n x 2n matrix JSON)")
     pe.add_argument("--M", help="real symmetric 2n x 2n matrix JSON, 'identity', or '<t>I'")
-    pe.add_argument("--at", "--point", dest="at", type=float, nargs="+", default=[], help="evaluation point")
+    pe.add_argument("--at", "--point", dest="at", type=float, nargs="+", default=(), help="evaluation point")
     pe.add_argument("--n", type=int, default=1)
     pe.add_argument("--lambda", dest="lam", type=float, default=1.0)
     pe.add_argument("--nodes", type=int, default=80)
@@ -258,8 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and kept for the
+    process; its defaults are immutable, so no call can change another's."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except AmbiguousPhase as exc:

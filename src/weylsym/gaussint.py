@@ -93,6 +93,7 @@ class GaussianIntegrand(_Gaussian):
     v: np.ndarray
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         object.__setattr__(self, "A", _owned(as_matrix(self.A, self.n, self.n, symmetric=1e-12)))
         object.__setattr__(self, "B", _owned(as_matrix(self.B, self.n, self.n)))
         object.__setattr__(self, "D", _owned(as_matrix(self.D, self.n, self.n, symmetric=1e-12)))
@@ -179,6 +180,7 @@ class GaussianKernel(_Gaussian):
     gamma: np.ndarray
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         object.__setattr__(self, "alpha", _owned(as_matrix(self.alpha, self.n, self.n, symmetric=1e-10)))
         object.__setattr__(self, "beta", _owned(as_matrix(self.beta, self.n, self.n)))
         object.__setattr__(self, "gamma", _owned(as_matrix(self.gamma, self.n, self.n, symmetric=1e-10)))
@@ -194,6 +196,7 @@ class GaussianKernel(_Gaussian):
     @staticmethod
     def identity(n: int, lam: float) -> "GaussianKernel":
         """The reproducing kernel exp(λ z wbar / 2)."""
+        matcore.require_dim(n)
         zero = np.zeros((n, n))
         return GaussianKernel._trusted(n, lam, 1.0, zero, np.eye(n), zero)
 
@@ -225,6 +228,7 @@ class GaussianSymbol(_Gaussian):
     S: np.ndarray
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         object.__setattr__(self, "S", as_matrix(self.S, 2 * self.n, 2 * self.n, symmetric=1e-10))
         object.__setattr__(self, "gamma", complex(self.gamma))
         self._init()
@@ -237,6 +241,7 @@ class GaussianSymbol(_Gaussian):
     def from_zz(n: int, gamma: complex, C: np.ndarray) -> "GaussianSymbol":
         """From the (z, zbar)-frame exponent (z zbar) C (z zbar)^t via
         (z zbar)^t = U (x y)^t, so S = sym(U^t C U)."""
+        matcore.require_dim(n)
         u = matrix_U(n)
         return GaussianSymbol._trusted(n, gamma, u.T @ C @ u)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussint import GaussianKernel
-from .matcore import as_batch, as_vector, require_finite, require_lambda
+from .matcore import as_batch, as_vector, require_dim, require_finite, require_lambda
 from .quadrature import lebesgue_rn
 from .sympgroup import _owned
 
@@ -40,12 +40,14 @@ class HeisElt:
     c: float
 
     def __post_init__(self):
+        require_dim(self.n)
         object.__setattr__(self, "z0", _owned(as_vector(self.z0, self.n)))
         object.__setattr__(self, "c", float(self.c))
         require_finite(self.c)
 
     @staticmethod
     def identity(n: int) -> "HeisElt":
+        require_dim(n)
         return HeisElt(n, np.zeros(n), 0.0)
 
 

@@ -63,6 +63,7 @@ class JacobiPoint:
     Y: np.ndarray
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         object.__setattr__(self, "y", _owned(as_vector(self.y, self.n)))
         object.__setattr__(self, "Y", _owned(as_matrix(self.Y, self.n, self.n, symmetric=1e-10)))
 
@@ -71,6 +72,7 @@ class JacobiPoint:
 
     @staticmethod
     def origin(n: int) -> "JacobiPoint":
+        matcore.require_dim(n)
         return JacobiPoint(n, np.zeros(n), np.zeros((n, n)))
 
 
@@ -84,12 +86,14 @@ class JacobiGroupElt:
     k: SuBlocks
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         object.__setattr__(self, "z0", _owned(as_vector(self.z0, self.n)))
         object.__setattr__(self, "c", float(self.c))
         matcore.require_finite(self.c)
 
     @staticmethod
     def identity(n: int) -> "JacobiGroupElt":
+        matcore.require_dim(n)
         return JacobiGroupElt(n, np.zeros(n), 0.0, SuBlocks.identity(n))
 
 
@@ -108,6 +112,7 @@ class JacobiGroupEltC:
 
     def __post_init__(self):
         n = self.n
+        matcore.require_dim(n)
         object.__setattr__(self, "z0", _owned(as_vector(self.z0, n)))
         object.__setattr__(self, "w0", _owned(as_vector(self.w0, n)))
         object.__setattr__(self, "c", complex(self.c))
@@ -131,6 +136,7 @@ class JacobiGroupEltC:
 
     @staticmethod
     def identity(n: int) -> "JacobiGroupEltC":
+        matcore.require_dim(n)
         return JacobiGroupEltC.from_mat(np.zeros(n), np.zeros(n), 0.0, np.eye(2 * n))
 
 

@@ -3,10 +3,10 @@
 Matrices are plain ``numpy`` arrays of ``complex128``, row-major.  Everything
 here is pure: inputs are never mutated and results are freshly allocated.
 `as_matrix`, `as_vector` and `as_batch` check arrays arriving from outside the library,
-and `require_lambda` the scale λ; the other functions take the square arrays
-their callers built and do not check them.  `require_invertible` is the one
-way to invert a matrix or take a guarded determinant, and the one rule that
-refuses a matrix as singular.
+`require_dim` the n of an element and `require_lambda` the scale λ; the other
+functions take the square arrays their callers built and do not check them.
+`require_invertible` is the one way to invert a matrix or take a guarded
+determinant, and the one rule that refuses a matrix as singular.
 
 The branch convention used throughout the library is the principal
 determination: ``Arg`` in (-pi, pi], so the square root of a negative real
@@ -31,6 +31,7 @@ __all__ = [
     "as_batch",
     "block2x2",
     "require_finite",
+    "require_dim",
     "require_lambda",
     "matrix_J",
     "matrix_U",
@@ -120,6 +121,20 @@ def require_finite(*values) -> None:
     for v in values:
         if not np.isfinite(v).all():
             raise ShapeError("NaN/Inf entries")
+
+
+def _is_int(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def require_dim(n) -> None:
+    """ShapeError unless the n of an element, its arrays being n×n or
+    2n×2n, is an integer of at least 1 (`_is_int`); every element
+    constructor, and every builder of an element from a bare n, checks it
+    before it reads or makes an array."""
+    if not (_is_int(n) and n >= 1):
+        raise ShapeError(f"n must be an integer >= 1, got {n!r}")
 
 
 def require_lambda(lam: float) -> None:
@@ -231,7 +246,9 @@ def require_invertible(m: np.ndarray, error=SingularMatrix, scale: float = 0.0) 
     ‖m^{-1}‖·max(‖m‖, scale) > 1e14, with both 1-norms exact.  A sum passes
     the size of its operands as `scale`, so that roundoff left by
     cancellation (I + k ≈ 1e-16·diag(i, -i)) is refused however well
-    conditioned it is."""
+    conditioned it is.  ShapeError on an empty matrix, which LAPACK refuses."""
+    if not m.size:
+        raise ShapeError("cannot invert an empty matrix")
     lu, piv, info = zgetrf(m)
     inverse = zgetrs(lu, piv, _identity(m.shape[0]))[0]
     inorm = zlange("1", inverse) if info == 0 else math.inf

@@ -144,6 +144,7 @@ class DsigmaKernel:
     B: np.ndarray
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         matcore.require_lambda(self.lam)
         object.__setattr__(self, "A", _owned(as_matrix(self.A, self.n, self.n)))
         object.__setattr__(self, "B", _owned(as_matrix(self.B, self.n, self.n)))

@@ -18,6 +18,7 @@ q_k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ import numpy as np
 
 from . import matcore
 from .errors import BadConfig, NonConvergent, ShapeError
-from .polys import Poly, _is_int
+from .matcore import _is_int
+from .polys import Poly
 from .sympgroup import _memo
 from .weylsymbols import GaussianSymbol, QuadForm2n, _cosh_law_symbol, w1_exp_symbol
 
@@ -361,17 +363,20 @@ def star_exp_quadratic_symbol(q: QuadForm2n) -> GaussianSymbol:
     return _memo(q, "_star_exp_quadratic_symbol", None, lambda: _cosh_law_symbol(q.n, matcore.matrix_J(q.n) @ q.M))
 
 
-def _leibniz(a: tuple, b: tuple, step: float) -> list:
+@functools.lru_cache(maxsize=2048)
+def _leibniz(a: tuple, b: tuple, step: float) -> tuple:
     """∂^a p^b = Σ_{κ≤a, κ≤b} C(a,κ) b!/(b-κ)! p^{b-κ} ∂^{a-κ}, as triples
-    (C(a,κ) b!/(b-κ)! step^{|κ|}, b - κ, a - κ)."""
+    (C(a,κ) b!/(b-κ)! step^{|κ|}, b - κ, a - κ).  Memoised, since the terms
+    of low-degree polynomials meet the same exponent pairs again and again;
+    the entries are tuples, so no caller can change one."""
     axes = [
         [(math.comb(ai, k) * math.perm(bi, k) * step**k, bi - k, ai - k) for k in range(min(ai, bi) + 1)]
         for ai, bi in zip(a, b)
     ]
-    return [
+    return tuple(
         (math.prod(t[0] for t in picks), tuple(t[1] for t in picks), tuple(t[2] for t in picks))
         for picks in itertools.product(*axes)
-    ]
+    )
 
 
 def weyl_quantize_poly(f: Poly) -> Poly:

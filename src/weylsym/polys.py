@@ -17,17 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .matcore import as_vector
+from .matcore import _is_int, as_vector
 
 __all__ = ["Poly"]
 
 _DROP = 1e-300
 _SCALARS = (int, float, complex, np.number)
-
-
-def _is_int(x) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _index(i, nvars: int) -> int:

@@ -42,8 +42,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import BadConfig, NonConvergent
-from .matcore import quad_form, require_lambda
-from .polys import _is_int
+from .matcore import _is_int, quad_form, require_lambda
 
 __all__ = [
     "GaussianExponent",
@@ -54,6 +53,7 @@ __all__ = [
     "CHUNK",
     "MAX_NODES",
     "MAX_POINTS",
+    "MAX_DIM",
 ]
 
 # most points handed to one integrand call: on chunks of a few thousand
@@ -62,6 +62,9 @@ __all__ = [
 CHUNK = 2**13
 # largest tensor grid accepted; admits 80 nodes on the 4 real axes of C^2
 MAX_POINTS = 2**26
+# most real axes of a grid: a GaussianExponent certifies its fit at all 2^dim
+# corners of the grid, 65,536 here, in 8 calls of fn at the default CHUNK
+MAX_DIM = 16
 # hermgauss builds a dense nodes x nodes matrix; numpy's weights stop being
 # finite well below this (about 370 nodes)
 MAX_NODES = 512
@@ -195,8 +198,13 @@ def _pair_entries(s: np.ndarray) -> tuple:
     return s[i] * s[j], (s[i] ** 2 + s[j] ** 2) / 2, rank[lo, hi]
 
 
-def _checked_plan(dim: int, nodes: int) -> _Plan:
-    """The refusals shared by every entry point, made before any evaluation."""
+def _checked_plan(n: int, nodes: int, axes_per_n: int = 1) -> _Plan:
+    """The plan of a grid over axes_per_n·n real axes, after the refusals
+    shared by every entry point, made before any evaluation: n is checked
+    before it is multiplied, since 2 * True is 2."""
+    if not (_is_int(n) and 1 <= n <= MAX_DIM // axes_per_n):
+        raise BadConfig(f"n must be an integer in [1, {MAX_DIM // axes_per_n}], got {n!r}")
+    dim = axes_per_n * int(n)
     if not _is_int(nodes):
         raise BadConfig(f"nodes_per_axis must be an integer, got {nodes!r}")
     nodes = int(nodes)
@@ -359,7 +367,7 @@ def quadrature_cn(f, lam: float, n: int, nodes_per_axis: int = 80) -> complex:
     weight and the measure normalisation: the prefactor collapses to π^{-n}.
     """
     require_lambda(lam)
-    plan = _checked_plan(2 * n, nodes_per_axis)
+    plan = _checked_plan(n, nodes_per_axis, 2)
     to_x = functools.partial(_to_cn, scale=math.sqrt(2.0 / lam))
     return complex(np.pi ** (-n) * _stream(f, plan, to_x, to_x, False))
 
@@ -367,7 +375,7 @@ def quadrature_cn(f, lam: float, n: int, nodes_per_axis: int = 80) -> complex:
 def lebesgue_cn(f, n: int, nodes_per_axis: int = 80, scale: float = 1.0) -> complex:
     """∫_{C^n} f(w) dm(w) for integrands decaying like a Gaussian of width
     about `scale` on each real axis (see `gaussint.quadrature_scale`)."""
-    plan = _checked_plan(2 * n, nodes_per_axis)
+    plan = _checked_plan(n, nodes_per_axis, 2)
     to_x = functools.partial(_to_cn, scale=scale)
     # scale^{2n} is the Jacobian
     return complex(scale ** (2 * n) * _stream(f, plan, to_x, to_x, True))

@@ -123,6 +123,7 @@ class SpReal:
     g: np.ndarray
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         object.__setattr__(self, "g", _owned(as_matrix(self.g, 2 * self.n, 2 * self.n)))
         _require(validate_sp(self), NotSymplectic, "g is not real symplectic")
 
@@ -134,6 +135,7 @@ class SpReal:
 
     @staticmethod
     def identity(n: int) -> "SpReal":
+        matcore.require_dim(n)
         return _trusted(SpReal, n, np.eye(2 * n))
 
 
@@ -147,6 +149,7 @@ class SuBlocks:
     Q: np.ndarray
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         object.__setattr__(self, "P", _owned(as_matrix(self.P, self.n, self.n)))
         object.__setattr__(self, "Q", _owned(as_matrix(self.Q, self.n, self.n)))
         _require(validate_su(self), NotInS, "(P, Q) is not in S")
@@ -159,6 +162,7 @@ class SuBlocks:
 
     @staticmethod
     def identity(n: int) -> "SuBlocks":
+        matcore.require_dim(n)
         return _trusted(SuBlocks, n, np.eye(n), np.zeros((n, n)))
 
     def act(self, z: np.ndarray) -> np.ndarray:
@@ -177,6 +181,7 @@ class SpLieReal:
     C: np.ndarray
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         object.__setattr__(self, "A", _owned(as_matrix(self.A, self.n, self.n, dtype=float), float))
         object.__setattr__(self, "B", _owned(as_matrix(self.B, self.n, self.n, dtype=float), float))
         object.__setattr__(self, "C", _owned(as_matrix(self.C, self.n, self.n, dtype=float), float))
@@ -197,6 +202,7 @@ class SuLie:
     B: np.ndarray
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         object.__setattr__(self, "A", _owned(as_matrix(self.A, self.n, self.n)))
         object.__setattr__(self, "B", _owned(as_matrix(self.B, self.n, self.n)))
         _require(validate_su_lie(self), NotInLie, "X is not in the Lie algebra")
@@ -285,6 +291,7 @@ def validate_su_lie(x: SuLie) -> ValidationReport:
 
 
 def random_sp_lie(n: int, seed: int, scale: float = 0.5) -> SpLieReal:
+    matcore.require_dim(n)
     rng = rng_for(seed, "sp-lie")
     a = rng.uniform(-scale, scale, (n, n))
     b = rng.uniform(-scale, scale, (n, n))

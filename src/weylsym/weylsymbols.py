@@ -63,6 +63,7 @@ class QuadForm2n:
     M: np.ndarray
 
     def __post_init__(self):
+        matcore.require_dim(self.n)
         m = as_matrix(self.M, 2 * self.n, 2 * self.n, symmetric=1e-12, dtype=float)
         object.__setattr__(self, "M", _owned((m + m.T) / 2, float))
 

@@ -3,6 +3,8 @@ public constructors and point-taking functions refuse bad input, closed
 forms refuse a non-finite result, and nothing re-checks the arrays the
 library built itself."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,33 @@ def test_constructors_refuse_nan_and_wrong_shape(cls, args, pos):
     for bad in (nan, wide):
         with pytest.raises(ShapeError):
             cls(*args[:pos], bad, *args[pos + 1 :])
+
+
+def _n_refusals():
+    """Each constructor above, HeisElt and JacobiGroupElt, and each builder
+    of an element from a bare n, at an n below 1 (its arrays emptied) or not
+    an integer."""
+    ctors = CONSTRUCTORS + [(HeisElt, (1, np.zeros(1), 0.0), 1),
+                            (JacobiGroupElt, (1, np.zeros(1), 0.0, SuBlocks.identity(1)), 1)]
+    for cls, args, _ in ctors:
+        empty = [np.zeros((0,) * a.ndim) if isinstance(a, np.ndarray) else a for a in args[1:]]
+        for n, rest in ((0, empty), (-1, empty), (1.5, args[1:]), (True, args[1:])):
+            yield functools.partial(cls, n, *rest)
+    for n in (0, -1):
+        yield from (functools.partial(build, n, *rest) for build, *rest in (
+            (SpReal.identity,), (SuBlocks.identity,), (random_sp, 1), (random_su, 1), (random_sp_lie, 1),
+            (GaussianKernel.identity, 1.0), (GaussianSymbol.from_zz, 1.0, np.zeros((0, 0))), (JacobiPoint.origin,),
+            (HeisElt.identity,), (JacobiGroupElt.identity,), (JacobiGroupEltC.identity,)))
+
+
+def test_elements_refuse_an_n_below_1_before_lapack(capfd):
+    calls = list(_n_refusals())
+    assert len(calls) == 4 * (len(CONSTRUCTORS) + 2) + 2 * 11
+    for call in calls:
+        with pytest.raises(ShapeError, match="n must be an integer >= 1"):
+            call()
+    # LAPACK would write its complaint to fd 2
+    assert capfd.readouterr() == ("", "")
 
 
 # every entry that refuses λ outside (0, ∞) with `matcore.require_lambda`, at

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from weylsym import suites
+from weylsym import cli, suites
 from weylsym.cli import EVAL_KINDS, main
 from weylsym.errors import UnknownSuite
 from weylsym.metaplectic import berezin_symbol_dsigma, berezin_symbol_sigma, sigma_kernel
@@ -338,3 +338,37 @@ def test_default_tol_refuses_an_unknown_suite():
     assert default_tol("lemmatrices") == 1e-10
     with pytest.raises(UnknownSuite):
         default_tol("no-such-suite")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("kind", EVAL_KINDS)
+def test_eval_refuses_n_below_1_before_reading_a_matrix(monkeypatch, capfd, kind, n):
+    # capfd, not capsys: LAPACK writes its complaints to fd 2
+    read = []
+    monkeypatch.setattr(cli, "_load_square", lambda *a: read.append(a))
+    flag = _KINDS[kind][0]
+    for extra in (["--closed"], []) if kind == "star-exp" else ([],):
+        assert main(["eval", kind, flag, "identity", "--n", n, *extra]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n must be at least 1, got {n}\n"
+    assert read == []
+
+
+def test_main_builds_one_parser_and_carries_nothing_between_calls(monkeypatch, capsys):
+    series = ["eval", "star-exp", "--M", "0.1I", "--point", "0.5", "0.2"]
+    argvs = [series + ["--closed"], series, series + ["--format", "csv"]]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(_run(capsys, argv))
+    # the closed form, the series with its last term, and the series as csv
+    assert len(set(fresh)) == 3
+    assert "last_term" not in fresh[0][1] and "last_term" in fresh[1][1]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [_run(capsys, argv) for argv in argvs] == fresh
+    assert built == [1]
+    # the defaults that every call shares cannot be changed by one of them
+    assert cli._parser().parse_args(["eval", "w1-sigma"]).at == ()

@@ -7,7 +7,7 @@ import pytest
 
 import weylsym
 from weylsym import matcore
-from weylsym.errors import AmbiguousPhase, CayleySingular, DivergentIntegral, NoDecomposition, NotPositiveReal, SingularMatrix
+from weylsym.errors import AmbiguousPhase, CayleySingular, DivergentIntegral, NoDecomposition, NotPositiveReal, ShapeError, SingularMatrix
 
 
 def test_frame_matrices():
@@ -149,6 +149,9 @@ def test_require_invertible():
         assert d == pytest.approx(np.linalg.det(m), rel=1e-12)
     with pytest.raises(NoDecomposition):
         matcore.require_invertible(np.zeros((2, 2)), NoDecomposition)
+    # an empty matrix never reaches zgetrf, which refuses it
+    with pytest.raises(ShapeError, match="empty"):
+        matcore.require_invertible(np.zeros((0, 0)))
     # a sum that cancels to roundoff is refused only once its operand size is known
     tiny = 1.2e-16 * np.diag([1j, -1j])
     matcore.require_invertible(tiny)

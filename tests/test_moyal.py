@@ -189,6 +189,20 @@ def test_homomorphism():
         assert homomorphism_residual(f1, f2) < 1e-12
 
 
+def test_leibniz_memo_is_read_only_and_bounded():
+    # every entry is a tuple of triples, the same as the unmemoised rule gives
+    got = moyal._leibniz((2, 1), (1, 3), 0.5)
+    assert isinstance(got, tuple)
+    assert got == moyal._leibniz.__wrapped__((2, 1), (1, 3), 0.5)
+    assert got[0] == (1, (1, 3), (2, 1))
+    for n in (1, 2, 3, 4):
+        assert run_suite("quantize-hom", n=n).failures == 0
+    info = moyal._leibniz.cache_info()
+    assert info.maxsize is not None
+    assert 0 < info.currsize <= info.maxsize
+    assert info.hits > 0
+
+
 def test_diffop_compose_is_associative_with_identity():
     rng = rng_for(11, "moyal-compose-assoc")
     for n in (1, 2):

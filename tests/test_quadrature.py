@@ -309,9 +309,31 @@ def test_refusals_come_before_evaluation():
     # 80^6 points at n = 3
     with pytest.raises(BadConfig):
         lebesgue_cn(rec, 3, nodes_per_axis=80)
+    # an axis count that is no integer, below 1, or past MAX_DIM real axes,
+    # checked before the complex quadratures double it (2 * True is 2)
+    assert quadrature.MAX_DIM == 16
+    for n in (0, -1, 1.5, True, np.float64(2.0), 17, 70):
+        with pytest.raises(BadConfig, match="n must be an integer"):
+            lebesgue_rn(rec, n, nodes_per_axis=1)
+        with pytest.raises(BadConfig, match="n must be an integer"):
+            lebesgue_rn(GaussianExponent(rec), n, nodes_per_axis=1)
+    for n in (0, -1, 1.5, True, 9, 35):
+        for quad in (lambda f: quadrature_cn(f, 1.0, n, nodes_per_axis=1), lambda f: lebesgue_cn(f, n, 1)):
+            for f in (rec, GaussianExponent(rec)):
+                with pytest.raises(BadConfig, match="n must be an integer"):
+                    quad(f)
     assert rec.sizes == []
     # 80^4, the CLI default at n = 2, is within the cap
     assert 80**4 <= quadrature.MAX_POINTS
+
+
+def test_largest_axis_count_certifies_every_corner():
+    # 16 real axes at 1 node: the probe call carries the first CHUNK of the
+    # 65,536 corners and seven more calls the rest
+    rec = _Recorder(lambda x: -np.sum(x**2, axis=1))
+    got = lebesgue_rn(GaussianExponent(rec), 16, nodes_per_axis=1)
+    assert got == pytest.approx(np.sqrt(np.pi) ** 16, rel=1e-12)
+    assert rec.sizes == [1 + 16 + 120 + 16 + CHUNK] + [CHUNK] * 7
 
 
 def test_non_finite_sum_is_non_convergent():
