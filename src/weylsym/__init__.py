@@ -33,8 +33,8 @@ from .gaussint import (
     gaussian_law,
 )
 from .metaplectic import (
+    berezin_sigma_symbol,
     berezin_symbol_dsigma,
-    berezin_symbol_sigma,
     dsigma_kernel,
     sigma_cocycle_sign,
     sigma_kernel,
@@ -44,6 +44,7 @@ from .moyal import (
     poisson_power,
     star_exp_quadratic_closed,
     star_exp_series,
+    star_exp_symbol,
     weyl_quantize_poly,
 )
 from .polys import Poly
@@ -63,7 +64,7 @@ from .weylsymbols import (
     heat_flow_gaussian,
     w0_integral,
     w0_sigma_closed,
-    w1_exp_closed,
+    w1_exp_symbol,
     w1_sigma_closed,
 )
 

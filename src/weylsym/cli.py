@@ -27,20 +27,19 @@ import numpy as np
 
 from .errors import AmbiguousPhase, WeylsymError
 from .matcore import norm
-from .metaplectic import berezin_symbol_dsigma, berezin_symbol_sigma, sigma_kernel
+from .metaplectic import berezin_sigma_symbol, berezin_symbol_dsigma, sigma_kernel
 from .mjson import load_matrix
-from .moyal import star_exp_quadratic_closed, star_exp_series
+from .moyal import star_exp_series, star_exp_symbol
 from .suites import SUITE_NAMES, run_suite
 from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, su_from_sp
 from .weylsymbols import (
     QuadForm2n,
     adjudicate_phase,
-    hormander_exp_symbol,
     w0_dsigma_closed,
     w0_sigma_closed,
     w0_sigma_symbol,
     w1_dsigma_closed,
-    w1_exp_closed,
+    w1_exp_symbol,
     w1_sigma_closed,
 )
 
@@ -129,7 +128,7 @@ def _w1_sigma(g, v, args):
 
 
 def _w1_exp(x_lie, v, args):
-    return w1_exp_closed(x_lie, *np.split(v, 2), args.lam)
+    return w1_exp_symbol(x_lie, args.lam).eval(v)
 
 
 def _w1_dsigma(x_lie, v, args):
@@ -137,7 +136,7 @@ def _w1_dsigma(x_lie, v, args):
 
 
 def _berezin_sigma(k, z, args):
-    return berezin_symbol_sigma(k, z, args.lam)
+    return berezin_sigma_symbol(k, args.lam).eval_z(z)
 
 
 def _berezin_dsigma(x_lie, z, args):
@@ -146,13 +145,13 @@ def _berezin_dsigma(x_lie, z, args):
 
 def _star_exp(q, v, args):
     if args.closed:
-        return star_exp_quadratic_closed(q, v)
+        return star_exp_symbol(q, -1j).eval(v)
     value, last = star_exp_series(q, -1j, args.order, v)
     return value, {"last_term": last}
 
 
 def _hormander(q, v, args):
-    return hormander_exp_symbol(q, *np.split(v, 2))
+    return star_exp_symbol(q, 1).eval(v)
 
 
 def _kernel(k, zw, args):

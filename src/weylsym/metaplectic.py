@@ -33,7 +33,6 @@ __all__ = [
     "DsigmaKernel",
     "dsigma_kernel",
     "dsigma_apply",
-    "berezin_symbol_sigma",
     "berezin_sigma_symbol",
     "berezin_symbol_dsigma",
 ]
@@ -195,11 +194,6 @@ def dsigma_apply(x: SuLie, f: Poly, lam: float) -> Poly:
             if x.B[j, k] != 0:
                 out = out - (x.B[j, k] / lam) * f.diff(j).diff(k)
     return out
-
-
-def berezin_symbol_sigma(k: SuBlocks, z, lam: float) -> complex:
-    """S_λ(σ(k))(z); see `berezin_sigma_symbol`."""
-    return berezin_sigma_symbol(k, lam)._at_z(z)
 
 
 def berezin_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:

@@ -27,10 +27,10 @@ import numpy as np
 
 from . import matcore
 from .errors import BadConfig, NonConvergent, ShapeError
-from .matcore import _is_int
+from .matcore import _is_int, norm
 from .polys import Poly
 from .sympgroup import _memo
-from .weylsymbols import GaussianSymbol, QuadForm2n, _cosh_law_symbol, w1_exp_symbol
+from .weylsymbols import GaussianSymbol, QuadForm2n, w1_exp_symbol
 
 __all__ = [
     "phase_poly_from_quadform",
@@ -38,7 +38,7 @@ __all__ = [
     "moyal_mul",
     "star_exp_series",
     "star_exp_quadratic_closed",
-    "star_exp_quadratic_symbol",
+    "star_exp_symbol",
     "weyl_quantize_poly",
     "diffop_compose",
     "diffop_apply",
@@ -352,15 +352,27 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
 
 
 def star_exp_quadratic_closed(q: QuadForm2n, point) -> complex:
-    """exp_*(-i q_M)(x, y); see `star_exp_quadratic_symbol`."""
-    return star_exp_quadratic_symbol(q)._at(matcore.as_vector(point, 2 * q.n, float))
+    """exp_*(-i q_M)(x, y): `star_exp_symbol(q, -1j)` at one point, kept as the benchmark binds it."""
+    return star_exp_symbol(q, -1j)._at(matcore.as_vector(point, 2 * q.n, float))
 
 
-def star_exp_quadratic_symbol(q: QuadForm2n) -> GaussianSymbol:
-    """exp_*(-i q_M)(x, y) = (Det cosh(JM))^{-1/2}
-    exp(i (x y) J tanh(JM) (x y)^t), the cosh law at JM; kept apart
-    from `w1_exp_symbol`, its oracle in star_exp_bridge_residual; built once per q."""
-    return _memo(q, "_star_exp_quadratic_symbol", None, lambda: _cosh_law_symbol(q.n, matcore.matrix_J(q.n) @ q.M))
+def star_exp_symbol(q: QuadForm2n, s: complex) -> GaussianSymbol:
+    """exp_*(s q_M)(x, y) = (Det cosh A)^{-1/2} exp(i (x y) J tanh(A) (x y)^t) at A = i s JM, the
+    cosh law for any complex time s: s = -i is the paper's exp_*(-i q_M), s = 1 Hörmander's
+    W1(exp(dσ'(iX))) = (Det cos JM)^{-1/2} exp(-(x y) J tan(JM) (x y)^t).  The root is
+    `matcore.hamiltonian_cosh_det`'s, so a pole (s μ ∈ π/2 + πℤ, μ an eigenvalue of JM) raises
+    SingularMatrix or AmbiguousPhase; a non-finite or non-numeric s, ShapeError.  Built once per q and s."""
+
+    def build():
+        if not (isinstance(s, (int, float, complex, np.number)) and np.isfinite(s)):
+            raise ShapeError(f"s must be a finite number, got {s!r}")
+        a = (1j * s) * (matcore.matrix_J(q.n) @ q.M)
+        ch, sh = matcore.mat_cosh(a)
+        chinv, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
+        root = matcore.hamiltonian_cosh_det(a, d, np.linalg.norm(ch, 1) * np.linalg.norm(chinv, 1))
+        return GaussianSymbol._trusted(q.n, 1 / root, 1j * (matcore.matrix_J(q.n) @ (sh @ chinv)))
+
+    return _memo(q, "_star_exp_symbol", s, build)
 
 
 @functools.lru_cache(maxsize=2048)
@@ -436,10 +448,11 @@ def homomorphism_residual(f1: Poly, f2: Poly) -> float:
 
 
 def star_exp_bridge_residual(x_lie, point) -> float:
-    """|exp_*(-i q_M)(point) - W1(σ'(exp X))(point)| with M = (1/2) J X."""
+    """|exp_*(-i q_M)(point) - W1(σ'(exp X))(point)| with M = (1/2) J X: the
+    cosh law at A = JM against `w1_exp_symbol`'s at A = X/2."""
     n = x_lie.n
     m = matcore.matrix_J(n) @ x_lie.full / 2
     m = np.real((m + m.T) / 2)
     point = matcore.as_vector(point, 2 * n, float)
-    closed = star_exp_quadratic_symbol(QuadForm2n(n, m))._at(point)
+    closed = star_exp_symbol(QuadForm2n(n, m), -1j)._at(point)
     return abs(closed - w1_exp_symbol(x_lie)._at(point))

@@ -5,6 +5,7 @@ derivation), with deterministic per-trial seeding."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,8 +30,8 @@ from .metaplectic import sigma_cocycle_scalar, sigma_kernel, verify_intertwining
 from .moyal import (
     Poly,
     homomorphism_residual,
-    star_exp_quadratic_closed,
     star_exp_series,
+    star_exp_symbol,
 )
 from .quadrature import GaussianExponent, lebesgue_cn
 from .sympgroup import (
@@ -47,7 +48,7 @@ from .weylsymbols import (
     polar_relation_residual,
     w0_integral,
     w0_sigma_closed,
-    w1_exp_closed,
+    w1_exp_symbol,
     w1_sigma_closed,
 )
 
@@ -223,7 +224,7 @@ def _suite_w1_bridge(n, lam, trials, seed, nodes):
         rng = rng_for(ts, "w1-points")
         x = rng.uniform(-1, 1, n)
         y = rng.uniform(-1, 1, n)
-        a = w1_exp_closed(x_lie, x, y)
+        a = w1_exp_symbol(x_lie).eval(np.concatenate([x, y]))
         b = w1_sigma_closed(g, x, y)
         r1 = abs(a - b) / abs(b)
         c = w0_sigma_closed(su_from_sp(g), x + 1j * y, 1.0)
@@ -246,7 +247,7 @@ def _suite_star_exp(n, lam, trials, seed, nodes):
         q = QuadForm2n(n, m)
         point = rng.uniform(-0.8, 0.8, 2 * n)
         series, _ = star_exp_series(q, -1j, 40, point)
-        closed = star_exp_quadratic_closed(q, point)
+        closed = star_exp_symbol(q, -1j).eval(point)
         yield f"trial{trial}", abs(series - closed) / abs(closed)
 
 
@@ -299,10 +300,10 @@ class _Suite:
     ns: tuple
 
 
-# past n = 2 a quadrature grid at the default 40 nodes (40^{2n} points)
-# exceeds quadrature.MAX_POINTS, and the star-exp series at order 40 (kept
-# through degree 40, C(40 + 2n, 2n) monomials) the monomial cap of
-# moyal.star_exp_series
+# past n = 2 the C^n grids of gaussint and w0-quadrature at the default 40 nodes
+# (40^{2n} points) exceed quadrature.MAX_POINTS, and the star-exp series at order 40
+# (C(40 + 2n, 2n) monomials) the monomial cap of moyal.star_exp_series; bargmann
+# integrates over R^n, 40^3 = 64,000 points at n = 3
 _N_TO_2 = (1, 2)
 _N_TO_4 = (1, 2, 3, 4)
 
@@ -317,7 +318,7 @@ _SUITES = {
     "polar": _Suite(_suite_polar, 1e-8, _N_TO_4),
     "star-exp": _Suite(_suite_star_exp, 1e-6, _N_TO_2),
     "quantize-hom": _Suite(_suite_quantize_hom, 1e-12, _N_TO_4),
-    "bargmann": _Suite(_suite_bargmann, 1e-6, _N_TO_2),
+    "bargmann": _Suite(_suite_bargmann, 1e-6, (1, 2, 3)),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -344,17 +345,23 @@ def run_suite(
     tol: float | None = None,
     nodes: int | None = None,
 ) -> SuiteReport:
+    """Run suite `name`, or raise BadConfig before any trial unless trials ≥ 1, n in the suite's
+    ns and seed ≥ 0 are integers (`matcore._is_int`) and λ > 0 and tol ≥ 0 finite reals."""
     suite = _suite(name)
-    if trials < 1:
-        raise BadConfig("trials must be positive")
-    if not (math.isfinite(lam) and lam > 0):
-        raise BadConfig(f"lambda must be positive and finite, got {lam}")
-    if n not in suite.ns:
-        raise BadConfig(f"suite {name!r} needs n in {{{', '.join(map(str, suite.ns))}}}, got {n}")
-    if nodes is None:
-        nodes = 80 if n == 1 else 40
+    if not (matcore._is_int(trials) and trials >= 1):
+        raise BadConfig(f"trials must be an integer >= 1, got {trials!r}")
+    if not (isinstance(lam, numbers.Real) and 0 < lam < math.inf):
+        raise BadConfig(f"lambda must be positive and finite, got {lam!r}")
+    if not (matcore._is_int(n) and n in suite.ns):
+        raise BadConfig(f"suite {name!r} needs n in {{{', '.join(map(str, suite.ns))}}}, got {n!r}")
+    if not (matcore._is_int(seed) and seed >= 0):
+        raise BadConfig(f"seed must be an integer >= 0, got {seed!r}")
     if tol is None:
         tol = suite.tol
+    elif not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+        raise BadConfig(f"tol must be finite and >= 0, got {tol!r}")
+    if nodes is None:
+        nodes = 80 if n == 1 else 40
     records = [
         {"case": case, "residual": float(res)}
         for case, res in suite.generate(n, lam, trials, seed, nodes)

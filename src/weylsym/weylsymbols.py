@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import AmbiguousPhase, HeatFlowSingular, NonConvergent, ShapeError
+from .errors import AmbiguousPhase, BadConfig, HeatFlowSingular, NonConvergent, ShapeError
 from .gaussint import GaussianKernel, GaussianSymbol
-from .matcore import as_matrix, as_vector, matrix_J, norm, principal_sqrt
+from .matcore import _is_int, as_matrix, as_vector, matrix_J, norm, principal_sqrt
 from .metaplectic import berezin_sigma_symbol, sigma_kernel
 from .quadrature import GaussianExponent, _checked_plan, lebesgue_rn, quadrature_cn
 from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, _memo, _owned, su_from_sp
@@ -41,11 +41,8 @@ __all__ = [
     "w0_dsigma_closed",
     "w1_sigma_closed",
     "w1_sigma_symbol",
-    "w1_exp_closed",
     "w1_exp_symbol",
     "w1_dsigma_closed",
-    "hormander_exp_symbol",
-    "hormander_symbol",
     "berezin_transform_gaussian",
     "berezin_transform_quadrature",
     "heat_flow_gaussian",
@@ -154,7 +151,7 @@ def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
 
 
 def w0_sigma_closed(k: SuBlocks, z, lam: float) -> complex:
-    """W0(σ(k))(z); see `w0_sigma_symbol`."""
+    """W0(σ(k))(z): `w0_sigma_symbol(k, lam)` at one point, kept as the benchmark binds it."""
     return w0_sigma_symbol(k, lam)._at_z(z)
 
 
@@ -188,7 +185,7 @@ def w0_dsigma_closed(x: SuLie, z, lam: float) -> complex:
 
 
 def w1_sigma_closed(g: SpReal, x, y, lam: float = 1.0) -> complex:
-    """W1(σ'(g))(x, y); see `w1_sigma_symbol`."""
+    """W1(σ'(g))(x, y): `w1_sigma_symbol(g, lam)` at one point, kept as the benchmark binds it."""
     return w1_sigma_symbol(g, lam)._at(_xy(g.n, x, y))
 
 
@@ -204,11 +201,6 @@ def w1_sigma_symbol(g: SpReal, lam: float = 1.0) -> GaussianSymbol:
         return GaussianSymbol._trusted(g.n, c, -1j * lam * (matrix_J(g.n) @ cay))
 
     return _memo(g, "_w1_sigma_symbol", lam, build)
-
-
-def w1_exp_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
-    """W1(σ'(exp X))(x, y); see `w1_exp_symbol`."""
-    return w1_exp_symbol(x_lie, lam)._at(_xy(x_lie.n, x, y))
 
 
 def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
@@ -241,27 +233,6 @@ def w1_dsigma_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
     return complex(lam * form1)
 
 
-def hormander_exp_symbol(m: QuadForm2n, x, y) -> complex:
-    """W1(exp(dσ'(iX)))(x, y); see `hormander_symbol`."""
-    return hormander_symbol(m)._at(_xy(m.n, x, y))
-
-
-def hormander_symbol(m: QuadForm2n) -> GaussianSymbol:
-    """W1(exp(dσ'(iX)))(x, y) = (Det cos(JM))^{-1/2}
-    exp(-(x y) J tan(JM) (x y)^t): the cosh law at iJM; built once per m."""
-    return _memo(m, "_hormander_symbol", None, lambda: _cosh_law_symbol(m.n, 1j * (matrix_J(m.n) @ m.M)))
-
-
-def _cosh_law_symbol(n: int, jm: np.ndarray) -> GaussianSymbol:
-    """(Det cosh(jm))^{-1/2} exp(i (x y) J tanh(jm) (x y)^t), the root by
-    `matcore.hamiltonian_cosh_det`: exp_*(-i q_M) at jm = JM, Hörmander's at iJM."""
-    ch, sh = matcore.mat_cosh(jm)
-    chinv, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
-    th = sh @ chinv
-    root = matcore.hamiltonian_cosh_det(jm, d, np.linalg.norm(ch, 1) * np.linalg.norm(chinv, 1))
-    return GaussianSymbol._trusted(n, 1 / root, 1j * (matrix_J(n) @ th))
-
-
 def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:
     """exp(tΔ) on Gaussians: γ exp(v^t S v) ↦
     γ det(I - 4tS)^{-1/2} exp(v^t S (I - 4tS)^{-1} v) while Re(I - 4tS) > 0;
@@ -287,9 +258,11 @@ def berezin_transform_quadrature(f, z, lam: float, nodes: int = 80) -> complex:
 
 
 def polar_relation_residual(k: SuBlocks, lam: float, npoints: int = 10, seed: int = 0) -> float:
-    """sup_z |B_λ^{1/2}(W0(σ(k)))(z) - S_λ(σ(k))(z)| over sample points;
-    B_λ^{1/2} = heat flow at t = 1/(4λ)."""
+    """sup_z |B_λ^{1/2}(W0(σ(k)))(z) - S_λ(σ(k))(z)| over `npoints` ≥ 1 points drawn from `seed`
+    ≥ 0, or BadConfig (no points check nothing); B_λ^{1/2} = heat flow at t = 1/(4λ)."""
     matcore.require_lambda(lam)
+    if not (_is_int(npoints) and npoints >= 1 and _is_int(seed) and seed >= 0):
+        raise BadConfig(f"need integers npoints >= 1 and seed >= 0, got {npoints!r} and {seed!r}")
     half = heat_flow_gaussian(w0_sigma_symbol(k, lam), 1.0 / (4 * lam))
     # point j takes draws 2j (real parts) and 2j + 1 (imaginary parts)
     draws = np.random.default_rng(seed).standard_normal((npoints, 2, k.n))
@@ -305,11 +278,11 @@ def polar_relation_residual(k: SuBlocks, lam: float, npoints: int = 10, seed: in
 def classical_weyl_kernel(f, x, y, nodes: int = 96) -> np.ndarray:
     """Kernel of W(f) at paired points: k(x, y) = (2π)^{-1/2}
     (F2 f)((x+y)/2, x-y) with F2 the unitary Fourier transform in the second
-    variable (n = 1); x, y may be arrays of equal shape.  The nodes and the
-    weights with e^{s^2} folded in come from the quadratures' one-axis plan,
-    so a node count they refuse raises the same BadConfig."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    variable (n = 1); x, y are finite reals or 1-D arrays of one length, or ShapeError before f
+    is called.  The nodes and the weights with e^{s^2} folded in come from the quadratures'
+    one-axis plan, so a node count they refuse raises the same BadConfig."""
+    x = as_vector(x, None, float)
+    y = as_vector(y, x.shape[0], float)
     plan = _checked_plan(1, nodes)
     s, wt = plan.s, plan.axis_w[1]
     mid = (x + y) / 2
@@ -325,8 +298,12 @@ def w1_of_classical_weyl(f, a: float, b: float, lam: float, nodes: int = 96) -> 
     The composite kernel is K(x, x') = 2 exp(2iλ b(a-x)) k_{W(f)}(2a-x, x');
     its diagonal integrates to f(a, λb) for Schwartz-class f.  The diagonal
     quadrature is kept narrow (scale 0.35) so that the inner Fourier
-    frequency 2(a - x) stays below the Gauss–Hermite Nyquist limit.
+    frequency 2(a - x) stays below the Gauss–Hermite Nyquist limit.  A non-finite a or b, or
+    λ ∉ (0, ∞), raises ShapeError before the quadrature.
     """
+    a, b = as_vector([a, b], 2, float)
+    matcore.require_lambda(lam)
+
     def diag(x):
         x = x.reshape(-1)
         kvals = classical_weyl_kernel(f, 2 * a - x, x, nodes=nodes)

@@ -28,7 +28,7 @@ from weylsym.heisenberg import (
 )
 from weylsym.jacobi import CharParams, bk_via_jacobi
 from weylsym.metaplectic import (
-    berezin_symbol_sigma,
+    berezin_sigma_symbol,
     sigma_cocycle_scalar,
     sigma_cocycle_sign,
     sigma_kernel,
@@ -60,7 +60,7 @@ from weylsym.weylsymbols import (
     w0_integral,
     w0_sigma_closed,
     w1_dsigma_closed,
-    w1_exp_closed,
+    w1_exp_symbol,
     w1_of_classical_weyl,
     w1_sigma_closed,
 )
@@ -209,7 +209,7 @@ def test_criterion_08_w1_chain_and_derivatives():
             x = SpLieReal(1, 0.5 * x.A, 0.5 * x.B, 0.5 * x.C)
         rng = rng_for(10_000 + trial, "acc8-pts")
         px, py = rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)
-        a = w1_exp_closed(x, px, py)
+        a = w1_exp_symbol(x).eval(np.concatenate([px, py]))
         b = w1_sigma_closed(su_exp_sp(x), px, py)
         worst = max(worst, abs(a - b) / abs(a))
     fd_worst = 0.0
@@ -224,7 +224,7 @@ def test_criterion_08_w1_chain_and_derivatives():
             return w0_sigma_closed(su_exp(xt), z, 1.0)
 
         def w1_at(t):
-            return w1_exp_closed(SpLieReal(1, t * x.A, t * x.B, t * x.C), px, py)
+            return w1_exp_symbol(SpLieReal(1, t * x.A, t * x.B, t * x.C)).eval(np.concatenate([px, py]))
 
         for fam, target in (
             (w0_at, w0_dsigma_closed(su_lie_from_sp_lie(x), z, 1.0)),
@@ -384,7 +384,7 @@ def test_berezin_symbol_consistency_smoke():
     sym = berezin_transform_gaussian(w0_sigma_symbol(k, 1.0), 2.0)
     rng = rng_for(999, "smoke")
     z = _cpx(rng, 1, 0.4)
-    direct = berezin_symbol_sigma(k, z, 1.0)
+    direct = berezin_sigma_symbol(k, 1.0).eval_z(z)
     # note: the half-step of the heat flow realises the polar relation; the
     # full consistency statement is exercised by polar_relation_residual
     assert polar_relation_residual(k, 1.0) < 1e-10

@@ -3,12 +3,15 @@ public constructors and point-taking functions refuse bad input, closed
 forms refuse a non-finite result, and nothing re-checks the arrays the
 library built itself."""
 
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
-from weylsym.errors import ShapeError, WeylsymError
+from weylsym import suites
+from weylsym.cli import main
+from weylsym.errors import BadConfig, ShapeError, WeylsymError
 from weylsym.gaussint import GaussianIntegrand, GaussianKernel, compose_kernels
 from weylsym.heisenberg import (
     HeisElt,
@@ -25,16 +28,16 @@ from weylsym.metaplectic import (
     DsigmaKernel,
     berezin_sigma_symbol,
     berezin_symbol_dsigma,
-    berezin_symbol_sigma,
     dsigma_kernel,
     sigma_adjoint_check,
     sigma_cocycle_scalar,
     sigma_kernel,
     verify_intertwining,
 )
-from weylsym.moyal import star_exp_bridge_residual, star_exp_quadratic_closed, star_exp_series
+from weylsym.moyal import star_exp_bridge_residual, star_exp_quadratic_closed, star_exp_series, star_exp_symbol
 from weylsym.polys import Poly
 from weylsym.quadrature import quadrature_cn
+from weylsym.suites import run_suite
 from weylsym.sympgroup import (
     SpLieReal,
     SpReal,
@@ -51,15 +54,15 @@ from weylsym.weylsymbols import (
     QuadForm2n,
     berezin_transform_gaussian,
     berezin_transform_quadrature,
-    hormander_exp_symbol,
+    classical_weyl_kernel,
     polar_relation_residual,
     w0_dsigma_closed,
     w0_integral,
     w0_sigma_closed,
     w0_sigma_symbol,
     w1_dsigma_closed,
-    w1_exp_closed,
     w1_exp_symbol,
+    w1_of_classical_weyl,
     w1_sigma_closed,
     w1_sigma_symbol,
 )
@@ -94,8 +97,8 @@ def test_non_finite_lambda_is_refused(lam):
     for call in (
         lambda: w0_sigma_closed(k, [0.1 + 0.2j, -0.3j], lam),
         lambda: w1_sigma_closed(g, [0.1, 0.2], [0.3, -0.1], lam),
-        lambda: w1_exp_closed(x, [0.1, 0.2], [0.3, -0.1], lam),
-        lambda: berezin_symbol_sigma(k, [0.1 + 0.2j, -0.3j], lam),
+        lambda: w1_exp_symbol(x, lam).eval([0.1, 0.2, 0.3, -0.1]),
+        lambda: berezin_sigma_symbol(k, lam).eval_z([0.1 + 0.2j, -0.3j]),
         lambda: sigma_kernel(k, lam),
     ):
         with np.errstate(invalid="ignore"), pytest.raises(WeylsymError):
@@ -211,7 +214,7 @@ def test_non_finite_points_are_refused():
         lambda: w0_sigma_closed(k, [np.nan], 1.0),
         lambda: w0_sigma_closed(k, [complex(0.1, np.inf)], 1.0),
         lambda: w1_sigma_closed(g, [np.nan], [0.0]),
-        lambda: w1_exp_closed(random_sp_lie(1, 2), [0.0], [np.inf]),
+        lambda: w1_exp_symbol(random_sp_lie(1, 2)).eval([0.0, np.inf]),
         lambda: sym.eval([[0.1, 0.2], [np.nan, 0.0]]),
         lambda: sym.eval_z([0.1j, np.nan]),
     ):
@@ -267,7 +270,7 @@ _f = lambda u: np.sum(u)  # noqa: E731
 POINTS = [
     ("w0_sigma_closed", "z", lambda z: w0_sigma_closed(_k, z, 1.0)),
     ("w0_dsigma_closed", "z", lambda z: w0_dsigma_closed(_xs, z, 1.0)),
-    ("berezin_symbol_sigma", "z", lambda z: berezin_symbol_sigma(_k, z, 1.0)),
+    ("berezin_sigma_symbol.eval_z", "z", lambda z: berezin_sigma_symbol(_k, 1.0).eval_z(z)),
     ("berezin_symbol_dsigma", "z", lambda z: berezin_symbol_dsigma(_xs, z, 1.0)),
     ("DsigmaKernel.eval-z", "z", lambda z: dsigma_kernel(_xs, 1.0).eval(z, _z)),
     ("DsigmaKernel.eval-w", "z", lambda w: dsigma_kernel(_xs, 1.0).eval(_z, w)),
@@ -295,9 +298,7 @@ POINTS = [
     ("berezin_double_symbol-z", "z", lambda z: berezin_double_symbol(sigma_kernel(_k, 1.0), z, _z, 1.0)),
     ("berezin_double_symbol-w", "z", lambda w: berezin_double_symbol(sigma_kernel(_k, 1.0), _z, w, 1.0)),
     ("w1_sigma_closed", "xy", lambda x, y: w1_sigma_closed(_g, x, y)),
-    ("w1_exp_closed", "xy", lambda x, y: w1_exp_closed(_xl, x, y)),
     ("w1_dsigma_closed", "xy", lambda x, y: w1_dsigma_closed(_xl, x, y)),
-    ("hormander_exp_symbol", "xy", lambda x, y: hormander_exp_symbol(_q, x, y)),
     ("QuadForm2n.eval", "v", lambda v: _q.eval(v)),
     ("star_exp_series", "v", lambda v: star_exp_series(_q, -1j, 8, v)),
     ("star_exp_quadratic_closed", "v", lambda v: star_exp_quadratic_closed(_q, v)),
@@ -333,8 +334,7 @@ def test_wrong_answers_at_n1_are_refused():
         # the NaN passed the series' convergence certificate
         lambda: star_exp_series(q, -1j, 12, [np.nan, 0.1]),
         # (x, y) split as (2, 0)
-        lambda: w1_exp_closed(x, [0.1, 0.2], []),
-        lambda: hormander_exp_symbol(q, [0.1, 0.2], []),
+        lambda: w1_dsigma_closed(x, [0.1, 0.2], []),
         # the imaginary part was dropped with a ComplexWarning
         lambda: w1_sigma_closed(g, np.array([0.1 + 1j]), [0.2]),
         lambda: star_exp_quadratic_closed(q, np.array([0.1 + 2j, 0.2])),
@@ -449,3 +449,73 @@ def test_poly_takes_numpy_integers_and_scalars():
     assert p == Poly(2, {(1, 0): 2.0}) and p.diff(np.int64(0)) == Poly.const(2, 2.0)
     assert p.eval([np.float32(0.5), 1]) == 1.0
     assert type(Poly(np.int64(2), {}).nvars) is int
+
+
+# a bad configuration of run_suite, with what it did before it was checked
+SUITE_BAD = [
+    ("trials-float", {"trials": 2.5}),  # TypeError
+    ("trials-str", {"trials": "3"}),  # TypeError
+    ("trials-bool", {"trials": True}),  # one trial
+    ("seed-float", {"seed": 1.5}),  # TypeError
+    ("seed-str", {"seed": "a"}),  # TypeError
+    ("seed-negative", {"seed": -1}),  # numpy's ValueError
+    ("lambda-str", {"lam": "1"}),  # TypeError
+    ("n-bool", {"n": True}),  # passed `n in ns`, then ShapeError
+    ("n-float", {"n": 1.0}),  # passed `n in ns`, then ShapeError
+    ("tol-nan", {"tol": np.nan}),  # every residual reported as a failure
+    ("tol-negative", {"tol": -1.0}),  # likewise
+]
+
+
+@pytest.mark.parametrize("name, kwargs", SUITE_BAD, ids=[b[0] for b in SUITE_BAD])
+def test_run_suite_refuses_a_bad_configuration_before_any_trial(monkeypatch, name, kwargs):
+    polar = suites._SUITES["polar"]
+    trials = []
+    monkeypatch.setitem(suites._SUITES, "polar", dataclasses.replace(polar, generate=lambda *a: trials.append(a)))
+    with pytest.raises(BadConfig):
+        run_suite("polar", **{"trials": 1, **kwargs})
+    assert trials == []
+
+
+def test_a_nan_tolerance_is_a_bad_configuration_not_a_failure(capsys):
+    # a residual of 2.3e-16 was reported as a failure, with exit 1
+    assert main(["suite", "polar", "--trials", "1", "--tol", "nan"]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_weylsymbols_edges_refuse_before_sampling():
+    k = random_su(1, 1)
+    sampled = []
+    f = lambda u, t: sampled.append(1)  # noqa: E731
+    for call, error in (
+        # 0.0 from no points, and numpy's errors
+        (lambda: polar_relation_residual(k, 1.0, npoints=0), BadConfig),
+        (lambda: polar_relation_residual(k, 1.0, npoints=-1), BadConfig),
+        (lambda: polar_relation_residual(k, 1.0, npoints=2.5), BadConfig),
+        (lambda: polar_relation_residual(k, 1.0, seed=-1), BadConfig),
+        # [nan+nanj], numpy's broadcast ValueError, float("a")
+        (lambda: classical_weyl_kernel(f, np.nan, 0.0), ShapeError),
+        (lambda: classical_weyl_kernel(f, np.inf, 0.0), ShapeError),
+        (lambda: classical_weyl_kernel(f, 0.0, [0.1, np.nan]), ShapeError),
+        (lambda: classical_weyl_kernel(f, [0.1, 0.2], [0.1, 0.2, 0.3]), ShapeError),
+        (lambda: classical_weyl_kernel(f, "a", 0.0), ShapeError),
+        # NonConvergent after the whole sum
+        (lambda: w1_of_classical_weyl(f, 0.0, 0.0, np.nan), ShapeError),
+        (lambda: w1_of_classical_weyl(f, 0.0, 0.0, -1.0), ShapeError),
+        (lambda: w1_of_classical_weyl(f, np.nan, 0.0, 1.0), ShapeError),
+        (lambda: w1_of_classical_weyl(f, 0.0, np.inf, 1.0), ShapeError),
+        (lambda: w1_of_classical_weyl(f, "a", 0.0, 1.0), ShapeError),
+    ):
+        with pytest.raises(error):
+            call()
+    assert sampled == []
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf, complex(0, -np.inf), "a", None])
+def test_star_exp_symbol_refuses_a_bad_time_in_its_build(s):
+    q = QuadForm2n(1, 0.1 * np.eye(2))
+    for _ in range(2):
+        with pytest.raises(ShapeError):
+            star_exp_symbol(q, s)
+    # a refused build stores nothing
+    assert "_star_exp_symbol" not in vars(q)

@@ -7,9 +7,9 @@ import pytest
 from weylsym import cli, suites
 from weylsym.cli import EVAL_KINDS, main
 from weylsym.errors import UnknownSuite
-from weylsym.metaplectic import berezin_symbol_dsigma, berezin_symbol_sigma, sigma_kernel
+from weylsym.metaplectic import berezin_sigma_symbol, berezin_symbol_dsigma, sigma_kernel
 from weylsym.mjson import dump_matrix
-from weylsym.moyal import star_exp_quadratic_closed, star_exp_series
+from weylsym.moyal import star_exp_quadratic_closed, star_exp_series, star_exp_symbol
 from weylsym.suites import SuiteReport, default_tol
 from weylsym.sympgroup import (
     SpReal,
@@ -22,11 +22,10 @@ from weylsym.sympgroup import (
 )
 from weylsym.weylsymbols import (
     QuadForm2n,
-    hormander_exp_symbol,
     w0_dsigma_closed,
     w0_sigma_closed,
     w1_dsigma_closed,
-    w1_exp_closed,
+    w1_exp_symbol,
     w1_sigma_closed,
 )
 
@@ -274,12 +273,12 @@ _KINDS = {
     "w0-sigma": ("--k", _K.full, [], lambda: w0_sigma_closed(_K, _Z, _LAM)),
     "w0-dsigma": ("--X", _XC.full, [], lambda: w0_dsigma_closed(_XC, _Z, _LAM)),
     "w1-sigma": ("--g", _G.g, [], lambda: w1_sigma_closed(_G, _X, _Y, _LAM)),
-    "w1-exp": ("--X", _XR.full, [], lambda: w1_exp_closed(_XR, _X, _Y, _LAM)),
+    "w1-exp": ("--X", _XR.full, [], lambda: w1_exp_symbol(_XR, _LAM).eval(np.concatenate([_X, _Y]))),
     "w1-dsigma": ("--X", _XR.full, [], lambda: w1_dsigma_closed(_XR, _X, _Y, _LAM)),
-    "berezin-sigma": ("--k", _K.full, [], lambda: berezin_symbol_sigma(_K, _Z, _LAM)),
+    "berezin-sigma": ("--k", _K.full, [], lambda: berezin_sigma_symbol(_K, _LAM).eval_z(_Z)),
     "berezin-dsigma": ("--X", _XC.full, [], lambda: berezin_symbol_dsigma(_XC, _Z, _LAM)),
     "star-exp": ("--M", _Q.M, ["--order", "12"], lambda: star_exp_series(_Q, -1j, 12, _AT)),
-    "hormander": ("--M", _Q.M, [], lambda: hormander_exp_symbol(_Q, _X, _Y)),
+    "hormander": ("--M", _Q.M, [], lambda: star_exp_symbol(_Q, 1).eval(np.concatenate([_X, _Y]))),
     "kernel": ("--k", _K.full, [], lambda: complex(sigma_kernel(_K, _LAM).eval(_Z, _W))),
 }
 

@@ -16,6 +16,7 @@ from weylsym.heisenberg import (
     symplectic_form,
 )
 from weylsym.quadrature import quadrature_cn
+from weylsym.suites import run_suite
 from weylsym.sympgroup import rng_for
 
 
@@ -131,6 +132,12 @@ def test_bargmann_intertwines_heisenberg():
         lhs = bargmann_apply(lambda x: rho_schrod_apply(h, phi, x, lam), z, lam)
         rhs = rho_fock_apply(h, lambda w: bargmann_apply(phi, w, lam), z, lam)
         assert abs(lhs - rhs) / (1 + abs(rhs)) < 1e-6
+
+
+def test_bargmann_suite_runs_at_n_3():
+    # the Bargmann transform integrates over R^n: 40^3 nodes at n = 3
+    report = run_suite("bargmann", n=3, trials=1)
+    assert report.failures == 0 and report.max_residual > 0
 
 
 def test_omega0_is_twisted_parity():

@@ -63,7 +63,7 @@ def test_matrix_functions_consistency():
         x = 0.4 * rng.standard_normal((3, 3))
         ch, sh = matcore.mat_cosh(x)
         assert np.allclose(ch @ ch - sh @ sh, np.eye(3), atol=1e-12)
-        # tanh as cosh^{-1} sinh (w1_exp_symbol) and sinh cosh^{-1} (star_exp_quadratic_symbol)
+        # tanh as cosh^{-1} sinh (w1_exp_symbol) and sinh cosh^{-1} (star_exp_symbol)
         assert np.allclose(matcore.solve(ch, sh), sh @ np.linalg.inv(ch), atol=1e-12)
         assert np.allclose(matcore.mat_exp(x), ch + sh, atol=1e-12)
 

@@ -17,12 +17,11 @@ from weylsym.gaussint import GaussianIntegrand, GaussianKernel
 from weylsym.heisenberg import HeisElt
 from weylsym.jacobi import JacobiGroupElt, JacobiGroupEltC, JacobiPoint
 from weylsym.metaplectic import DsigmaKernel, berezin_sigma_symbol, sigma_kernel
-from weylsym.moyal import star_exp_quadratic_symbol
+from weylsym.moyal import star_exp_symbol
 from weylsym.sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, random_sp, random_sp_lie, random_su, su_from_sp
 from weylsym.weylsymbols import (
     GaussianSymbol,
     QuadForm2n,
-    hormander_symbol,
     w0_sigma_symbol,
     w1_exp_symbol,
     w1_sigma_closed,
@@ -75,8 +74,8 @@ MEMOISED = [
     ("berezin_sigma_symbol", berezin_sigma_symbol, random_su),
     ("w1_sigma_symbol", w1_sigma_symbol, random_sp),
     ("w1_exp_symbol", w1_exp_symbol, random_sp_lie),
-    ("hormander_symbol", lambda m, lam: hormander_symbol(m), _quad_form),
-    ("star_exp_quadratic_symbol", lambda q, lam: star_exp_quadratic_symbol(q), _quad_form),
+    # keyed by the time s, not λ: λ = 0.7 stands for s = -i
+    ("star_exp_symbol", lambda q, lam: star_exp_symbol(q, -1j if lam == 0.7 else lam), _quad_form),
 ]
 # alternating on one element, so that each slot is replaced; 1 and 1.0 are different λ
 LAMS = (1, 1.0, 0.7, 1.0, 1, 0.7, 0.7)
@@ -193,7 +192,7 @@ def _elements_and_records():
     built = [cls(*args(complex)) for cls, args in CALLER_ARRAYS]
     built += [g, k, x, random_su(2, 3)]
     memoised = [sigma_kernel(k, 1.0), w0_sigma_symbol(k, 1.0), berezin_sigma_symbol(k, 1.0)]
-    memoised += [w1_sigma_symbol(g), w1_exp_symbol(x), hormander_symbol(QuadForm2n(2, 0.1 * np.eye(4)))]
+    memoised += [w1_sigma_symbol(g), w1_exp_symbol(x), star_exp_symbol(QuadForm2n(2, 0.1 * np.eye(4)), 1)]
     return built + memoised
 
 

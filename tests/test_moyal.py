@@ -18,6 +18,7 @@ from weylsym.moyal import (
     star_exp_bridge_residual,
     star_exp_quadratic_closed,
     star_exp_series,
+    star_exp_symbol,
     weyl_quantize_poly,
 )
 from weylsym.polys import Poly
@@ -231,6 +232,21 @@ def test_star_exp_harmonic_oscillator():
     series, last = star_exp_series(q, -1j, 40, point)
     assert abs(series - closed) / abs(closed) < 1e-10
     assert last < 1e-10 * abs(series)
+
+
+@pytest.mark.parametrize("s", [-1j, 1, 0.9 * np.exp(0.7j)], ids=["-i", "1", "0.9e^0.7i"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_star_exp_symbol_is_the_series_at_every_time(n, s):
+    """One closed form for every complex time s: the cosh law at A = i s JM
+    against the series, on draws with ‖M‖₂ = 0.2."""
+    rng = rng_for(n, "star-exp-time")
+    for _ in range(5):
+        r = rng.uniform(-1, 1, (2 * n, 2 * n))
+        q = QuadForm2n(n, 0.2 * (r + r.T) / np.linalg.norm(r + r.T, 2))
+        point = rng.uniform(-0.8, 0.8, 2 * n)
+        closed = star_exp_symbol(q, s).eval(point)
+        series, _ = star_exp_series(q, s, 40, point)
+        assert abs(series - closed) <= 1e-14 * abs(closed)
 
 
 def test_star_exp_series_truncation_monotone():

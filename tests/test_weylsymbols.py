@@ -11,8 +11,8 @@ from weylsym.errors import (
     ShapeError,
     SingularMatrix,
 )
-from weylsym.metaplectic import berezin_sigma_symbol, berezin_symbol_sigma, sigma_kernel
-from weylsym.moyal import star_exp_quadratic_closed, star_exp_quadratic_symbol
+from weylsym.metaplectic import berezin_sigma_symbol, sigma_kernel
+from weylsym.moyal import star_exp_quadratic_closed, star_exp_symbol
 from weylsym.quadrature import CHUNK, quadrature_cn
 from weylsym.suites import random_su_negdet
 from weylsym.sympgroup import (
@@ -33,8 +33,6 @@ from weylsym.weylsymbols import (
     berezin_transform_quadrature,
     classical_weyl_kernel,
     heat_flow_gaussian,
-    hormander_exp_symbol,
-    hormander_symbol,
     metaplectic_phase_c,
     polar_relation_residual,
     w0_dsigma_closed,
@@ -42,7 +40,6 @@ from weylsym.weylsymbols import (
     w0_sigma_closed,
     w0_sigma_symbol,
     w1_dsigma_closed,
-    w1_exp_closed,
     w1_exp_symbol,
     w1_of_classical_weyl,
     w1_sigma_closed,
@@ -223,7 +220,7 @@ def test_w0_dsigma_is_derivative_of_w0_sigma():
 def test_w1_of_identity():
     assert w1_sigma_closed(SpReal.identity(1), [0.0], [0.0]) == pytest.approx(1.0)
     x0 = SpLieReal(1, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-    assert w1_exp_closed(x0, [0.3], [0.2]) == pytest.approx(1.0)
+    assert w1_exp_symbol(x0).eval([0.3, 0.2]) == pytest.approx(1.0)
     assert w1_dsigma_closed(x0, [0.3], [0.2]) == pytest.approx(0.0)
 
 
@@ -251,7 +248,7 @@ def test_w1_exp_harmonic_oscillator():
     theta = 0.9
     j = matcore.matrix_J(1).real
     x = SpLieReal(1, np.zeros((1, 1)), theta * j[:1, 1:], theta * j[1:, :1])
-    val = w1_exp_closed(x, [0.7], [-0.4])
+    val = w1_exp_symbol(x).eval([0.7, -0.4])
     r2 = 0.49 + 0.16
     expect = (1 / np.cos(theta / 2)) * np.exp(1j * np.tan(theta / 2) * r2)
     assert val == pytest.approx(expect, rel=1e-12)
@@ -284,7 +281,7 @@ def test_w1_dsigma_is_derivative_of_w1_exp():
 
         def w1_at(t):
             xt = SpLieReal(1, t * x.A, t * x.B, t * x.C)
-            return w1_exp_closed(xt, px, py)
+            return w1_exp_symbol(xt).eval(np.concatenate([px, py]))
 
         h = 1e-3
         d1 = (w1_at(h) - w1_at(-h)) / (2 * h)
@@ -298,9 +295,9 @@ def test_closed_forms_refuse_singular_cosh():
     with pytest.raises(SingularMatrix):
         w1_exp_symbol(SpLieReal(1, [[0.0]], [[np.pi]], [[-np.pi]]))
     with pytest.raises(SingularMatrix):
-        hormander_symbol(QuadForm2n(1, np.pi / 2 * np.diag([1.0, -1.0])))
+        star_exp_symbol(QuadForm2n(1, np.pi / 2 * np.diag([1.0, -1.0])), 1)
     with pytest.raises(SingularMatrix):
-        star_exp_quadratic_symbol(QuadForm2n(1, np.pi / 2 * np.eye(2)))
+        star_exp_symbol(QuadForm2n(1, np.pi / 2 * np.eye(2)), -1j)
 
 
 def test_w1_exp_of_a_full_turn_is_minus_one():
@@ -330,10 +327,10 @@ def test_cosh_law_constants_past_the_pole(omegas):
         x = _conjugated_lie(n, seed, zero, w, -w)
         m = QuadForm2n(n, np.real(matcore.matrix_J(n) @ x.full) / 2)
         assert w1_exp_symbol(x).gamma == pytest.approx(want, rel=1e-9)
-        assert star_exp_quadratic_symbol(m).gamma == pytest.approx(want, rel=1e-9)
+        assert star_exp_symbol(m, -1j).gamma == pytest.approx(want, rel=1e-9)
         boost = _conjugated_lie(n, seed, w, zero, zero)
         m = QuadForm2n(n, np.real(matcore.matrix_J(n) @ boost.full) / 2)
-        assert hormander_symbol(m).gamma == pytest.approx(want, rel=1e-9)
+        assert star_exp_symbol(m, 1).gamma == pytest.approx(want, rel=1e-9)
 
 
 def test_cosh_law_constant_within_its_error_bar_near_a_pole():
@@ -377,7 +374,7 @@ def test_star_exp_constant_changes_sign_only_at_poles():
             if not omega.size or omega.max() <= np.pi / 2:
                 continue
             walked[-1] += 1
-            gamma = np.array([star_exp_quadratic_symbol(QuadForm2n(n, tt * m)).gamma for tt in t])
+            gamma = np.array([star_exp_symbol(QuadForm2n(n, tt * m), -1j).gamma for tt in t])
             want = np.sign(np.prod(np.cos(np.outer(t, omega)), axis=1))
             assert np.array_equal(np.sign(gamma.real), want)
             assert np.all(abs(gamma.imag) <= 1e-10 * abs(gamma))
@@ -395,26 +392,26 @@ def _hormander_by_cos_tan(m):
     return 1 / root, -(matcore.matrix_J(m.n) @ tan)
 
 
-def test_hormander_symbol_is_cos_tan_formula():
+def test_star_exp_symbol_at_time_1_is_hormanders_cos_tan_formula():
     for n in (1, 2, 3):
         for seed in range(5):
             rng = rng_for(seed, f"hormander-cos-tan-{n}")
             a = 0.4 * rng.standard_normal((2 * n, 2 * n))
             m = QuadForm2n(n, (a + a.T) / 2)
             gamma, s = _hormander_by_cos_tan(m)
-            sym = hormander_symbol(m)
+            sym = star_exp_symbol(m, 1)
             assert sym.gamma == pytest.approx(gamma, rel=1e-13, abs=0)
             assert np.array_equal(sym.S, (s + s.T) / 2)
 
 
-def test_hormander_symbol_small_m():
-    assert hormander_exp_symbol(QuadForm2n(1, np.zeros((2, 2))), [0.4], [0.1]) == pytest.approx(1.0)
+def test_star_exp_symbol_at_time_1_small_m():
+    assert star_exp_symbol(QuadForm2n(1, np.zeros((2, 2))), 1).eval([0.4, 0.1]) == pytest.approx(1.0)
     # M = tI (n=1): (iJM)^2 = t^2 I, so cos(JM) = cosh(t) I and
     # v J tan(JM) v = -i tanh(t) |v|^2; the symbol is cosh(t)^{-1}
     # exp(tanh(t) |v|^2)
     t = 0.12
     r2 = 0.25 + 0.04
-    v = hormander_exp_symbol(QuadForm2n(1, t * np.eye(2)), [0.5], [-0.2])
+    v = star_exp_symbol(QuadForm2n(1, t * np.eye(2)), 1).eval([0.5, -0.2])
     assert v == pytest.approx(np.exp(np.tanh(t) * r2) / np.cosh(t), rel=1e-10)
 
 
@@ -500,24 +497,25 @@ def test_w0_symbol_object_matches_pointwise_formula():
 
 
 def _symbol_and_wrapper(kind, n, seed):
-    """A closed-form GaussianSymbol and its pointwise wrapper, which takes a
-    real point v = (x, y) of R^{2n}."""
+    """A closed-form GaussianSymbol and its value at one real point v = (x, y)
+    of R^{2n}: the pointwise wrapper the benchmark binds, or else the call
+    that `weylsym eval` makes."""
     if kind in ("w0-sigma", "berezin-sigma"):
         k = random_su(n, seed)
         if kind == "w0-sigma":
             return w0_sigma_symbol(k, 1.3), lambda v: w0_sigma_closed(k, v[:n] + 1j * v[n:], 1.3)
-        return berezin_sigma_symbol(k, 0.9), lambda v: berezin_symbol_sigma(k, v[:n] + 1j * v[n:], 0.9)
+        return berezin_sigma_symbol(k, 0.9), lambda v: berezin_sigma_symbol(k, 0.9).eval_z(v[:n] + 1j * v[n:])
     if kind == "w1-sigma":
         g = random_sp(n, seed)
         return w1_sigma_symbol(g, 0.7), lambda v: w1_sigma_closed(g, v[:n], v[n:], 0.7)
     if kind == "w1-exp":
         x = random_sp_lie(n, seed, scale=0.4)
-        return w1_exp_symbol(x, 1.1), lambda v: w1_exp_closed(x, v[:n], v[n:], 1.1)
+        return w1_exp_symbol(x, 1.1), lambda v: w1_exp_symbol(x, 1.1).eval(v)
     r = rng_for(seed, "batch-M").uniform(-1, 1, (2 * n, 2 * n))
     q = QuadForm2n(n, 0.2 * (r + r.T) / np.linalg.norm(r + r.T, 2))
     if kind == "star-exp":
-        return star_exp_quadratic_symbol(q), lambda v: star_exp_quadratic_closed(q, v)
-    return hormander_symbol(q), lambda v: hormander_exp_symbol(q, v[:n], v[n:])
+        return star_exp_symbol(q, -1j), lambda v: star_exp_quadratic_closed(q, v)
+    return star_exp_symbol(q, 1), lambda v: star_exp_symbol(q, 1).eval(v)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
