@@ -74,6 +74,9 @@ MEMOISED = [
     ("berezin_sigma_symbol", berezin_sigma_symbol, random_su),
     ("w1_sigma_symbol", w1_sigma_symbol, random_sp),
     ("w1_exp_symbol", w1_exp_symbol, random_sp_lie),
+    # Hörmander's symbol is the star exponential at s = 1, the quadratic one at s = -i
+    ("hormander_symbol", lambda m, lam: star_exp_symbol(m, 1), _quad_form),
+    ("star_exp_quadratic_symbol", lambda q, lam: star_exp_symbol(q, -1j), _quad_form),
     # keyed by the time s, not λ: λ = 0.7 stands for s = -i
     ("star_exp_symbol", lambda q, lam: star_exp_symbol(q, -1j if lam == 0.7 else lam), _quad_form),
 ]
