@@ -7,9 +7,9 @@ the same option) are read, and its evaluator.  Every matrix is built through
 its element's checking constructor and refused unless the element
 reproduces it.
 
-Exit codes: 0 success, 1 suite failures, 2 bad input, 3 unresolved phase
-ambiguity (pass --adjudicate-phase to resolve it by quadrature), or a
-cosh-law constant that fails its certificate.
+Exit codes: 0 success, 1 suite failures, 2 bad input, 3 a sign the library
+cannot vouch for: a Det(I+k) that is not real, or a cosh-law constant that
+fails its certificate.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from .metaplectic import berezin_sigma_symbol, berezin_symbol_dsigma, sigma_kern
 from .mjson import load_matrix
 from .moyal import star_exp_series, star_exp_symbol
 from .suites import SUITE_NAMES, run_suite
-from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, su_from_sp
+from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie
 from .weylsymbols import (
     QuadForm2n,
-    adjudicate_phase,
     w0_dsigma_closed,
     w0_sigma_closed,
-    w0_sigma_symbol,
     w1_dsigma_closed,
     w1_exp_symbol,
     w1_sigma_closed,
@@ -100,22 +98,8 @@ def _point(vals: list, n: int, layout: str):
 # evaluators: (element, point, args) -> value, or (value, extra JSON fields)
 
 
-def _adjudicated(closed, closed_args: tuple, k, z, args) -> complex:
-    """closed(*closed_args); when its phase constant is ambiguous and
-    --adjudicate-phase is given, W0(σ(k))(z) with the constant fixed by
-    quadrature instead (`k` a SuBlocks, or an SpReal taken to S)."""
-    try:
-        return closed(*closed_args)
-    except AmbiguousPhase:
-        if not args.adjudicate_phase:
-            raise
-    k = k if isinstance(k, SuBlocks) else su_from_sp(k)
-    c = adjudicate_phase(k, args.lam, nodes=args.nodes)
-    return w0_sigma_symbol(k, args.lam, c).eval_z(z)
-
-
 def _w0_sigma(k, z, args):
-    return _adjudicated(w0_sigma_closed, (k, z, args.lam), k, z, args)
+    return w0_sigma_closed(k, z, args.lam)
 
 
 def _w0_dsigma(x_lie, z, args):
@@ -123,8 +107,7 @@ def _w0_dsigma(x_lie, z, args):
 
 
 def _w1_sigma(g, v, args):
-    x, y = np.split(v, 2)
-    return _adjudicated(w1_sigma_closed, (g, x, y, args.lam), g, x + 1j * y, args)
+    return w1_sigma_closed(g, *np.split(v, 2), args.lam)
 
 
 def _w1_exp(x_lie, v, args):
@@ -239,10 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--at", "--point", dest="at", type=float, nargs="+", default=(), help="evaluation point")
     pe.add_argument("--n", type=int, default=1)
     pe.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    pe.add_argument("--nodes", type=int, default=80)
     pe.add_argument("--order", type=int, default=40)
     pe.add_argument("--closed", action="store_true", help="use the closed form")
-    pe.add_argument("--adjudicate-phase", action="store_true")
     pe.add_argument("--format", choices=("json", "csv"), default="json")
     pe.set_defaults(func=_run_eval)
 

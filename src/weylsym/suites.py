@@ -360,6 +360,8 @@ def run_suite(
         tol = suite.tol
     elif not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
         raise BadConfig(f"tol must be finite and >= 0, got {tol!r}")
+    # stored as Python numbers, so that to_obj() goes through json.dumps
+    n, lam, trials, seed, tol = int(n), float(lam), int(trials), int(seed), float(tol)
     if nodes is None:
         nodes = 80 if n == 1 else 40
     records = [

@@ -10,10 +10,11 @@ and for metaplectic operators it has the closed Cayley form
     W0(σ(k))(z) = c_n(k) exp((λ/2) (z zbar) J (k-I)(k+I)^{-1} (z zbar)^t)
 
 with the phase constant c_n keyed to the sign of Det(I+k) and the argument
-of Det P.  The classical Weyl symbol W1 is the same formula transported to
-the real frame by z = x + iy.  The Berezin transform is the heat semigroup
-exp(Δ/2λ); on Gaussians γ exp(v^t S v) the heat flow acts in closed form,
-which yields the polar relation S_λ = B_λ^{1/2} W0.
+of Det P, or, where Det P is real, taken from the Gaussian law of W0(σ(k))(0).
+The classical Weyl symbol W1 is the same formula transported to the real
+frame by z = x + iy.  The Berezin transform is the heat semigroup exp(Δ/2λ);
+on Gaussians γ exp(v^t S v) the heat flow acts in closed form, which yields
+the polar relation S_λ = B_λ^{1/2} W0.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import AmbiguousPhase, BadConfig, HeatFlowSingular, NonConvergent, ShapeError
-from .gaussint import GaussianKernel, GaussianSymbol
-from .matcore import _is_int, as_matrix, as_vector, matrix_J, norm, principal_sqrt
+from .errors import AmbiguousPhase, BadConfig, HeatFlowSingular, NonConvergent
+from .gaussint import GaussianKernel, GaussianSymbol, gaussian_law
+from .matcore import _is_int, as_matrix, as_vector, block2x2, matrix_J, norm, principal_sqrt
 from .metaplectic import berezin_sigma_symbol, sigma_kernel
 from .quadrature import GaussianExponent, _checked_plan, lebesgue_rn, quadrature_cn
 from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, _memo, _owned, su_from_sp
@@ -101,53 +102,66 @@ def w0_integral(kernel: GaussianKernel, z, lam: float, nodes: int = 80, symmetri
 
 
 def metaplectic_phase_c(k: SuBlocks) -> complex:
-    """The phase constant c_n(k) of the closed-form W0(σ(k)):
+    """The phase constant c_n(k) = W0(σ(k))(0) of the closed-form W0(σ(k)):
 
     * Det(I+k) > 0: 2^n (Det(I+k))^{-1/2};
     * Det(I+k) < 0 and Arg(Det P) ∈ (0, π): -i 2^n |Det(I+k)|^{-1/2};
-    * Det(I+k) < 0 and Arg(Det P) ∈ (-π, 0): +i 2^n |Det(I+k)|^{-1/2}.
+    * Det(I+k) < 0 and Arg(Det P) ∈ (-π, 0): +i 2^n |Det(I+k)|^{-1/2};
+    * Det(I+k) < 0 and Det P real, the cut of (Det P)^{-1/2}: the Gaussian law's
+      value of W0(σ(k))(0), snapped to ±i 2^n |Det(I+k)|^{-1/2}.
 
-    Det(I+k) is real on S; a negative determinant with Det P real falls
-    outside the case analysis and raises AmbiguousPhase.
+    Det(I+k) is real on S; one that is not raises AmbiguousPhase.
     """
-    return _phase_c(k.n, matcore.cayley(k.full)[1], k.P)
+    return _phase_c(k, matcore.cayley(k.full)[1])
 
 
-def _phase_c(n: int, d: complex, p: np.ndarray) -> complex:
-    """The case analysis of `metaplectic_phase_c` at d = Det(I+k), where P
-    is the upper-left block of k."""
+def _phase_c(k: SuBlocks, d: complex) -> complex:
+    """The case analysis of `metaplectic_phase_c` at d = Det(I+k).  Its cut takes
+    W0(σ(k))(0) = 2^n c (λ/2π)^n ∫ exp(-ω^t M ω) dm(w), M = (λ/4)[[-α, β + I],
+    [β^t + I, -γ]] in ω = (w, wbar) and (c, α, β, γ) the kernel of σ(k), from the
+    Gaussian law (DivergentIntegral unless Re N > 0), at λ = 1 where the prefactor
+    is 1: the value is λ-free and follows `sigma_kernel`'s branch of c."""
     if abs(d.imag) > 1e-8 * (1 + abs(d)):
         raise AmbiguousPhase(f"Det(I+k) = {d} is not real")
-    dr = d.real
+    n, dr = k.n, d.real
     if dr > 0:
         return 2**n / principal_sqrt(dr)
-    dp = matcore.require_invertible(p)[1]
+    dp = matcore.require_invertible(k.P)[1]
     if abs(dp.imag) <= 1e-10 * (1 + abs(dp)):
-        raise AmbiguousPhase("Det(I+k) < 0 with Det P real: phase not determined")
+        kern = sigma_kernel(k, 1.0)
+        eye = np.eye(n)
+        m = block2x2(-kern.alpha, kern.beta + eye, kern.beta.T + eye, -kern.gamma) / 4
+        return _snap(n, dr, kern.c / gaussian_law(m, np.zeros(2 * n))[0], AmbiguousPhase)
     mag = 2**n / np.sqrt(abs(dr))
     return -1j * mag if dp.imag > 0 else 1j * mag
 
 
-# how far the quadrature's phase may lie from the value it is snapped to
+# how far a value's phase may lie from the constant it is snapped to
 PHASE_SNAP = np.pi / 8
 
 
-def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
-    """Fix the phase of c_n(k) by quadrature: W0(σ(k))(0) = c_n(k), so the
-    integral formula at z = 0 decides the sign when the case analysis is
-    ambiguous.  The quadrature value q is snapped to the nearest allowed
-    value, ±|c| when Det(I+k) > 0 and ±i|c| when Det(I+k) < 0;
-    NonConvergent when q is PHASE_SNAP or more from it."""
-    _, d = matcore.cayley(k.full)
-    mag = 2**k.n / np.sqrt(abs(d.real))
-    q = w0_integral(sigma_kernel(k, lam), np.zeros(k.n), lam, nodes=nodes)
-    if abs(q) == 0:
-        raise AmbiguousPhase("quadrature value vanished")
-    unit = 1 if d.real > 0 else 1j
-    c = complex(mag * unit if (q / unit).real >= 0 else -mag * unit)
-    if abs(np.angle(q / c)) >= PHASE_SNAP:
-        raise NonConvergent(f"quadrature phase {np.angle(q):.3f} is not near an allowed value at {nodes} nodes")
+def _snap(n: int, d: float, value: complex, error: type) -> complex:
+    """The allowed constant nearest `value` at d = Det(I+k): ±2^n/√d when d > 0,
+    ±i 2^n/√|d| when d < 0; `error` unless value is nonzero with a phase less
+    than PHASE_SNAP from it."""
+    if d > 0:
+        c = 2**n / principal_sqrt(d)
+        c = c if value.real >= 0 else -c
+    else:
+        mag = 2**n / np.sqrt(abs(d))
+        c = -1j * mag if value.imag < 0 else 1j * mag
+    if not (value != 0 and abs(np.angle(value / c)) < PHASE_SNAP):
+        raise error(f"phase {np.angle(value):.3f} of {value:.6g} is not near an allowed value {c:.6g}")
     return c
+
+
+def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
+    """c_n(k) = W0(σ(k))(0) by quadrature, the oracle of the closed-form constant:
+    the integral at z = 0 and `nodes` per axis, snapped by `_snap`; NonConvergent
+    when its value vanishes or its phase is PHASE_SNAP or more from every
+    allowed value."""
+    d = matcore.cayley(k.full)[1].real
+    return _snap(k.n, d, w0_integral(sigma_kernel(k, lam), np.zeros(k.n), lam, nodes=nodes), NonConvergent)
 
 
 def w0_sigma_closed(k: SuBlocks, z, lam: float) -> complex:
@@ -155,18 +169,17 @@ def w0_sigma_closed(k: SuBlocks, z, lam: float) -> complex:
     return w0_sigma_symbol(k, lam)._at_z(z)
 
 
-def w0_sigma_symbol(k: SuBlocks, lam: float, c: complex | None = None) -> GaussianSymbol:
-    """W0(σ(k))(z) = c exp((λ/2)(z zbar) J (k-I)(k+I)^{-1} (z zbar)^t) on
-    R^{2n}, z = x + iy, with c = c_n(k) unless given (e.g. adjudicated);
-    built once per k and λ when c is not given, and afresh when it is."""
+def w0_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
+    """W0(σ(k))(z) = c_n(k) exp((λ/2)(z zbar) J (k-I)(k+I)^{-1} (z zbar)^t) on
+    R^{2n}, z = x + iy; built once per k and λ."""
 
     def build():
         matcore.require_lambda(lam)
         cay, d = matcore.cayley(k.full)
         jc = matrix_J(k.n) @ cay
-        return GaussianSymbol.from_zz(k.n, _phase_c(k.n, d, k.P) if c is None else c, lam / 2 * jc)
+        return GaussianSymbol.from_zz(k.n, _phase_c(k, d), lam / 2 * jc)
 
-    return build() if c is not None else _memo(k, "_w0_sigma_symbol", lam, build)
+    return _memo(k, "_w0_sigma_symbol", lam, build)
 
 
 def _xy(n: int, x, y) -> np.ndarray:
@@ -197,7 +210,7 @@ def w1_sigma_symbol(g: SpReal, lam: float = 1.0) -> GaussianSymbol:
     def build():
         matcore.require_lambda(lam)
         cay, d = matcore.cayley(g.g)
-        c = _phase_c(g.n, d, su_from_sp(g).P)
+        c = _phase_c(su_from_sp(g), d)
         return GaussianSymbol._trusted(g.n, c, -1j * lam * (matrix_J(g.n) @ cay))
 
     return _memo(g, "_w1_sigma_symbol", lam, build)
@@ -221,16 +234,11 @@ def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
 
 
 def w1_dsigma_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
-    """W1(dσ'(X))(x, y) = (i/2)(2y(Ax) + y(By) - x(Cx))
-    = -(i/2)(x y) J X (x y)^t; both forms are evaluated and must agree."""
-    v = _xy(x_lie.n, x, y)
-    x, y = np.split(v, 2)
+    """W1(dσ'(X))(x, y) = (i/2)(2y(Ax) + y(By) - x(Cx)), which is also
+    -(i/2)(x y) J X (x y)^t (the tests compare the two)."""
+    x, y = np.split(_xy(x_lie.n, x, y), 2)
     a, b, c = x_lie.A, x_lie.B, x_lie.C
-    form1 = 0.5j * (2 * (y @ (a @ x)) + y @ (b @ y) - x @ (c @ x))
-    form2 = -0.5j * (v @ ((matrix_J(x_lie.n) @ x_lie.full) @ v))
-    if abs(form1 - form2) > 1e-12 * (1 + abs(form1)):
-        raise ShapeError(f"quadratic-form mismatch: {form1} vs {form2}")
-    return complex(lam * form1)
+    return complex(lam * (0.5j * (2 * (y @ (a @ x)) + y @ (b @ y) - x @ (c @ x))))
 
 
 def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -81,26 +83,35 @@ def test_eval_from_matrix_file(tmp_path, capsys):
     assert complex(re, im) == pytest.approx(expect, rel=1e-12)
 
 
-def test_ambiguous_phase_exit_code_and_adjudication(tmp_path, capsys):
-    # g = -diag(2, 1/2): det(I + g) < 0 with Det P real, so the closed-form
-    # phase is ambiguous; quadrature adjudication resolves it
+def test_eval_at_the_phase_cut(tmp_path, capsys):
+    # g = -diag(2, 1/2): Det(I + g) < 0 with Det P real, the cut of (Det P)^{-1/2},
+    # where the constant comes from the Gaussian law of W0(σ(k))(0)
     g = -np.diag([2.0, 0.5])
     path = tmp_path / "neg.json"
     dump_matrix(g, str(path))
-    args = ["eval", "w1-sigma", "--g", str(path), "--at", "0.1", "0.2"]
-    code = main(args)
-    capsys.readouterr()
-    assert code == 3
-    code, out = _run(capsys, args + ["--adjudicate-phase"])
+    code, out = _run(capsys, ["eval", "w1-sigma", "--g", str(path), "--at", "0.1", "0.2"])
     assert code == 0
-    re, im = json.loads(out)["value"]
-    assert np.isfinite(re) and np.isfinite(im)
-    # W0 of k = U g U^{-1} at z = x + iy, adjudicated the same way
+    w1 = complex(*json.loads(out)["value"])
+    assert w1 == w1_sigma_closed(SpReal(1, g), [0.1], [0.2])
+    # W0 of k = U g U^{-1} at z = x + iy agrees
     k_path = tmp_path / "neg_k.json"
     dump_matrix(su_from_sp(SpReal(1, g)).full, str(k_path))
-    code, out = _run(capsys, ["eval", "w0-sigma", "--k", str(k_path), "--at", "0.1", "0.2", "--adjudicate-phase"])
+    code, out = _run(capsys, ["eval", "w0-sigma", "--k", str(k_path), "--at", "0.1", "0.2"])
     assert code == 0
-    assert complex(*json.loads(out)["value"]) == pytest.approx(complex(re, im), rel=1e-12)
+    assert complex(*json.loads(out)["value"]) == pytest.approx(w1, rel=1e-12)
+
+
+def test_eval_has_no_quadrature_options(capsys):
+    # no option of eval reads a node count or asks for a runtime phase quadrature
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    pe = sub.choices["eval"]
+    assert {o for a in pe._actions for o in a.option_strings} == {
+        "-h", "--help", "--k", "--g", "--X", "--M", "--at", "--point", "--n", "--lambda", "--order", "--closed", "--format"
+    }
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "w1-sigma", "--g", "identity", "--at", "0", "0", "--nodes", "80"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --nodes 80" in capsys.readouterr().err
 
 
 def test_missing_required_matrix_is_bad_input(capsys):
@@ -371,3 +382,20 @@ def test_main_builds_one_parser_and_carries_nothing_between_calls(monkeypatch, c
     assert built == [1]
     # the defaults that every call shares cannot be changed by one of them
     assert cli._parser().parse_args(["eval", "w1-sigma"]).at == ()
+
+
+def test_no_eval_kind_runs_a_quadrature(monkeypatch, tmp_path, capsys):
+    """`eval` evaluates closed forms only: with every quadrature made to raise,
+    every kind still prints its value, the phase cut's W0 and W1 included."""
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "weylsym"]:
+        for name in ("quadrature_cn", "lebesgue_cn", "lebesgue_rn"):
+            if getattr(getattr(mod, name, None), "__module__", None) == "weylsym.quadrature":
+                monkeypatch.setattr(mod, name, lambda *a, _name=name, **kw: pytest.fail(f"{_name} ran"))
+    assert not hasattr(cli, "adjudicate_phase")
+    for kind, (flag, m, extra, _) in sorted(_KINDS.items()):
+        at = _AT + [-0.15, 0.05, 0.2, 0.1] if kind == "kernel" else _AT
+        argv = ["eval", kind, flag, _matrix_file(tmp_path, "m.json", m), "--n", str(_N), "--lambda", str(_LAM)]
+        assert _run(capsys, argv + ["--at", *map(repr, at), *extra])[0] == 0, kind
+    cut = SpReal(1, -np.diag([2.0, 0.5]))
+    for kind, flag, m in (("w1-sigma", "--g", cut.g), ("w0-sigma", "--k", su_from_sp(cut).full)):
+        assert _run(capsys, ["eval", kind, flag, _matrix_file(tmp_path, "cut.json", m), "--at", "0.1", "0.2"])[0] == 0

@@ -81,7 +81,7 @@ def test_every_raise_is_typed():
     `error` parameter of a guard that raises the class its caller chose, or
     re-raises what it caught."""
     typed = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, Exception)}
-    guards = {"require_invertible", "require_posreal", "_require"}
+    guards = {"require_invertible", "require_posreal", "_require", "_snap"}
     found = []
     for path in sorted(Path(weylsym.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())

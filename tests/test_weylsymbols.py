@@ -98,15 +98,33 @@ def test_phase_constant_negative_determinant_cases():
         assert adjudicate_phase(k, 1.0) == pytest.approx(c, rel=1e-4)
 
 
-def test_phase_ambiguous_when_det_p_real():
-    # g = -diag(a, 1/a) has det(I+g) < 0 with P real: outside the case analysis
-    g = SpReal(1, -np.diag([2.0, 0.5]))
+# (a, b): g = -diag(a, 1/a), and at n = 2 g = -diag(a, 1/a) ⊕ diag(b, 1/b), so
+# Det(I+g) < 0 with Det P real: the cut of (Det P)^{-1/2}
+_CUT = [(1.5, None), (2.0, None), (3.0, None), (2.0, 1.5), (3.0, 2.0)]
+
+
+def _cut_element(a, b):
+    return SpReal(1, -np.diag([a, 1 / a])) if b is None else SpReal(2, np.diag([-a, b, -1 / a, 1 / b]))
+
+
+@pytest.mark.parametrize("a, b", _CUT)
+def test_phase_at_the_cut_is_the_gaussian_law(a, b):
+    g = _cut_element(a, b)
     k = su_from_sp(g)
-    with pytest.raises(AmbiguousPhase):
-        metaplectic_phase_c(k)
-    # quadrature still resolves it
-    c = adjudicate_phase(k, 1.0)
-    assert abs(c) == pytest.approx(2 / np.sqrt(abs(np.linalg.det(np.eye(2) + g.g))), rel=1e-6)
+    n = k.n
+    d = np.linalg.det(np.eye(2 * n) + g.g)
+    assert d < 0 and abs(np.linalg.det(k.P).imag) == 0
+    c = metaplectic_phase_c(k)
+    assert c.real == 0 and c.imag == pytest.approx(-(2**n) / np.sqrt(-d), rel=1e-14)
+    # the snapped Gaussian law is the snapped quadrature, bit for bit
+    assert c == adjudicate_phase(k, 1.0, nodes=80 if n == 1 else 40)
+    # W0 and W1 take it at every λ, and the W0 integral agrees off z = 0
+    z = np.array([0.1 + 0.2j, -0.05 + 0.1j][:n])
+    for lam in (1.0, 1.3):
+        w0 = w0_sigma_closed(k, z, lam)
+        assert w1_sigma_closed(g, z.real, z.imag, lam) == pytest.approx(w0, rel=1e-14)
+        quad = w0_integral(sigma_kernel(k, lam), z, lam, nodes=80 if n == 1 else 30)
+        assert quad == pytest.approx(w0, rel=1e-6)
 
 
 def test_adjudicated_phase_is_an_allowed_value():
@@ -264,11 +282,16 @@ def test_w1_dsigma_both_forms_and_example():
     x = SpLieReal(1, np.zeros((1, 1)), np.eye(1), -np.eye(1))
     val = w1_dsigma_closed(x, [0.5], [0.3])
     assert val == pytest.approx(0.5j * (0.25 + 0.09), rel=1e-12)
-    for seed in range(20):
-        xr = random_sp_lie(1, 80 + seed)
-        rng = rng_for(80 + seed, "w1d-pts")
-        # w1_dsigma_closed asserts internally that both quoted forms agree
-        w1_dsigma_closed(xr, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
+    for n in (1, 2):
+        for seed in range(20):
+            xr = random_sp_lie(n, 80 + seed)
+            rng = rng_for(80 + seed, "w1d-pts")
+            x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+            v = np.concatenate([x, y])
+            # the second quoted form, -(i/2)(x y) J X (x y)^t
+            form1 = w1_dsigma_closed(xr, x, y)
+            form2 = -0.5j * (v @ ((matcore.matrix_J(n) @ xr.full) @ v))
+            assert abs(form1 - form2) <= 1e-12 * (1 + abs(form1))
 
 
 def test_w1_dsigma_is_derivative_of_w1_exp():
