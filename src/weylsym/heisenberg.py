@@ -98,6 +98,7 @@ def bargmann_apply(phi, z: np.ndarray, lam: float, nodes: int = 80) -> complex:
 
     (Bφ)(z) = (λ/π)^{n/4} ∫ exp(-(λ/4)z^2 + λ zx - (λ/2)x^2) φ(x) dx.
     """
+    require_lambda(lam)
     z = as_vector(z, None)
     n = z.shape[0]
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -42,7 +43,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import BadConfig, NonConvergent
-from .matcore import _is_int, quad_form, require_lambda
+from .matcore import _is_int, as_vector, quad_form, require_lambda
 
 __all__ = [
     "GaussianExponent",
@@ -60,6 +61,9 @@ __all__ = [
 # points the integrands' temporaries stay in cache (the n = 2 checks ran up
 # to 1.7x slower on chunks of 2^16 points)
 CHUNK = 2**13
+# most complex entries in one temporary of the factorised contraction: 4 KiB
+# under glibc's 128 KiB mmap threshold, so that a slab stays on the heap
+SLAB = (2**17 - 2**12) // 16
 # largest tensor grid accepted; admits 80 nodes on the 4 real axes of C^2
 MAX_POINTS = 2**26
 # most real axes of a grid: a GaussianExponent certifies its fit at all 2^dim
@@ -329,28 +333,54 @@ def _contract(v: np.ndarray, m: dict):
     With F the grid of all axes but the last two (a, b), r its rows,
     A[r] = Π_{j∈F} v_j Π_{j<l∈F} m_jl, P_c[r, i] = Π_{j∈F} m_jc[r_j, i] and
     K = v_a m_ab v_b, the sum is Σ_r A[r] rowsum((P_a @ K) ⊙ P_b): one matmul
-    per chunk of rows.  A chunk spans F's last axis whole, so that no
-    temporary exceeds about CHUNK/2 entries or one nodes x nodes matrix.
+    per slab of rows.  A slab spans F's last axis whole and holds at most
+    SLAB entries, or one nodes x nodes matrix, in each of its two
+    temporaries, P_a and the product, which every slab reuses.  P_b is never
+    built: m_fb and the product of its other factors, one (rows, nodes)
+    array, multiply the matmul's product in place, and the row sums are one
+    matvec.
     """
     dim, nodes = v.shape
     if dim == 1:
         return v[0].sum()
     a, b, f = dim - 2, dim - 1, dim - 3
-    kern = v[a][:, None] * m[a, b] * v[b]
+    kern = v[a][:, None] * m[a, b]
+    kern *= v[b]
     if dim == 2:
         return kern.sum()
-    # F's last axis f is broadcast; its leading axes take `step` points a chunk
-    heads, step = nodes**f, max(1, CHUNK // (2 * nodes * nodes))
+    # F's last axis f is broadcast; its leading axes take `step` points a slab
+    heads, step = nodes**f, max(1, SLAB // (nodes * nodes))
+    # the two temporaries, which every slab reuses
+    pa_buf = np.empty((min(heads, step), nodes, nodes), dtype=complex)
+    prod_buf = np.empty((min(heads, step) * nodes, nodes), dtype=complex)
+    ones = np.ones(nodes, dtype=complex)
     total = 0j
     for lo in range(0, heads, step):
         r = np.arange(lo, min(heads, lo + step))
         idx = [r // nodes ** (f - 1 - p) % nodes for p in range(f)]
-        head = math.prod((v[p][idx[p]] for p in range(f)), start=np.ones(len(r)))
-        head = math.prod((m[p, q][idx[p], idx[q]] for p in range(f) for q in range(p + 1, f)), start=head)
-        lead = math.prod((m[p, f][idx[p]] for p in range(f)), start=v[f])
-        pa, pb = (math.prod((m[p, c][idx[p]][:, None] for p in range(f)), start=m[f, c]).reshape(-1, nodes)
-                  for c in (a, b))
-        total += ((pa @ kern) * pb).sum(axis=1) @ (head[:, None] * lead).ravel()
+        lead, pa = v[f], m[f, a]
+        if f:
+            # complex from the start: v may be real, the pair factors are not
+            head = v[0][idx[0]].astype(complex)
+            for p in range(1, f):
+                head *= v[p][idx[p]]
+            for p in range(f):
+                for q in range(p + 1, f):
+                    head *= m[p, q][idx[p], idx[q]]
+            # qa, qb (rows, nodes): the factors of P_a, P_b that vary with the head row
+            lead, qa, qb = v[f] * m[0, f][idx[0]], m[0, a][idx[0]], m[0, b][idx[0]]
+            for p in range(1, f):
+                lead *= m[p, f][idx[p]]
+                qa *= m[p, a][idx[p]]
+                qb *= m[p, b][idx[p]]
+            lead *= head[:, None]
+            pa = np.multiply(pa, qa[:, None], out=pa_buf[: len(r)])
+        prod = np.matmul(pa.reshape(-1, nodes), kern, out=prod_buf[: len(r) * nodes])
+        pb = prod.reshape(-1, nodes, nodes)
+        pb *= m[f, b]
+        if f:
+            pb *= qb[:, None]
+        total += (prod @ ones) @ lead.ravel()
     return total
 
 
@@ -372,18 +402,31 @@ def quadrature_cn(f, lam: float, n: int, nodes_per_axis: int = 80) -> complex:
     return complex(np.pi ** (-n) * _stream(f, plan, to_x, to_x, False))
 
 
+def _require_scale(scale) -> None:
+    """BadConfig unless the grid scale is a finite real > 0: a negative one
+    flipped the sign of the Jacobian at odd dimension."""
+    if not (isinstance(scale, numbers.Real) and not isinstance(scale, bool) and 0 < scale < math.inf):
+        raise BadConfig(f"scale must be a finite real > 0, got {scale!r}")
+
+
 def lebesgue_cn(f, n: int, nodes_per_axis: int = 80, scale: float = 1.0) -> complex:
     """∫_{C^n} f(w) dm(w) for integrands decaying like a Gaussian of width
-    about `scale` on each real axis (see `gaussint.quadrature_scale`)."""
+    about `scale` on each real axis (see `gaussint.quadrature_scale`).
+    BadConfig, before any call of f, unless `scale` is a finite real > 0."""
     plan = _checked_plan(n, nodes_per_axis, 2)
+    _require_scale(scale)
     to_x = functools.partial(_to_cn, scale=scale)
     # scale^{2n} is the Jacobian
     return complex(scale ** (2 * n) * _stream(f, plan, to_x, to_x, True))
 
 
 def lebesgue_rn(f, n: int, nodes_per_axis: int = 80, scale: float = 1.0, center=0.0) -> complex:
-    """∫_{R^n} f(x) dx for integrands decaying like a Gaussian around `center`."""
+    """∫_{R^n} f(x) dx for integrands decaying like a Gaussian around `center`,
+    a finite real scalar or a vector of n reals, with width about `scale`.
+    Before any call of f: BadConfig unless `scale` is a finite real > 0, and
+    ShapeError for any other `center` (`matcore.as_vector`)."""
     plan = _checked_plan(n, nodes_per_axis)
-    center = np.reshape(center, (-1, 1))
+    _require_scale(scale)
+    center = as_vector(center, None if np.isscalar(center) else n, float)[:, None]
     to_x = lambda v: center + scale * v  # noqa: E731
     return complex(scale**n * _stream(f, plan, to_x, lambda v: scale * v, True))

@@ -33,7 +33,7 @@ from .moyal import (
     star_exp_series,
     star_exp_symbol,
 )
-from .quadrature import GaussianExponent, lebesgue_cn
+from .quadrature import MAX_NODES, GaussianExponent, lebesgue_cn
 from .sympgroup import (
     SpReal,
     random_sp,
@@ -346,7 +346,8 @@ def run_suite(
     nodes: int | None = None,
 ) -> SuiteReport:
     """Run suite `name`, or raise BadConfig before any trial unless trials ≥ 1, n in the suite's
-    ns and seed ≥ 0 are integers (`matcore._is_int`) and λ > 0 and tol ≥ 0 finite reals."""
+    ns and seed ≥ 0 are integers (`matcore._is_int`), λ > 0 and tol ≥ 0 finite reals, and
+    nodes None or an integer in [1, MAX_NODES]."""
     suite = _suite(name)
     if not (matcore._is_int(trials) and trials >= 1):
         raise BadConfig(f"trials must be an integer >= 1, got {trials!r}")
@@ -356,6 +357,8 @@ def run_suite(
         raise BadConfig(f"suite {name!r} needs n in {{{', '.join(map(str, suite.ns))}}}, got {n!r}")
     if not (matcore._is_int(seed) and seed >= 0):
         raise BadConfig(f"seed must be an integer >= 0, got {seed!r}")
+    if not (nodes is None or (matcore._is_int(nodes) and 1 <= nodes <= MAX_NODES)):
+        raise BadConfig(f"nodes must be None or an integer in [1, {MAX_NODES}], got {nodes!r}")
     if tol is None:
         tol = suite.tol
     elif not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):

@@ -19,12 +19,14 @@ the polar relation S_λ = B_λ^{1/2} W0.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
-from .errors import AmbiguousPhase, BadConfig, HeatFlowSingular, NonConvergent
+from .errors import AmbiguousPhase, BadConfig, HeatFlowSingular, NonConvergent, ShapeError
 from .gaussint import GaussianKernel, GaussianSymbol, gaussian_law
 from .matcore import _is_int, as_matrix, as_vector, block2x2, matrix_J, norm, principal_sqrt
 from .metaplectic import berezin_sigma_symbol, sigma_kernel
@@ -78,8 +80,12 @@ def w0_integral(kernel: GaussianKernel, z, lam: float, nodes: int = 80, symmetri
     weight and the rest is folded into the integrand.  The non-symmetric
     variant integrates 2^n k(w, 2z-w) exp(λ(-z zbar + z wbar - w wbar / 2)).
     Either integrand's exponent, the kernel's exponent plus the W0 phase, is
-    quadratic in w, so it is summed as a `GaussianExponent`.
+    quadratic in w, so it is summed as a `GaussianExponent`.  ShapeError when
+    λ differs from the kernel's own by more than 1e-14·(1 + λ), as in
+    `compose_kernels`.
     """
+    if not abs(lam - kernel.lam) <= 1e-14 * (1 + kernel.lam):
+        raise ShapeError(f"lambda {lam!r} is not the kernel's {kernel.lam!r}")
     z = as_vector(z, kernel.n)
     zz = float(np.sum(np.abs(z) ** 2))
 
@@ -244,7 +250,10 @@ def w1_dsigma_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
 def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:
     """exp(tΔ) on Gaussians: γ exp(v^t S v) ↦
     γ det(I - 4tS)^{-1/2} exp(v^t S (I - 4tS)^{-1} v) while Re(I - 4tS) > 0;
-    past that blow-up, HeatFlowSingular."""
+    past that blow-up, HeatFlowSingular.  ShapeError unless t is a finite
+    real; t ≤ 0 is allowed."""
+    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+        raise ShapeError(f"t must be a finite real, got {t!r}")
     a = np.eye(2 * f.n) - 4 * t * f.S
     d = matcore.det_powhalf_posreal(a, HeatFlowSingular)
     s_new = f.S @ matcore.require_invertible(a, HeatFlowSingular, 1 + norm(4 * t * f.S))[0]

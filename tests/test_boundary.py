@@ -5,6 +5,7 @@ library built itself."""
 
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from weylsym.metaplectic import (
 )
 from weylsym.moyal import star_exp_bridge_residual, star_exp_quadratic_closed, star_exp_series, star_exp_symbol
 from weylsym.polys import Poly
-from weylsym.quadrature import quadrature_cn
+from weylsym.quadrature import lebesgue_cn, lebesgue_rn, quadrature_cn
 from weylsym.suites import run_suite
 from weylsym.sympgroup import (
     SpLieReal,
@@ -55,6 +56,7 @@ from weylsym.weylsymbols import (
     berezin_transform_gaussian,
     berezin_transform_quadrature,
     classical_weyl_kernel,
+    heat_flow_gaussian,
     polar_relation_residual,
     w0_dsigma_closed,
     w0_integral,
@@ -464,6 +466,11 @@ SUITE_BAD = [
     ("n-float", {"n": 1.0}),  # passed `n in ns`, then ShapeError
     ("tol-nan", {"tol": np.nan}),  # every residual reported as a failure
     ("tol-negative", {"tol": -1.0}),  # likewise
+    ("nodes-str", {"nodes": "x"}),  # ran, and passed
+    ("nodes-zero", {"nodes": 0}),  # ran; the quadrature suites refused it in their first trial
+    ("nodes-float", {"nodes": 12.0}),  # likewise
+    ("nodes-bool", {"nodes": True}),  # likewise
+    ("nodes-past-max", {"nodes": 513}),  # likewise
 ]
 
 
@@ -519,3 +526,49 @@ def test_star_exp_symbol_refuses_a_bad_time_in_its_build(s):
             star_exp_symbol(q, s)
     # a refused build stores nothing
     assert "_star_exp_symbol" not in vars(q)
+
+
+_sym = GaussianSymbol(2, 1.0, -0.1 * np.eye(4))
+# a bad scale, centre, λ or time where it enters a quadrature or the heat
+# flow, with what it did before it was checked
+EDGE_BAD = [
+    ("lebesgue_rn-scale-negative", lambda f: lebesgue_rn(f, 1, 20, scale=-1.0), BadConfig),  # -√π
+    ("lebesgue_rn-scale-negative-n3", lambda f: lebesgue_rn(f, 3, 8, scale=-0.8), BadConfig),  # -5.568
+    ("lebesgue_rn-scale-zero", lambda f: lebesgue_rn(f, 1, 20, scale=0.0), BadConfig),  # 0j
+    ("lebesgue_cn-scale-str", lambda f: lebesgue_cn(f, 1, 20, scale="a"), BadConfig),  # TypeError
+    ("lebesgue_cn-scale-nan", lambda f: lebesgue_cn(f, 1, 20, scale=np.nan), BadConfig),  # NonConvergent after the sum
+    ("lebesgue_cn-scale-inf", lambda f: lebesgue_cn(f, 1, 20, scale=np.inf), BadConfig),  # likewise
+    ("lebesgue_rn-center-2-at-n1", lambda f: lebesgue_rn(f, 1, 20, center=[0.0, 0.0]), ShapeError),  # 1.2533, not √π
+    ("lebesgue_rn-center-3-at-n2", lambda f: lebesgue_rn(f, 2, 20, center=np.zeros(3)), ShapeError),  # ValueError
+    ("lebesgue_rn-center-str", lambda f: lebesgue_rn(f, 2, 20, center="a"), ShapeError),  # UFuncTypeError
+    ("lebesgue_rn-center-nan", lambda f: lebesgue_rn(f, 2, 20, center=[0.0, np.nan]), ShapeError),  # NonConvergent
+    ("bargmann_apply-lambda-zero", lambda f: bargmann_apply(f, [0.1], 0.0, nodes=8), ShapeError),  # ZeroDivisionError
+    ("bargmann_apply-lambda-negative", lambda f: bargmann_apply(f, [0.1], -1.0, nodes=8), ShapeError),  # NonConvergent
+    ("bargmann_apply-lambda-inf", lambda f: bargmann_apply(f, [0.1], np.inf, nodes=8), ShapeError),  # RuntimeWarning
+    # 1.761+0.015j, from a kernel at one λ integrated at another
+    ("w0_integral-other-lambda", lambda f: w0_integral(sigma_kernel(_k, 1.0), np.zeros(2), 2.0, nodes=12), ShapeError),
+    ("heat_flow_gaussian-t-nan", lambda f: heat_flow_gaussian(_sym, np.nan), ShapeError),  # LinAlgError
+    ("heat_flow_gaussian-t-inf", lambda f: heat_flow_gaussian(_sym, np.inf), ShapeError),  # HeatFlowSingular, nan
+    ("heat_flow_gaussian-t-str", lambda f: heat_flow_gaussian(_sym, "a"), ShapeError),  # UFuncTypeError
+]
+
+
+@pytest.mark.parametrize("name, call, error", EDGE_BAD, ids=[b[0] for b in EDGE_BAD])
+def test_quadrature_and_heat_flow_edges_are_refused_before_any_evaluation(name, call, error):
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return np.exp(-np.sum(x**2, axis=-1))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call(f)
+    assert calls == []
+
+
+def test_heat_flow_takes_a_zero_or_negative_time():
+    assert heat_flow_gaussian(_sym, 0).gamma == 1.0
+    # Det(I - 4tS)^{-1/2} with I - 4tS = 0.96 I on R^4
+    assert heat_flow_gaussian(_sym, -0.1).gamma == pytest.approx(1 / 0.96**2)

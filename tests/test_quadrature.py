@@ -161,6 +161,46 @@ def test_factorised_sum_matches_materialised_grid_in_more_dims(dim):
     assert got == pytest.approx(ref, rel=1e-13, abs=0)
 
 
+# dim 3 contracts in one slab; at dims 4, 5 and 6 the 12, 49 and 216 head
+# rows go in slabs of 1 or 5, the last of 5 ragged
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("dim, nodes", [(3, 30), (4, 12), (5, 7), (6, 6)])
+def test_slabs_match_materialised_grid(monkeypatch, rows, dim, nodes):
+    monkeypatch.setattr(quadrature, "SLAB", rows * nodes * nodes)
+    expo, center = _real_exponent(dim), np.linspace(0.2, -0.1, dim)
+    got = lebesgue_rn(GaussianExponent(expo), dim, nodes, scale=0.8, center=center)
+    ref = _ref_lebesgue_rn(lambda x: np.exp(expo(x)), dim, nodes, 0.8, center)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0)
+    if dim % 2 == 0:
+        gi = random_gaussian_integrand(rng_for(dim, "slabs"), dim // 2)
+        got = quadrature_cn(GaussianExponent(gi.exponent), 0.9, dim // 2, nodes)
+        assert got == pytest.approx(_ref_quadrature_cn(gi.eval, 0.9, dim // 2, nodes), rel=1e-13, abs=0)
+
+
+def test_contraction_temporaries_stay_within_the_slab_budget():
+    # at 80 nodes a slab is one head row of 6400 entries (100 KiB): the sum
+    # holds K, P_a, the product and numpy's buffer for a broadcast multiply,
+    # about 410 KiB; a slab of two head rows, or a P_b built beside the
+    # product, takes about 600 KiB
+    dim, nodes = 4, 80
+    rng = np.random.default_rng(nodes)
+    v = np.exp(0.3 * rng.standard_normal((dim, nodes)) + 1j * rng.standard_normal((dim, nodes)))
+    m = {}
+    for pq in itertools.combinations(range(dim), 2):
+        x = 0.1 * rng.standard_normal((nodes, nodes)) + 1j * rng.standard_normal((nodes, nodes))
+        m[pq] = np.exp(x + x.T)
+    tracemalloc.start()
+    try:
+        total = quadrature._contract(v, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(total)
+    # four temporaries, each under glibc's 128 KiB mmap threshold
+    assert quadrature.SLAB * 16 < 2**17
+    assert peak < 4 * 2**17
+
+
 def test_exponent_that_is_not_quadratic_is_refused():
     def cubic(w):
         return -np.sum(np.abs(w) ** 2, axis=1) + 0.05 * w[:, 0] ** 2 * w[:, 1].conj()
