@@ -12,6 +12,7 @@ from .errors import (
     BadConfig,
     CayleySingular,
     DivergentIntegral,
+    GaussianOverflow,
     HeatFlowSingular,
     NoDecomposition,
     NonConvergent,

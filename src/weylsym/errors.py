@@ -54,6 +54,11 @@ class AmbiguousPhase(WeylsymError):
     with real det P, or a spectrum not split into ±μ pairs."""
 
 
+class GaussianOverflow(WeylsymError):
+    """A Gaussian value γ exp(E) past the float range: E not finite, Re E
+    above log of the largest float, or the product not finite."""
+
+
 class NonConvergent(WeylsymError):
     """Truncated series failed its convergence certificate."""
 

@@ -23,12 +23,15 @@ Closed-form symbols γ exp(v^t S v) on R^{2n} are the third Gaussian type,
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore, sympgroup
-from .errors import DivergentIntegral, ShapeError
+from .errors import DivergentIntegral, GaussianOverflow, ShapeError
 from .matcore import (
     as_batch,
     as_matrix,
@@ -41,6 +44,9 @@ from .matcore import (
     require_finite,
 )
 from .sympgroup import SuBlocks, _owned
+
+# log of the largest float: exp(E) overflows past Re E = _LOG_MAX
+_LOG_MAX = math.log(sys.float_info.max)
 
 __all__ = [
     "GaussianIntegrand",
@@ -247,24 +253,45 @@ class GaussianSymbol(_Gaussian):
 
     def eval(self, v):
         """γ exp(v^t S v) at one point v of shape (2n,), as a complex, or at
-        a batch of shape (..., 2n), as an array of shape (...)."""
+        a batch of shape (..., 2n), as an array of shape (...); GaussianOverflow
+        where a value is past the float range (see `_at`)."""
         return self._at(as_batch(v, 2 * self.n))
-
-    def _at(self, v):
-        """`eval` at points v already checked."""
-        val = self.gamma * np.exp(self._form(v.T).T)
-        return complex(val) if v.ndim == 1 else val
-
-    def _at_z(self, z) -> complex:
-        """The value at one point z of C^n, checked here."""
-        z = as_vector(z, self.n)
-        return self._at(np.concatenate([z.real, z.imag]))
 
     def eval_z(self, z):
         """Evaluate at z ∈ C^n, or at a batch of shape (..., n), via
         v = (Re z, Im z)."""
         z = as_batch(z, self.n)
-        return self._at(np.concatenate([z.real, z.imag], axis=-1))
+        return self._at(np.concatenate((z.real, z.imag), axis=-1, dtype=self.Q.dtype))
+
+    def _at(self, v):
+        """`eval` at points v already checked: at one point (2n,), cast once to
+        Q's dtype, E by `quad_form` and γ·cmath.exp(E), a complex; at a batch
+        (..., 2n), an array.  GaussianOverflow unless every E is finite, with
+        Re E ≤ log of the largest float, and γ exp(E) is finite; an underflow
+        to 0 is a value."""
+        one = v.ndim == 1
+        x = v.astype(self.Q.dtype, copy=False) if one else v.T
+        try:
+            e = self._form(x)
+        except (FloatingPointError, RuntimeWarning):
+            # the caller's errstate or warning filter stopped an over- or
+            # underflow in the form: take E again, to be judged below
+            with np.errstate(all="ignore"):
+                e = self._form(x)
+        if one:
+            if cmath.isfinite(e) and e.real <= _LOG_MAX:
+                val = self.gamma * cmath.exp(e)
+                if cmath.isfinite(val):
+                    return val
+        else:
+            e = e.T
+            if np.isfinite(e).all() and (e.real <= _LOG_MAX).all():
+                with np.errstate(all="ignore"):
+                    val = self.gamma * np.exp(e)
+                if np.isfinite(val).all():
+                    return val
+        raise GaussianOverflow(f"γ exp(E) is past the float range: γ = {self.gamma:.6g}, "
+                               f"max Re E = {np.max(e.real):.6g}")
 
 
 def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:

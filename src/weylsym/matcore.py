@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 
 import numpy as np
 import scipy.linalg
@@ -73,19 +74,28 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None, symmetric:
     return m
 
 
+# the dtype of the vector `as_vector` returns, by its `dtype` argument
+_VECTOR_DTYPES = {complex: np.dtype(complex), float: np.dtype(float)}
+_POINT_TYPES = {d: t for t, d in _VECTOR_DTYPES.items()}
+
+
 def as_vector(data, size: int | None, dtype=complex) -> np.ndarray:
     """Coerce to a finite 1-D array of `size` entries (any length if None) of
     `dtype`, complex or float; a scalar counts as one.  ShapeError otherwise:
-    on non-numeric entries, or a nonzero imaginary part when dtype is float."""
-    try:
-        v = np.atleast_1d(data)
-    except (TypeError, ValueError) as err:
-        raise ShapeError(f"expected a numeric vector: {err}") from None
-    if v.dtype.kind not in "biufc":
-        raise ShapeError(f"expected a numeric vector, got {v.dtype} entries")
-    if dtype is float and v.dtype.kind == "c" and v.imag.any():
-        raise ShapeError("expected a real vector, got a nonzero imaginary part")
-    v = (v.real if dtype is float else v).astype(dtype, copy=False)
+    on non-numeric entries, or a nonzero imaginary part when dtype is float.
+    A 1-D array already of `dtype` is returned as it is, after the checks of
+    its length and finiteness."""
+    v = data
+    if not (type(v) is np.ndarray and v.ndim == 1 and v.dtype is _VECTOR_DTYPES[dtype]):
+        try:
+            v = np.atleast_1d(data)
+        except (TypeError, ValueError) as err:
+            raise ShapeError(f"expected a numeric vector: {err}") from None
+        if v.dtype.kind not in "biufc":
+            raise ShapeError(f"expected a numeric vector, got {v.dtype} entries")
+        if dtype is float and v.dtype.kind == "c" and v.imag.any():
+            raise ShapeError("expected a real vector, got a nonzero imaginary part")
+        v = (v.real if dtype is float else v).astype(dtype, copy=False)
     if v.ndim != 1 or size not in (None, v.shape[0]):
         raise ShapeError(f"expected a vector of length {size}, got shape {v.shape}")
     # a Python loop beats numpy's reductions on the few entries of a point
@@ -99,7 +109,11 @@ def as_batch(data, size: int, dtype=None) -> np.ndarray:
     points along the last axis, of shape (..., size), keeping a numeric
     dtype, or of `dtype` float; a scalar counts as one entry.  ShapeError
     otherwise: on non-numeric or ragged entries, a last axis of another
-    length, or a nonzero imaginary part when dtype is float."""
+    length, or a nonzero imaginary part when dtype is float.  One point of
+    float64 or complex128 entries is checked by `as_vector`, in its own dtype
+    unless `dtype` is float."""
+    if type(data) is np.ndarray and data.ndim == 1 and data.dtype in _POINT_TYPES:
+        return as_vector(data, size, dtype or _POINT_TYPES[data.dtype])
     try:
         b = np.atleast_1d(data)
     except (TypeError, ValueError) as err:
@@ -138,9 +152,10 @@ def require_dim(n) -> None:
 
 
 def require_lambda(lam: float) -> None:
-    """ShapeError unless the scale λ is positive and finite."""
-    if not 0 < lam < math.inf:
-        raise ShapeError("lambda must be positive and finite")
+    """ShapeError unless the scale λ is a real number (`numbers.Real`, as
+    `run_suite` asks) that is positive and finite."""
+    if not (isinstance(lam, numbers.Real) and 0 < lam < math.inf):
+        raise ShapeError(f"lambda must be a positive and finite real, got {lam!r}")
 
 
 def block2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -191,9 +206,11 @@ def quad_form(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v^t m v for axis-major points v of shape (k, ...) and m of shape
     (k, k), as an array of shape (...): one (k, k) matmul over the stacked
     points, then a product and a sum over axis 0.  A batch w of shape
-    (..., k) is ``quad_form(m, w.T).T``; one point (k,) takes two products."""
+    (..., k) is ``quad_form(m, w.T).T``; one point (k,) takes two
+    `ndarray.dot` products, the BLAS calls of ``v @ (m @ v)`` without
+    matmul's ufunc dispatch, so v of m's dtype is cast by neither."""
     if v.ndim == 1:
-        return v @ (m @ v)
+        return v.dot(m.dot(v))
     flat = v.reshape(v.shape[0], -1)
     mv = m @ flat
     mv *= flat

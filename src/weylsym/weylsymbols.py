@@ -82,8 +82,9 @@ def w0_integral(kernel: GaussianKernel, z, lam: float, nodes: int = 80, symmetri
     Either integrand's exponent, the kernel's exponent plus the W0 phase, is
     quadratic in w, so it is summed as a `GaussianExponent`.  ShapeError when
     λ differs from the kernel's own by more than 1e-14·(1 + λ), as in
-    `compose_kernels`.
+    `compose_kernels`, and for a λ that `matcore.require_lambda` refuses.
     """
+    matcore.require_lambda(lam)
     if not abs(lam - kernel.lam) <= 1e-14 * (1 + kernel.lam):
         raise ShapeError(f"lambda {lam!r} is not the kernel's {kernel.lam!r}")
     z = as_vector(z, kernel.n)
@@ -172,7 +173,7 @@ def adjudicate_phase(k: SuBlocks, lam: float = 1.0, nodes: int = 80) -> complex:
 
 def w0_sigma_closed(k: SuBlocks, z, lam: float) -> complex:
     """W0(σ(k))(z): `w0_sigma_symbol(k, lam)` at one point, kept as the benchmark binds it."""
-    return w0_sigma_symbol(k, lam)._at_z(z)
+    return w0_sigma_symbol(k, lam).eval_z(z)
 
 
 def w0_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
@@ -188,11 +189,6 @@ def w0_sigma_symbol(k: SuBlocks, lam: float) -> GaussianSymbol:
     return _memo(k, "_w0_sigma_symbol", lam, build)
 
 
-def _xy(n: int, x, y) -> np.ndarray:
-    """The real point v = (x, y) of R^{2n}, x and y checked in R^n."""
-    return np.concatenate([as_vector(x, n, float), as_vector(y, n, float)])
-
-
 def w0_dsigma_closed(x: SuLie, z, lam: float) -> complex:
     """W0(dσ(X))(z) = (λ/4)(z(Bbar z) - zbar(B zbar) - 2(Az) zbar)."""
     matcore.require_lambda(lam)
@@ -204,8 +200,10 @@ def w0_dsigma_closed(x: SuLie, z, lam: float) -> complex:
 
 
 def w1_sigma_closed(g: SpReal, x, y, lam: float = 1.0) -> complex:
-    """W1(σ'(g))(x, y): `w1_sigma_symbol(g, lam)` at one point, kept as the benchmark binds it."""
-    return w1_sigma_symbol(g, lam)._at(_xy(g.n, x, y))
+    """W1(σ'(g))(x, y): `w1_sigma_symbol(g, lam)` at one point, kept as the benchmark binds it;
+    x and y are checked in R^n and joined into one complex v = (x, y), the dtype of the exponent."""
+    symbol = w1_sigma_symbol(g, lam)
+    return symbol._at(np.concatenate((as_vector(x, g.n, float), as_vector(y, g.n, float)), dtype=complex))
 
 
 def w1_sigma_symbol(g: SpReal, lam: float = 1.0) -> GaussianSymbol:
@@ -242,7 +240,7 @@ def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
 def w1_dsigma_closed(x_lie: SpLieReal, x, y, lam: float = 1.0) -> complex:
     """W1(dσ'(X))(x, y) = (i/2)(2y(Ax) + y(By) - x(Cx)), which is also
     -(i/2)(x y) J X (x y)^t (the tests compare the two)."""
-    x, y = np.split(_xy(x_lie.n, x, y), 2)
+    x, y = as_vector(x, x_lie.n, float), as_vector(y, x_lie.n, float)
     a, b, c = x_lie.A, x_lie.B, x_lie.C
     return complex(lam * (0.5j * (2 * (y @ (a @ x)) + y @ (b @ y) - x @ (c @ x))))
 

@@ -12,7 +12,7 @@ import pytest
 
 from weylsym import suites
 from weylsym.cli import main
-from weylsym.errors import BadConfig, ShapeError, WeylsymError
+from weylsym.errors import BadConfig, GaussianOverflow, ShapeError, WeylsymError
 from weylsym.gaussint import GaussianIntegrand, GaussianKernel, compose_kernels
 from weylsym.heisenberg import (
     HeisElt,
@@ -179,6 +179,8 @@ LAMBDA_ENTRIES = [
     lambda lam: coherent_eval([0.1], [0.2], lam),
     lambda lam: w0_dsigma_closed(su_lie_from_sp_lie(random_sp_lie(1, 2)), [0.1], lam),
     lambda lam: w0_sigma_symbol(random_su(1, 1), lam),
+    lambda lam: w0_sigma_closed(random_su(1, 1), [0.1], lam),
+    lambda lam: sigma_kernel(random_su(1, 1), lam),
     lambda lam: w1_sigma_symbol(random_sp(1, 1), lam),
     lambda lam: w1_exp_symbol(random_sp_lie(1, 2), lam),
 ]
@@ -191,7 +193,8 @@ def test_dsigma_kernel_takes_lists_and_refuses_a_bad_lambda():
     assert DsigmaKernel(1, 1.0, a.tolist(), b.tolist()).eval([0.1], [0.2]) == kernel.eval([0.1], [0.2])
     for call in LAMBDA_ENTRIES:
         call(1.0)
-        for lam in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        # a λ that is not a real number failed `0 < lam` with a TypeError
+        for lam in (0.0, -1.0, np.nan, np.inf, -np.inf, "a", None, 1j):
             with pytest.raises(ShapeError):
                 call(lam)
 
@@ -268,7 +271,8 @@ _x, _y = np.array([0.1, 0.2]), np.array([0.3, -0.1])
 _h = HeisElt(2, _z, 0.3)
 _f = lambda u: np.sum(u)  # noqa: E731
 # every function of a point at n = 2: kind "z" takes a point of C^n, "x" one
-# of R^n, "v" one of R^{2n} and "xy" one as a pair (x, y) of R^n
+# of R^n, "v" a real one of R^{2n}, "w" a numeric one of R^{2n} and "xy" one
+# as a pair (x, y) of R^n
 POINTS = [
     ("w0_sigma_closed", "z", lambda z: w0_sigma_closed(_k, z, 1.0)),
     ("w0_dsigma_closed", "z", lambda z: w0_dsigma_closed(_xs, z, 1.0)),
@@ -305,29 +309,49 @@ POINTS = [
     ("star_exp_series", "v", lambda v: star_exp_series(_q, -1j, 8, v)),
     ("star_exp_quadratic_closed", "v", lambda v: star_exp_quadratic_closed(_q, v)),
     ("star_exp_bridge_residual", "v", lambda v: star_exp_bridge_residual(_xl, v)),
+    ("GaussianSymbol.eval", "w", lambda v: w1_sigma_symbol(_g, 1.0).eval(v)),
 ]
-GOOD = {"z": (_z,), "x": (_x,), "v": (np.concatenate([_x, _y]),), "xy": (_x, _y)}
-# NaN, inf, a wrong length, complex data for a real point, strings
+GOOD = {"z": (_z,), "x": (_x,), "v": (np.concatenate([_x, _y]),), "w": (np.concatenate([_x, _y]),), "xy": (_x, _y)}
+_RAGGED = [[0.1], [0.2, 0.3]]
+# NaN, ±inf, a wrong length, complex data for a real point, strings, None
+# and a ragged list; the NaN and inf points come both as lists and as 1-D
+# float64 or complex128 arrays, which `as_vector` takes without a copy
 BAD = {
-    "z": [([np.nan, 0],), ([0, complex(0, np.inf)],), (np.zeros(3),), (np.zeros((2, 1)),), (["a", "b"],)],
-    "x": [([np.nan, 0],), ([0, np.inf],), (np.zeros(3),), (np.array([0.1 + 1j, 0.2]),), (["0.3", "0.1"],)],
-    "v": [([0.1, np.nan, 0, 0],), ([0, 0, np.inf, 0],), (np.zeros(5),), ([0.1 + 1j, 0, 0, 0],), (["0.1"] * 4,)],
+    "z": [([np.nan, 0],), ([0, complex(0, np.inf)],), (np.array([0j, -np.inf]),), (np.array([np.nan, 0j]),),
+          (np.zeros(3),), (np.zeros(1, complex),), (np.zeros((2, 1)),), (["a", "b"],), (None,), (_RAGGED,)],
+    "x": [([np.nan, 0],), ([0, np.inf],), (np.array([-np.inf, 0]),), (np.zeros(3),), (np.array([0.1 + 1j, 0.2]),),
+          (["0.3", "0.1"],), (None,), (_RAGGED,)],
+    "v": [([0.1, np.nan, 0, 0],), ([0, 0, np.inf, 0],), (np.array([0, np.nan, 0, 0]),), (np.array([0, 0, 0, -np.inf]),),
+          (np.zeros(5),), (np.zeros(3, complex),), ([0.1 + 1j, 0, 0, 0],), (["0.1"] * 4,), (None,), (_RAGGED,)],
     "xy": [
         ([np.nan, 0], _y),
         (_x, [0, np.inf]),
+        (np.array([np.nan, 0]), _y),
+        (_x, np.array([0, -np.inf])),
         (np.zeros(3), np.zeros(1)),
+        (_x, np.zeros(1)),
         (np.array([0.1 + 1j, 0.2]), _y),
         (_x, ["0.3", "0.1"]),
+        (None, _y),
+        (_x, _RAGGED),
     ],
 }
+# "w" takes complex entries too
+BAD["w"] = [([0.1, np.nan, 0, 0],), (np.array([0, np.nan, 0, 0]),), (np.array([0j, 0, 0, -np.inf]),),
+            (np.zeros(5),), (np.zeros(3, complex),), (["0.1"] * 4,), (None,), (_RAGGED,)]
 
 
 @pytest.mark.parametrize("name, kind, call", POINTS, ids=[p[0] for p in POINTS])
 def test_points_are_checked_where_they_enter(name, kind, call):
+    """Each bad point is refused before any arithmetic, so no floating-point
+    error or warning comes first."""
     call(*GOOD[kind])
-    for bad in BAD[kind]:
-        with pytest.raises(ShapeError):
-            call(*bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            for bad in BAD[kind]:
+                with pytest.raises(ShapeError):
+                    call(*bad)
 
 
 def test_wrong_answers_at_n1_are_refused():
@@ -343,6 +367,69 @@ def test_wrong_answers_at_n1_are_refused():
     ):
         with pytest.raises(ShapeError):
             call()
+
+
+def _old_value(symbol, v) -> complex:
+    """A symbol's value as ``v @ (Q @ v)`` and ``complex(γ * np.exp(e))`` on v
+    as numpy holds it, the one-point expression the rewrite must match."""
+    v = np.asarray(v)
+    return complex(symbol.gamma * np.exp(v @ (symbol.Q @ v)))
+
+
+def _zv(z) -> np.ndarray:
+    z = np.atleast_1d(np.asarray(z))
+    return np.concatenate([z.real, z.imag])
+
+
+def test_one_point_entries_keep_their_values_off_the_fast_path():
+    """A list, an int array, a float32 array and, at n = 1, a scalar take
+    `as_vector`'s general path and give the same bits as before it."""
+    k1, w1 = random_su(1, 1), w1_sigma_symbol(_g, 1.0)
+    w0, w0_1, star = w0_sigma_symbol(_k, 1.0), w0_sigma_symbol(k1, 1.0), star_exp_symbol(_q, -1j)
+    f32 = np.array([0.1, -0.7], np.float32)
+    for z in ([0.1 + 0.2j, -0.3j], np.array([1, -2]), f32):
+        assert w0_sigma_closed(_k, z, 1.0) == _old_value(w0, _zv(np.asarray(z, complex)))
+        assert w1.eval_z(z) == _old_value(w1, _zv(z))
+    for z in (0.3 - 0.4j, 1, np.float32(0.25)):
+        assert w0_sigma_closed(k1, z, 1.0) == _old_value(w0_1, _zv(np.asarray(z, complex)))
+    for x, y in (([0.1, 0.2], [0.3, -0.1]), (np.array([1, 0]), np.array([-1, 2])), (f32, f32[::-1])):
+        v = np.concatenate([np.asarray(x, float), np.asarray(y, float)])
+        assert w1_sigma_closed(_g, x, y) == _old_value(w1, v)
+        assert star_exp_quadratic_closed(_q, [*x, *y]) == _old_value(star, v)
+    for v in ([0.1, 0.2, 0.3, -0.1], np.array([1, 0, -1, 2]), np.concatenate([f32, f32])):
+        assert w1.eval(v) == _old_value(w1, v)
+
+
+def test_values_past_the_float_range_are_refused():
+    """`GaussianSymbol.eval` and `eval_z`, at one point and in a batch, raise
+    GaussianOverflow where E is not finite, Re E passes log of the largest
+    float, or γ exp(E) overflows, with floating-point errors and warnings
+    raised; an underflow to 0 is a value."""
+    grow, shrink = GaussianSymbol(1, 1.0, np.eye(2)), GaussianSymbol(1, 1.0, -np.eye(2))
+    big = GaussianSymbol(1, 1e300, np.eye(2))
+    g1 = random_sp(1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            for call in (
+                # E = 800: inf+nanj with a RuntimeWarning before
+                lambda: grow.eval([20.0, 20.0]),
+                lambda: grow.eval_z([20 + 20j]),
+                lambda: grow.eval([[0.0, 0.0], [20.0, 20.0]]),
+                lambda: grow.eval_z([[0j], [20 + 20j]]),
+                # E = 200, but γ exp(E) is past the range
+                lambda: big.eval([10.0, 10.0]),
+                lambda: big.eval_z([[10 + 10j]]),
+                # E overflows inside the form: nan+nanj before
+                lambda: w1_sigma_closed(g1, [1e155], [1e155]),
+                lambda: w0_sigma_closed(su_from_sp(g1), [1e155 + 1e155j], 1.0),
+                lambda: grow.eval([[1e155, 1e155]]),
+            ):
+                with pytest.raises(GaussianOverflow):
+                    call()
+            assert shrink.eval([30.0, 30.0]) == shrink.eval_z(30 + 30j) == 0
+            assert np.all(shrink.eval([[30.0, 30.0], [0.0, 0.0]]) == [0, 1])
+            assert grow.eval([26.6, 0.0]) == _old_value(grow, [26.6, 0.0])
 
 
 def test_callable_berezin_transform_takes_any_length():

@@ -70,6 +70,13 @@ def test_star_exp_series_too_large_is_bad_config(capsys):
     assert "monomials" in capsys.readouterr().err
 
 
+def test_value_past_the_float_range_is_bad_input(capsys):
+    # the Hörmander symbol of 0.5·I is exp(tanh(1/2)|v|^2)/cosh(1/2): E = 739 at (40, 0)
+    code = main(["eval", "hormander", "--M", "0.5I", "--point", "40", "0"])
+    assert code == 2
+    assert "past the float range" in capsys.readouterr().err
+
+
 def test_eval_from_matrix_file(tmp_path, capsys):
     g = random_sp(1, 42)
     path = tmp_path / "g.json"

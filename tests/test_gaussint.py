@@ -245,3 +245,31 @@ def test_symbol_form_matches_einsum_reference():
             ref = sym.gamma * np.exp(np.einsum("...i,ij,...j->...", v, sym.S, v))
             _assert_rel(got, ref)
             assert isinstance(got, complex) == (v.ndim == 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_point_value_is_the_matmul_expression_bit_for_bit(n):
+    """At one point, `quad_form` takes v^t Q v as two `ndarray.dot` products on
+    v cast to Q's dtype, and `GaussianSymbol` exponentiates with `cmath.exp`:
+    the same bits as ``v @ (m @ v)`` and ``complex(γ * np.exp(e))``, which are
+    computed here, for real and complex v.  One point and a batch sum E in
+    another order, so they agree to 4ε relative on the scale 1 + |v|^t|Q||v|
+    of the exponent's terms."""
+    from weylsym.weylsymbols import GaussianSymbol
+
+    rng = rng_for(n, "one-point-bits")
+    for _ in range(60):
+        s = _cpx(rng, (2 * n, 2 * n), 0.3)
+        sym = GaussianSymbol(n, _cpx(rng, ()), s + s.T)
+        m = sym.Q
+        batch = rng.uniform(-1.5, 1.5, (8, 2 * n))
+        for v in (batch[0], _cpx(rng, 2 * n, 0.7)):
+            e = v @ (m @ v)
+            assert matcore.quad_form(m, v.astype(complex)) == e
+            assert sym.eval(v) == complex(sym.gamma * np.exp(e))
+        values = sym.eval(batch)
+        zs = batch[:, :n] + 1j * batch[:, n:]
+        for i, v in enumerate(batch):
+            tol = 4 * np.finfo(float).eps * (1 + np.abs(v) @ np.abs(m) @ np.abs(v))
+            for one, many in ((sym.eval(v), values[i]), (sym.eval_z(zs[i]), sym.eval_z(zs)[i])):
+                assert abs(one - many) <= tol * abs(many)
