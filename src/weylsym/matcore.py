@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import zgetrf, zgetrs, zlange
 
-from .errors import AmbiguousPhase, NotPositiveReal, ShapeError, SingularMatrix, CayleySingular
+from .errors import NotPositiveReal, ShapeError, SingularMatrix, CayleySingular
 
 __all__ = [
     "as_matrix",
@@ -311,17 +311,19 @@ def det_powhalf_posreal(n_mat: np.ndarray, error=NotPositiveReal) -> complex:
     return math.prod(map(principal_sqrt, np.linalg.eigvals(n_mat).tolist()))
 
 
-def hamiltonian_cosh_det(a: np.ndarray, det_cosh: complex, cond: float) -> complex:
-    """(Det cosh a)^{1/2} = Π cosh(μ) over one μ of each ±μ pair of eigenvalues
-    of a Hamiltonian matrix a: Re μ > 0, or Re μ ≈ 0 < Im μ (a pair at 0 adds 1).
-    cosh is even, so no root is taken.  AmbiguousPhase unless the square matches
-    `det_cosh`, Det cosh a from `require_invertible`, to a relative
-    max(1e-3, 16·ε·cond), with `cond` the 1-norm condition number of cosh a
-    from the exact norms of it and its inverse: near a pole both sides carry
-    an error of about ε·cond, and a wrong split is off by a factor cosh²μ."""
-    mu = np.linalg.eigvals(a).tolist()
-    tol = 1e-8 * (1 + max(map(abs, mu)))
-    root = complex(math.prod(cmath.cosh(m) for m in mu if m.real > tol or (abs(m.real) <= tol and m.imag > tol)))
-    if not abs(root * root - det_cosh) <= max(1e-3, 16 * np.finfo(float).eps * cond) * abs(det_cosh):
-        raise AmbiguousPhase(f"Π cosh(μ)² {root * root:.3g} ≠ Det cosh {det_cosh:.3g}: no ±μ pairs, or a pole")
-    return root
+def _half_charpoly(b: np.ndarray) -> list:
+    """[1, c_1, …, c_n], Σ c_k x^{n-k} = Π (x − x_k) over one x_k of each equal pair of eigenvalues of a
+    2n×2n b (b = a², a Hamiltonian): Newton's identities c_k = -(1/k) Σ_{i≤k} c_{k-i} τ_i, τ_m = tr(bᵐ)/2."""
+    taus = [np.trace(np.linalg.matrix_power(b, m)) / 2 for m in range(1, len(b) // 2 + 1)]
+    coeffs = [1.0]
+    for k in range(1, len(taus) + 1):
+        coeffs.append(-sum(c * t for c, t in zip(coeffs[::-1], taus)) / k)
+    return coeffs
+
+
+def hamiltonian_cosh_det(a: np.ndarray) -> complex:
+    """(Det cosh a)^{1/2} = Π cosh √x over the roots x of `_half_charpoly`(a²): cosh √x is entire in
+    x and even in √x, so no pairing, branch or root is taken.  ShapeError unless aᵗJ + Ja ≈ 0."""
+    if norm(a.T @ matrix_J(len(a) // 2) + matrix_J(len(a) // 2) @ a) > 1e-10 * (1 + norm(a)):
+        raise ShapeError("a is not Hamiltonian: aᵗJ + Ja is not 0")
+    return complex(math.prod(cmath.cosh(cmath.sqrt(x)) for x in np.roots(_half_charpoly(a @ a)).tolist()))

@@ -360,17 +360,17 @@ def star_exp_symbol(q: QuadForm2n, s: complex) -> GaussianSymbol:
     """exp_*(s q_M)(x, y) = (Det cosh A)^{-1/2} exp(i (x y) J tanh(A) (x y)^t) at A = i s JM, the
     cosh law for any complex time s: s = -i is the paper's exp_*(-i q_M), s = 1 Hörmander's
     W1(exp(dσ'(iX))) = (Det cos JM)^{-1/2} exp(-(x y) J tan(JM) (x y)^t).  The root is
-    `matcore.hamiltonian_cosh_det`'s, so a pole (s μ ∈ π/2 + πℤ, μ an eigenvalue of JM) raises
-    SingularMatrix or AmbiguousPhase; a non-finite or non-numeric s, ShapeError.  Built once per q and s."""
+    `matcore.hamiltonian_cosh_det`'s; at a pole (s μ ∈ π/2 + πℤ, μ an eigenvalue of JM) cosh A
+    is singular: SingularMatrix.  A non-finite or non-numeric s, ShapeError.  Built once per q and s."""
 
     def build():
         if not (isinstance(s, (int, float, complex, np.number)) and np.isfinite(s)):
             raise ShapeError(f"s must be a finite number, got {s!r}")
         a = (1j * s) * (matcore.matrix_J(q.n) @ q.M)
         ch, sh = matcore.mat_cosh(a)
-        chinv, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
-        root = matcore.hamiltonian_cosh_det(a, d, np.linalg.norm(ch, 1) * np.linalg.norm(chinv, 1))
-        return GaussianSymbol._trusted(q.n, 1 / root, 1j * (matcore.matrix_J(q.n) @ (sh @ chinv)))
+        th = sh @ matcore.require_invertible(ch, scale=norm(ch) + norm(sh))[0]
+        root = matcore.hamiltonian_cosh_det(a)
+        return GaussianSymbol._trusted(q.n, 1 / root, 1j * (matcore.matrix_J(q.n) @ th))
 
     return _memo(q, "_star_exp_symbol", s, build)
 

@@ -221,17 +221,15 @@ def w1_sigma_symbol(g: SpReal, lam: float = 1.0) -> GaussianSymbol:
 
 
 def w1_exp_symbol(x_lie: SpLieReal, lam: float = 1.0) -> GaussianSymbol:
-    """W1(σ'(exp X))(x, y) = (Det cosh(X/2))^{-1/2}
-    exp(-iλ (x y) J tanh(X/2) (x y)^t), the root by `matcore.hamiltonian_cosh_det`;
-    built once per X and λ."""
+    """W1(σ'(exp X))(x, y) = (Det cosh(X/2))^{-1/2} exp(-iλ (x y) J tanh(X/2) (x y)^t), the root by
+    `matcore.hamiltonian_cosh_det`; SingularMatrix where cosh(X/2) is singular.  Built once per X and λ."""
 
     def build():
         matcore.require_lambda(lam)
         half = x_lie.full / 2
         ch, sh = matcore.mat_cosh(half)
-        chinv, d = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))
-        th = chinv @ sh
-        gamma = 1 / matcore.hamiltonian_cosh_det(half, d, np.linalg.norm(ch, 1) * np.linalg.norm(chinv, 1))
+        th = matcore.require_invertible(ch, scale=norm(ch) + norm(sh))[0] @ sh
+        gamma = 1 / matcore.hamiltonian_cosh_det(half)
         return GaussianSymbol._trusted(x_lie.n, gamma, -1j * lam * (matrix_J(x_lie.n) @ th))
 
     return _memo(x_lie, "_w1_exp_symbol", lam, build)

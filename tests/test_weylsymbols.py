@@ -358,9 +358,9 @@ def test_cosh_law_constants_past_the_pole(omegas):
 
 def test_cosh_law_constant_within_its_error_bar_near_a_pole():
     """X = S R S^{-1} with rotation angles π - δ, 1, 1, S = random_sp(3, 2, 1.0):
-    at δ = 1e-12, cosh(X/2) has cond₁ ≈ 8.5e12 and Π cosh(μ)² misses Det cosh
-    by 2%, which the certificate's max(1e-3, 16·ε·cond₁) admits; the constant
-    1/(sin(δ/2) cos²(1/2)) is then met within that bar.  At δ = 1e-13 the
+    at δ = 1e-12, cosh(X/2) has cond₁ ≈ 8.5e12, and the constant
+    1/(sin(δ/2) cos²(1/2)) is met within the error bar 16·ε·cond₁ of a
+    solve with cosh(X/2), between 1e-3 and 0.1 there.  At δ = 1e-13 the
     guard refuses cosh(X/2) as singular."""
     zero = np.zeros((3, 3))
     for delta in (1e-12, 1e-13):
