@@ -51,7 +51,7 @@ class NotUnimodular(WeylsymError):
 
 class AmbiguousPhase(WeylsymError):
     """A sign the library cannot vouch for: the case analysis at det(I+k) < 0
-    with real det P, or a spectrum not split into ±μ pairs."""
+    with real det P."""
 
 
 class GaussianOverflow(WeylsymError):

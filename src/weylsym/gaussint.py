@@ -85,6 +85,23 @@ class _Gaussian:
         f = quad_form(self.Q, x)
         return f if self.r is None else f + self.r @ x
 
+    def _exp(self, c: complex, exponent) -> np.ndarray:
+        """c·exp(E) at the array E = exponent(): the records' one value rule.  Where the caller's
+        errstate or warning filter stops an over- or underflow in it, E is taken again with
+        floating-point errors ignored.  GaussianOverflow unless every E is finite, with Re E ≤ log
+        of the largest float, and c·exp(E) is finite; an underflow to 0 is a value."""
+        try:
+            e = exponent()
+        except (FloatingPointError, RuntimeWarning):
+            with np.errstate(all="ignore"):
+                e = exponent()
+        if np.isfinite(e).all() and (e.real <= _LOG_MAX).all():
+            with np.errstate(all="ignore"):
+                val = c * np.exp(e)
+            if np.isfinite(val).all():
+                return val
+        raise GaussianOverflow(f"c exp(E) is past the float range: c = {c:.6g}, max Re E = {np.max(e.real):.6g}")
+
 
 @dataclass(frozen=True)
 class GaussianIntegrand(_Gaussian):
@@ -215,11 +232,12 @@ class GaussianKernel(_Gaussian):
         return self._form(np.concatenate([z.T, w.T.conj()])).T
 
     def eval(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Kernel value at (z, w), broadcastable with shape (..., n); ShapeError
-        unless both are finite numeric batches (`matcore.as_batch`) that broadcast."""
+        """Kernel value at (z, w), broadcastable with shape (..., n), by `_exp` (GaussianOverflow
+        past the float range); ShapeError unless both are finite numeric batches
+        (`matcore.as_batch`) that broadcast."""
         z, w = as_batch(z, self.n), as_batch(w, self.n)
         try:
-            return self.c * np.exp(self.exponent(z, w))
+            return self._exp(self.c, lambda: self.exponent(z, w))
         except ValueError as err:  # from np.broadcast_arrays, the one shape left unchecked
             raise ShapeError(f"points do not broadcast: {err}") from None
 
@@ -265,33 +283,21 @@ class GaussianSymbol(_Gaussian):
 
     def _at(self, v):
         """`eval` at points v already checked: at one point (2n,), cast once to
-        Q's dtype, E by `quad_form` and γ·cmath.exp(E), a complex; at a batch
-        (..., 2n), an array.  GaussianOverflow unless every E is finite, with
-        Re E ≤ log of the largest float, and γ exp(E) is finite; an underflow
-        to 0 is a value."""
-        one = v.ndim == 1
-        x = v.astype(self.Q.dtype, copy=False) if one else v.T
+        Q's dtype, E by `quad_form` and γ·cmath.exp(E), a complex, while E and
+        the value are in range; a batch (..., 2n), or a point past the range,
+        goes to the records' rule `_exp`, which raises GaussianOverflow there."""
+        if v.ndim > 1:
+            return self._exp(self.gamma, lambda: self._form(v.T).T)
+        x = v.astype(self.Q.dtype, copy=False)
         try:
             e = self._form(x)
         except (FloatingPointError, RuntimeWarning):
-            # the caller's errstate or warning filter stopped an over- or
-            # underflow in the form: take E again, to be judged below
-            with np.errstate(all="ignore"):
-                e = self._form(x)
-        if one:
-            if cmath.isfinite(e) and e.real <= _LOG_MAX:
-                val = self.gamma * cmath.exp(e)
-                if cmath.isfinite(val):
-                    return val
-        else:
-            e = e.T
-            if np.isfinite(e).all() and (e.real <= _LOG_MAX).all():
-                with np.errstate(all="ignore"):
-                    val = self.gamma * np.exp(e)
-                if np.isfinite(val).all():
-                    return val
-        raise GaussianOverflow(f"γ exp(E) is past the float range: γ = {self.gamma:.6g}, "
-                               f"max Re E = {np.max(e.real):.6g}")
+            e = math.inf  # stopped by the caller's errstate or warning filter: left to `_exp`
+        if cmath.isfinite(e) and e.real <= _LOG_MAX:
+            val = self.gamma * cmath.exp(e)
+            if cmath.isfinite(val):
+                return val
+        return self._exp(self.gamma, lambda: self._form(x))
 
 
 def compose_kernels(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:

@@ -432,6 +432,29 @@ def test_values_past_the_float_range_are_refused():
             assert grow.eval([26.6, 0.0]) == _old_value(grow, [26.6, 0.0])
 
 
+def test_kernel_values_past_the_float_range_are_refused():
+    """`GaussianKernel.eval`, and so `verify_intertwining`, raise GaussianOverflow by
+    the records' one value rule, with floating-point errors and warnings raised: at
+    these points the exponent of σ(k)'s kernel is 904.2 + 471.1i (inf+nanj with a
+    RuntimeWarning, and a NaN residual, before)."""
+    k = random_su(2, 3, 3.0)
+    kernel, z, w = sigma_kernel(k, 1.0), [-25 + 27j, 30 + 15j], [5 + 29j, -6 + 39j]
+    assert kernel.exponent(np.array(z), np.array(w)) == pytest.approx(904.18 + 471.09j, abs=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            for call in (
+                lambda: kernel.eval(z, w),
+                lambda: kernel.eval([z, [0, 0]], [w, [0, 0]]),
+                lambda: verify_intertwining(k, [0, 0], z, w, 1.0),
+            ):
+                with pytest.raises(GaussianOverflow):
+                    call()
+            # an underflow to 0 is a value, next to an in-range one: (iz, -iw) turn E to -E
+            values = kernel.eval([1j * np.array(z), [0, 0]], [-1j * np.array(w), [0, 0]])
+            assert values[0] == 0 and values[1] == kernel.c
+
+
 def test_callable_berezin_transform_takes_any_length():
     f = lambda w: np.exp(-np.sum(np.abs(w) ** 2, axis=-1))  # noqa: E731
     berezin_transform_quadrature(f, [0.1], 1.0, nodes=8)
