@@ -142,6 +142,11 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """True for a real number (`numbers.Real`: Python, numpy or fractional) that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def require_dim(n) -> None:
     """ShapeError unless the n of an element, its arrays being n×n or
     2n×2n, is an integer of at least 1 (`_is_int`); every element
@@ -152,9 +157,9 @@ def require_dim(n) -> None:
 
 
 def require_lambda(lam: float) -> None:
-    """ShapeError unless the scale λ is a real number (`numbers.Real`, as
-    `run_suite` asks) that is positive and finite."""
-    if not (isinstance(lam, numbers.Real) and 0 < lam < math.inf):
+    """ShapeError unless the scale λ is a real number that is not a bool
+    (`_is_real`, as `run_suite` asks), positive and finite."""
+    if not (_is_real(lam) and 0 < lam < math.inf):
         raise ShapeError(f"lambda must be a positive and finite real, got {lam!r}")
 
 

@@ -290,13 +290,21 @@ def _centred_step(
     return out
 
 
+def _require_time(s) -> complex:
+    """The time s of a star exponential as a complex; ShapeError unless it is a
+    finite Python or numpy number that is not a bool."""
+    if not (isinstance(s, (int, float, complex, np.number)) and not isinstance(s, bool) and np.isfinite(s)):
+        raise ShapeError(f"s must be a finite number, got {s!r}")
+    return complex(s)
+
+
 def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[complex, float]:
     """exp_*(s q_M)(point) = Σ_{l≤L} (s q_M)^{∗l}(point)/l! by repeated
     star multiplication.  Returns (value, last-term magnitude).
 
     Refuses outside the convergence envelope ‖sM‖ ≤ 0.25, |point| ≤ 1.5,
     L ≤ 60, and raises NonConvergent if the certificate fails.  Raises
-    ShapeError for a non-finite s, and BadConfig for an L that is not a
+    ShapeError unless s is a finite number (`_require_time`), and BadConfig for an L that is not a
     nonnegative integer and when the kept powers would need more than 2^19
     monomials (n = 2 above order 57, n = 3 above 23, n = 4 above 15).
 
@@ -313,8 +321,7 @@ def star_exp_series(q: QuadForm2n, s: complex, order: int, point) -> tuple[compl
     if not (_is_int(order) and order >= 0):
         raise BadConfig(f"series order must be a nonnegative integer, got {order!r}")
     point = matcore.as_vector(point, 2 * q.n, float)
-    s = complex(s)
-    matcore.require_finite(s)
+    s = _require_time(s)
     # ‖sM‖₂ = |s|·‖M‖₂, the norm of the symmetric M taken once per q
     if not abs(s) * _memo(q, "_norm2", None, lambda: matcore.hermitian_norm2(q.M)) <= 0.25 + 1e-12:
         raise NonConvergent("‖s M‖ exceeds the convergence envelope (0.25)")
@@ -364,8 +371,7 @@ def star_exp_symbol(q: QuadForm2n, s: complex) -> GaussianSymbol:
     is singular: SingularMatrix.  A non-finite or non-numeric s, ShapeError.  Built once per q and s."""
 
     def build():
-        if not (isinstance(s, (int, float, complex, np.number)) and np.isfinite(s)):
-            raise ShapeError(f"s must be a finite number, got {s!r}")
+        _require_time(s)
         a = (1j * s) * (matcore.matrix_J(q.n) @ q.M)
         ch, sh = matcore.mat_cosh(a)
         th = sh @ matcore.require_invertible(ch, scale=norm(ch) + norm(sh))[0]

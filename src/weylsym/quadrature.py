@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -43,7 +42,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import BadConfig, NonConvergent
-from .matcore import _is_int, as_vector, quad_form, require_lambda
+from .matcore import _is_int, _is_real, as_vector, quad_form, require_lambda
 
 __all__ = [
     "GaussianExponent",
@@ -405,7 +404,7 @@ def quadrature_cn(f, lam: float, n: int, nodes_per_axis: int = 80) -> complex:
 def _require_scale(scale) -> None:
     """BadConfig unless the grid scale is a finite real > 0: a negative one
     flipped the sign of the Jacobian at odd dimension."""
-    if not (isinstance(scale, numbers.Real) and not isinstance(scale, bool) and 0 < scale < math.inf):
+    if not (_is_real(scale) and 0 < scale < math.inf):
         raise BadConfig(f"scale must be a finite real > 0, got {scale!r}")
 
 

@@ -5,7 +5,6 @@ derivation), with deterministic per-trial seeding."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -346,12 +345,12 @@ def run_suite(
     nodes: int | None = None,
 ) -> SuiteReport:
     """Run suite `name`, or raise BadConfig before any trial unless trials ≥ 1, n in the suite's
-    ns and seed ≥ 0 are integers (`matcore._is_int`), λ > 0 and tol ≥ 0 finite reals, and
-    nodes None or an integer in [1, MAX_NODES]."""
+    ns and seed ≥ 0 are integers (`matcore._is_int`), λ > 0 and tol ≥ 0 finite reals
+    (`matcore._is_real`), and nodes None or an integer in [1, MAX_NODES]."""
     suite = _suite(name)
     if not (matcore._is_int(trials) and trials >= 1):
         raise BadConfig(f"trials must be an integer >= 1, got {trials!r}")
-    if not (isinstance(lam, numbers.Real) and 0 < lam < math.inf):
+    if not (matcore._is_real(lam) and 0 < lam < math.inf):
         raise BadConfig(f"lambda must be positive and finite, got {lam!r}")
     if not (matcore._is_int(n) and n in suite.ns):
         raise BadConfig(f"suite {name!r} needs n in {{{', '.join(map(str, suite.ns))}}}, got {n!r}")
@@ -361,7 +360,7 @@ def run_suite(
         raise BadConfig(f"nodes must be None or an integer in [1, {MAX_NODES}], got {nodes!r}")
     if tol is None:
         tol = suite.tol
-    elif not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+    elif not (matcore._is_real(tol) and 0 <= tol < math.inf):
         raise BadConfig(f"tol must be finite and >= 0, got {tol!r}")
     # stored as Python numbers, so that to_obj() goes through json.dumps
     n, lam, trials, seed, tol = int(n), float(lam), int(trials), int(seed), float(tol)

@@ -20,7 +20,6 @@ the polar relation S_λ = B_λ^{1/2} W0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import matcore
 from .errors import AmbiguousPhase, BadConfig, HeatFlowSingular, NonConvergent, ShapeError
 from .gaussint import GaussianKernel, GaussianSymbol, gaussian_law
-from .matcore import _is_int, as_matrix, as_vector, block2x2, matrix_J, norm, principal_sqrt
+from .matcore import _is_int, _is_real, as_matrix, as_vector, block2x2, matrix_J, norm, principal_sqrt
 from .metaplectic import berezin_sigma_symbol, sigma_kernel
 from .quadrature import GaussianExponent, _checked_plan, lebesgue_rn, quadrature_cn
 from .sympgroup import SpLieReal, SpReal, SuBlocks, SuLie, _memo, _owned, su_from_sp
@@ -247,8 +246,8 @@ def heat_flow_gaussian(f: GaussianSymbol, t: float) -> GaussianSymbol:
     """exp(tΔ) on Gaussians: γ exp(v^t S v) ↦
     γ det(I - 4tS)^{-1/2} exp(v^t S (I - 4tS)^{-1} v) while Re(I - 4tS) > 0;
     past that blow-up, HeatFlowSingular.  ShapeError unless t is a finite
-    real; t ≤ 0 is allowed."""
-    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+    real (`matcore._is_real`, not a bool); t ≤ 0 is allowed."""
+    if not (_is_real(t) and math.isfinite(t)):
         raise ShapeError(f"t must be a finite real, got {t!r}")
     a = np.eye(2 * f.n) - 4 * t * f.S
     d = matcore.det_powhalf_posreal(a, HeatFlowSingular)

@@ -193,8 +193,8 @@ def test_dsigma_kernel_takes_lists_and_refuses_a_bad_lambda():
     assert DsigmaKernel(1, 1.0, a.tolist(), b.tolist()).eval([0.1], [0.2]) == kernel.eval([0.1], [0.2])
     for call in LAMBDA_ENTRIES:
         call(1.0)
-        # a λ that is not a real number failed `0 < lam` with a TypeError
-        for lam in (0.0, -1.0, np.nan, np.inf, -np.inf, "a", None, 1j):
+        # a λ that is not a real number failed `0 < lam` with a TypeError; True ran at λ = 1
+        for lam in (0.0, -1.0, np.nan, np.inf, -np.inf, "a", None, 1j, True):
             with pytest.raises(ShapeError):
                 call(lam)
 
@@ -572,10 +572,12 @@ SUITE_BAD = [
     ("seed-str", {"seed": "a"}),  # TypeError
     ("seed-negative", {"seed": -1}),  # numpy's ValueError
     ("lambda-str", {"lam": "1"}),  # TypeError
+    ("lambda-bool", {"lam": True}),  # ran at λ = 1.0
     ("n-bool", {"n": True}),  # passed `n in ns`, then ShapeError
     ("n-float", {"n": 1.0}),  # passed `n in ns`, then ShapeError
     ("tol-nan", {"tol": np.nan}),  # every residual reported as a failure
     ("tol-negative", {"tol": -1.0}),  # likewise
+    ("tol-bool", {"tol": True}),  # ran at tolerance 1.0
     ("nodes-str", {"nodes": "x"}),  # ran, and passed
     ("nodes-zero", {"nodes": 0}),  # ran; the quadrature suites refused it in their first trial
     ("nodes-float", {"nodes": 12.0}),  # likewise
@@ -628,12 +630,17 @@ def test_weylsymbols_edges_refuse_before_sampling():
     assert sampled == []
 
 
-@pytest.mark.parametrize("s", [np.nan, np.inf, complex(0, -np.inf), "a", None])
+@pytest.mark.parametrize("s", [np.nan, np.inf, complex(0, -np.inf), "a", None, True])
 def test_star_exp_symbol_refuses_a_bad_time_in_its_build(s):
     q = QuadForm2n(1, 0.1 * np.eye(2))
     for _ in range(2):
         with pytest.raises(ShapeError):
             star_exp_symbol(q, s)
+    # the series takes its time through the same check (True was s = 1, "1j" a time of 1j)
+    with pytest.raises(ShapeError):
+        star_exp_series(q, s, 4, [0.1, 0.1])
+    with pytest.raises(ShapeError):
+        star_exp_series(q, "1j", 4, [0.1, 0.1])
     # a refused build stores nothing
     assert "_star_exp_symbol" not in vars(q)
 
@@ -660,6 +667,7 @@ EDGE_BAD = [
     ("heat_flow_gaussian-t-nan", lambda f: heat_flow_gaussian(_sym, np.nan), ShapeError),  # LinAlgError
     ("heat_flow_gaussian-t-inf", lambda f: heat_flow_gaussian(_sym, np.inf), ShapeError),  # HeatFlowSingular, nan
     ("heat_flow_gaussian-t-str", lambda f: heat_flow_gaussian(_sym, "a"), ShapeError),  # UFuncTypeError
+    ("heat_flow_gaussian-t-bool", lambda f: heat_flow_gaussian(_sym, True), ShapeError),  # the flow at t = 1
 ]
 
 
