@@ -72,11 +72,15 @@ def verify_intertwining(k: SuBlocks, z0, z, w, lam: float) -> float:
     return abs(complex(lhs - rhs)) / (1 + abs(complex(lhs)))
 
 
-def sigma_cocycle_scalar(k1: SuBlocks, k2: SuBlocks, lam: float, param_tol: float = 1e-9) -> complex:
+# how far, relative to 1 + their size, the composed kernel's (α, β, γ) may stray from σ(k1 k2)'s
+_PARAM_TOL = 1e-9
+
+
+def sigma_cocycle_scalar(k1: SuBlocks, k2: SuBlocks, lam: float) -> complex:
     """Scalar s with compose(σ(k1), σ(k2)) = s · σ(k1 k2), parameter-wise.
 
     Raises NotUnimodular if |s| deviates from 1 by more than 1e-8 or the
-    Gaussian parameters of the two kernels disagree.
+    Gaussian parameters of the two kernels disagree by more than _PARAM_TOL.
     """
     composed = compose_kernels(sigma_kernel(k1, lam), sigma_kernel(k2, lam))
     product = sigma_kernel(su_mul(k1, k2), lam)
@@ -86,7 +90,7 @@ def sigma_cocycle_scalar(k1: SuBlocks, k2: SuBlocks, lam: float, param_tol: floa
         norm(composed.beta - product.beta),
         norm(composed.gamma - product.gamma),
     )
-    if dev > param_tol * scale:
+    if dev > _PARAM_TOL * scale:
         raise NotUnimodular(f"kernel parameters disagree by {dev:.3g}")
     s = composed.c / product.c
     if abs(abs(s) - 1.0) > 1e-8:
