@@ -1,4 +1,5 @@
 import ast
+import itertools
 import pathlib
 import re
 
@@ -123,10 +124,11 @@ def test_hamiltonian_cosh_det_pairs_the_spectrum():
 
 def test_hamiltonian_cosh_det_near_a_pole():
     """a = X/2 with X = S R S^{-1} at n = 3, S = random_sp(3, seed, 1.0) for seeds 2-11 and R the
-    rotation generator of angles (π - δ, 1, 1) or (π - δ, 0.3, 2), δ at 30 log-spaced values from
-    1e-6 to 2e-13.  Wherever the guard admits cosh a, the rule has the sign of the exact constant
-    Π cos(ω_j/2) and lies within C·ε·cond₁ of it, C = 8 (4.5 is the largest seen).  The ±μ pairing
-    certificate this rule replaced refused eight inputs the guard admits, at seed 10: the δ indices
+    rotation generator of angles (π ∓ δ, 1, 1) or (π ∓ δ, 0.3, 2), δ at 30 log-spaced values from
+    1e-6 to 2e-13, on both sides of the pole at π, where the constant changes sign.  Wherever the
+    guard admits cosh a, the rule has the sign of the exact constant Π cos(ω_j/2) and lies within
+    C·ε·cond₁ of it, C = 8 (4.9 is the largest seen).  The ±μ pairing certificate this rule
+    replaced refused eight inputs below the pole that the guard admits, at seed 10: the δ indices
     below, where its squared product missed Det cosh a by up to 5.6e-2 relative (C ≤ 1.8 there)."""
     from weylsym.sympgroup import random_sp
 
@@ -136,22 +138,22 @@ def test_hamiltonian_cosh_det_near_a_pole():
     for seed in range(2, 12):
         s = random_sp(3, seed, 1.0).g.real
         s_inv = np.linalg.inv(s)
-        for others in refused_before:
+        for others, side in itertools.product(refused_before, (1, -1)):
             for i, delta in enumerate(np.logspace(-6, np.log10(2e-13), 30)):
-                w = np.diag([np.pi - delta, *others])
+                w = np.diag([np.pi - side * delta, *others])
                 a = s @ np.block([[zero, w], [-w, zero]]) @ s_inv / 2
                 ch, sh = matcore.mat_cosh(a)
                 try:
                     inverse = matcore.require_invertible(ch, scale=matcore.norm(ch) + matcore.norm(sh))[0]
                 except SingularMatrix:
                     continue
-                admitted.add((seed, others, i))
+                admitted.add((seed, others, side, i))
                 want = np.prod(np.cos(np.diag(w) / 2))
                 got = matcore.hamiltonian_cosh_det(a)
                 cond = np.linalg.norm(ch, 1) * np.linalg.norm(inverse, 1)
                 assert np.sign(got.real) == np.sign(want)
                 assert abs(got - want) <= 8 * eps * cond * abs(want)
-    assert {(10, others, i) for others, ids in refused_before.items() for i in ids} <= admitted
+    assert {(10, others, 1, i) for others, ids in refused_before.items() for i in ids} <= admitted
 
 
 def test_solve_and_inv_singular():
