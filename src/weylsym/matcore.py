@@ -4,7 +4,7 @@ Matrices are plain ``numpy`` arrays of ``complex128``, row-major.  Everything
 here is pure: inputs are never mutated and results are freshly allocated.
 `as_matrix`, `as_vector` and `as_batch` check arrays arriving from outside the library,
 `require_dim` the n of an element and `require_lambda` the scale λ; the other
-functions take the square arrays their callers built and do not check them.
+functions do not check the square arrays their callers built, but that `hamiltonian_cosh_det`'s is Hamiltonian.
 `require_invertible` is the one way to invert a matrix or take a guarded
 determinant, and the one rule that refuses a matrix as singular.
 
