@@ -9,6 +9,7 @@ import pytest
 import weylsym
 from weylsym import matcore
 from weylsym.errors import CayleySingular, DivergentIntegral, NoDecomposition, NotPositiveReal, ShapeError, SingularMatrix
+from weylsym.sympgroup import random_sp
 
 
 def test_frame_matrices():
@@ -130,8 +131,6 @@ def test_hamiltonian_cosh_det_near_a_pole():
     C·ε·cond₁ of it, C = 8 (4.9 is the largest seen).  The ±μ pairing certificate this rule
     replaced refused eight inputs below the pole that the guard admits, at seed 10: the δ indices
     below, where its squared product missed Det cosh a by up to 5.6e-2 relative (C ≤ 1.8 there)."""
-    from weylsym.sympgroup import random_sp
-
     refused_before = {(1.0, 1.0): [21, 24, 26, 27], (0.3, 2.0): [23, 24, 25, 26]}
     eps, zero = np.finfo(float).eps, np.zeros((3, 3))
     admitted = set()
